@@ -3,7 +3,7 @@
 //! n ∈ {1k, 10k, 100k} (the regime every protocol phase lives in: a few
 //! transmitters, everyone else listening), plus the extreme-scale
 //! n ≈ 10M implicit-torus configuration (zero adjacency storage, the
-//! wide-word shift kernel) and the `run_frames_batched` frame driver.
+//! wide-word shift kernel) and the `run_frame` frame driver.
 //!
 //! Besides the per-kernel timings, the bench measures and prints the
 //! scalar/bitset speedup directly and writes the machine-readable
@@ -143,41 +143,18 @@ fn bench_frame_kernel(c: &mut Criterion) {
     group.bench_function(format!("run_frame n={n} len={len}"), |b| {
         b.iter(|| black_box(net.run_frame(black_box(&frames)).unwrap()));
     });
-    let mut batched_net = BeepNetwork::new(graph.clone(), Noise::Noiseless, 4);
-    group.bench_function(format!("run_frames_batched n={n} len={len}"), |b| {
-        b.iter(|| {
-            black_box(
-                batched_net
-                    .run_frames_batched(black_box(&frames), len)
-                    .unwrap(),
-            )
-        });
-    });
     group.finish();
 
-    // Direct per-round vs batched comparison for the metrics file.
-    let mut f_net = BeepNetwork::new(graph.clone(), Noise::Noiseless, 5);
+    // Direct median of the reuse-buffer driver for the metrics file.
+    let mut f_net = BeepNetwork::new(graph, Noise::Noiseless, 5);
     let mut heard = Vec::new();
     let frame_ns = median_nanos(15, || {
         f_net.run_frame_into(&frames, len, &mut heard).unwrap();
         black_box(&heard);
     });
-    let mut b_net = BeepNetwork::new(graph, Noise::Noiseless, 5);
-    let batched_ns = median_nanos(15, || {
-        b_net
-            .run_frames_batched_into(&frames, len, &mut heard)
-            .unwrap();
-        black_box(&heard);
-    });
-    println!(
-        "frame batching n={n} len={len}: per-round {frame_ns:.0} ns / batched {batched_ns:.0} ns \
-         = {:.2}x",
-        frame_ns / batched_ns
-    );
+    println!("run_frame_into n={n} len={len}: {frame_ns:.0} ns");
     let mut metrics = METRICS.lock().unwrap();
     metrics.push(("frame_ns".into(), frame_ns));
-    metrics.push(("frames_batched_ns".into(), batched_ns));
-    metrics.push(("frames_batched_speedup".into(), frame_ns / batched_ns));
     // The JSON file is CI's perf contract — a failed write must fail the
     // bench, or the perf bar would validate stale cached metrics. This is
     // the last criterion target, so the file carries every group above.

@@ -169,10 +169,9 @@ impl TdmaSimulator {
                 })
             })
             .collect();
-        // Drive the network through the cache-blocked batched frame kernel
-        // (byte-identical to round-by-round; the explicit length keeps an
-        // all-silent round occupying its slots).
-        let heard = net.run_frames_batched(&frames, total)?;
+        // The explicit length keeps an all-silent round occupying its
+        // slots.
+        let heard = net.run_frame_of_len(&frames, total)?;
         // Decode: per node, per neighbor slot, majority-vote.
         let graph = net.graph();
         let half = self.repetition / 2;

@@ -95,7 +95,8 @@ impl BroadcastSimulator {
     /// (`None` = stays silent both phases).
     ///
     /// `rng` drives the per-node random strings `r_v` and the decoy draws;
-    /// channel noise comes from the network's own seeded RNG.
+    /// channel noise comes from the network's counter-keyed
+    /// `(seed, round, shard)` streams (see [`beep_net::noise_stream_seed`]).
     ///
     /// # Errors
     ///
@@ -182,18 +183,16 @@ impl BroadcastSimulator {
     /// Transmits one frame per node (None = listen throughout), writing
     /// what every node heard, bit by bit, into `heard`.
     ///
-    /// Runs on the engine's cache-blocked batched frame kernel via the
-    /// reuse-buffer variant (byte-identical to the round-by-round driver,
-    /// but the adjacency is touched once per block instead of once per
-    /// round); the explicit length keeps an all-silent phase occupying its
-    /// `phase_len()` rounds in the paper's accounting.
+    /// Runs on the engine's reuse-buffer frame driver; the explicit length
+    /// keeps an all-silent phase occupying its `phase_len()` rounds in the
+    /// paper's accounting.
     fn run_phase(
         &self,
         net: &mut BeepNetwork,
         frames: &[Option<BitVec>],
         heard: &mut Vec<BitVec>,
     ) -> Result<(), SimError> {
-        net.run_frames_batched_into(frames, self.codes.phase_len(), heard)?;
+        net.run_frame_into(frames, self.codes.phase_len(), heard)?;
         Ok(())
     }
 

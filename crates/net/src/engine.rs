@@ -8,8 +8,6 @@ use crate::node::{Action, BeepProtocol};
 use crate::noise::Noise;
 use crate::trace::{NetStats, Transcript};
 use beep_bits::BitVec;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Word budget for the precomputed dense adjacency bitmasks: `n` rows of
 /// `⌈n/64⌉` words each are only materialized when they fit in this many
@@ -33,16 +31,6 @@ const PARALLEL_WORK_BUDGET: usize = 1 << 16;
 /// per node) beats source-side scatter (binary-searched adjacency slices
 /// per beeper). Cost-only — both strategies write the same bits.
 const GATHER_DENSITY_FACTOR: usize = 16;
-
-/// Rounds per cache block of [`BeepNetwork::run_frames_batched`]. Each
-/// block walks the adjacency once per shard for all its rounds, so a
-/// shard's working set (its output words × block rounds plus the beeper
-/// bitmaps) stays hot in L2 instead of being evicted between rounds.
-/// Purely a performance knob — the batched driver is byte-identical to
-/// round-by-round [`BeepNetwork::run_frame`] at every block size, because
-/// noise stays keyed by `(seed, round, shard)` and the fault overlay runs
-/// round-sequentially in the pre-pass.
-const FRAME_BLOCK_ROUNDS: usize = 32;
 
 /// The implicit topologies the zero-storage OR kernel computes on the fly
 /// (mirrors the implicit variants of [`AdjacencyRepr`]).
@@ -79,7 +67,7 @@ enum AdjKernel {
 
 impl AdjKernel {
     /// Auto-selects the kernel. Implicit graphs get the zero-storage
-    /// shift kernel. Materialized graphs (CSR or delta-varint) get dense
+    /// shift kernel. Materialized CSR graphs get dense
     /// rows when they fit the [`DENSE_WORD_BUDGET`] *and* the graph is
     /// dense enough that a row OR (`⌈n/64⌉` words) beats scattering an
     /// average adjacency list (`2m/n` bit-writes), i.e. roughly when
@@ -93,7 +81,7 @@ impl AdjKernel {
             AdjacencyRepr::Grid { rows, cols } => {
                 return AdjKernel::Implicit(ImplicitShape::Grid { rows, cols })
             }
-            AdjacencyRepr::Csr | AdjacencyRepr::DeltaCsr => {}
+            AdjacencyRepr::Csr => {}
         }
         let n = graph.node_count();
         let words_per_row = n.div_ceil(64);
@@ -212,10 +200,6 @@ struct ShardCtx<'a> {
     rows: Option<&'a [BitVec]>,
     /// The implicit topology when the zero-storage shift kernel is active.
     shape: Option<ImplicitShape>,
-    /// Whether the graph is materialized CSR, unlocking the borrowed-slice
-    /// fast paths (`Graph::neighbors`); other representations go through
-    /// the generic `for_each_neighbor*` accessors.
-    csr: bool,
     /// `beepers.count_ones()`, computed once per round (the complete-graph
     /// kernel and the gather/scatter strategy choice both need it).
     beep_count: usize,
@@ -237,7 +221,8 @@ struct ShardCtx<'a> {
     /// computed once before the shards fan out.
     round_state: u64,
     /// Sparse-kernel strategy for this round: destination-side gather
-    /// (dense beeper sets) vs source-side scatter (sparse ones).
+    /// (dense beeper sets, or a graph with no CSR slices to scatter) vs
+    /// source-side scatter (sparse beeper sets on CSR).
     gather: bool,
 }
 
@@ -271,22 +256,20 @@ impl ShardCtx<'_> {
             self.implicit_or(shape, w_lo, out);
         } else if self.gather {
             // Dense beeper set: scan each shard node's neighborhood with
-            // early exit — at ≥ n/16 beepers a hit comes fast.
+            // early exit — at ≥ n/16 beepers a hit comes fast. Also the
+            // only sparse strategy for a non-CSR graph (an implicit graph
+            // with the shift kernel turned off), which has no adjacency
+            // slices to scatter.
             for v in lo..hi {
                 let mask = 1u64 << (v % 64);
                 if out[(v - lo) / 64] & mask != 0 {
                     continue; // beeped itself: already receives a 1
                 }
-                let hit = if self.csr {
-                    self.graph.neighbors(v).iter().any(|&u| self.beepers.get(u))
-                } else {
-                    self.graph.any_neighbor(v, |u| self.beepers.get(u))
-                };
-                if hit {
+                if self.graph.any_neighbor(v, |u| self.beepers.get(u)) {
                     out[(v - lo) / 64] |= mask;
                 }
             }
-        } else if self.csr {
+        } else {
             // Sparse beeper set: scatter each beeper's CSR adjacency list,
             // binary-searched down to this shard's node range. Consecutive
             // neighbors usually share an output word (lists are sorted),
@@ -311,28 +294,6 @@ impl ShardCtx<'_> {
                     }
                     acc |= 1u64 << (w % 64);
                 }
-                if acc != 0 {
-                    out[cur] |= acc;
-                }
-            }
-        } else {
-            // Generic scatter for compressed adjacency: decode each
-            // beeper's list over this shard's range (ascending, early
-            // exit), with the same word-chunked accumulation.
-            for &u in self.beeper_list {
-                let mut cur = usize::MAX;
-                let mut acc = 0u64;
-                self.graph.for_each_neighbor_in_range(u, lo, hi, |w| {
-                    let wi = (w - lo) / 64;
-                    if wi != cur {
-                        if acc != 0 {
-                            out[cur] |= acc;
-                        }
-                        cur = wi;
-                        acc = 0;
-                    }
-                    acc |= 1u64 << (w % 64);
-                });
                 if acc != 0 {
                     out[cur] |= acc;
                 }
@@ -419,7 +380,7 @@ impl ShardCtx<'_> {
     }
 }
 
-/// A beeping network: a graph, a channel model, and a seeded RNG.
+/// A beeping network: a graph, a channel model, and a seed.
 ///
 /// The engine implements the models of Section 1.1 exactly:
 ///
@@ -439,8 +400,9 @@ impl ShardCtx<'_> {
 /// Three implementations of the same model:
 ///
 /// * [`run_round`](Self::run_round) — the scalar reference: one pass over
-///   the nodes, one neighborhood scan and (under noise) one RNG draw each.
-///   Kept as the differential-testing oracle.
+///   the nodes with one neighborhood scan each, then the channel through
+///   the same counter-keyed shard pass as the bitset kernel. Kept as the
+///   differential-testing oracle.
 /// * [`run_round_bitset`](Self::run_round_bitset) — the bit-parallel
 ///   production kernel: beepers come in as a [`BitVec`], the received OR is
 ///   computed from the set bits (or via precomputed adjacency bitmask rows
@@ -454,16 +416,14 @@ impl ShardCtx<'_> {
 ///
 /// # Determinism contract
 ///
-/// Scalar and bitset kernels are bit-identical under [`Noise::Noiseless`]
-/// (asserted by the `bitset_oracle` test suite). Under noise, the scalar
-/// kernel draws bit-by-bit from the network's sequential RNG, while the
-/// bitset kernel draws each round's flips from per-shard counter-keyed
-/// streams ([`noise_stream_seed`](crate::noise_stream_seed)`(seed, round,
-/// shard)`). A noisy bitset transcript is therefore a pure function of
+/// Every kernel draws each round's channel corruption from per-shard
+/// counter-keyed streams ([`noise_stream_seed`](crate::noise_stream_seed)`(seed,
+/// round, shard)`). A noisy transcript is therefore a pure function of
 /// `(graph, channel, faults, seed, actions, shard_count)` — the thread
 /// count and thread scheduling are **not** part of the stream, so any
-/// parallelism setting (including 1) reproduces it bit-identically. Scalar
-/// and bitset noisy runs are equal in distribution, not bit-equal.
+/// parallelism setting (including 1) reproduces it bit-identically. The
+/// scalar and bitset kernels are bit-identical under every channel,
+/// noiseless or noisy (asserted by the `bitset_oracle` test suite).
 ///
 /// # Fault overlay
 ///
@@ -501,7 +461,6 @@ pub struct BeepNetwork {
     /// [`set_fault_plan`](Self::set_fault_plan).
     faults: FaultPlan,
     seed: u64,
-    rng: StdRng,
     stats: NetStats,
     beeps_per_node: Vec<u64>,
     /// The most recent round in which any node effectively beeped (before
@@ -516,10 +475,9 @@ pub struct BeepNetwork {
 }
 
 impl BeepNetwork {
-    /// Creates a network over `graph` with the given channel and RNG seed.
+    /// Creates a network over `graph` with the given channel and seed.
     /// Runs are fully deterministic in `(graph, channel, seed, actions)`
-    /// plus, for noisy bitset rounds, the
-    /// [`shard_count`](Self::shard_count).
+    /// plus, for noisy rounds, the [`shard_count`](Self::shard_count).
     ///
     /// The channel is anything convertible into a [`ChannelModel`]: a
     /// plain [`Noise`] (the paper's iid channel — every pre-existing call
@@ -535,7 +493,6 @@ impl BeepNetwork {
             channel,
             faults: FaultPlan::none(),
             seed,
-            rng: StdRng::seed_from_u64(seed),
             stats: NetStats::default(),
             beeps_per_node,
             last_activity: None,
@@ -816,47 +773,24 @@ impl BeepNetwork {
             Action::Beep => true,
             Action::Listen => graph.any_neighbor(v, |u| actions[u] == Action::Beep),
         };
-        let self_hearing_noisy = self.self_hearing_noisy;
-        let iid = match &self.channel {
-            ChannelModel::Iid(noise) => Some(*noise),
-            _ => None,
-        };
-        let mut received: Vec<bool> = if let Some(noise) = iid {
-            // The scalar iid path draws bit-by-bit from the network's
-            // sequential RNG: equal in distribution to the bitset kernel,
-            // not bit-equal.
-            let rng = &mut self.rng;
-            (0..n)
-                .map(|v| {
-                    let clean = clean_bit(v);
-                    if actions[v] == Action::Beep && !self_hearing_noisy {
-                        clean
-                    } else {
-                        noise.apply(clean, rng)
-                    }
-                })
-                .collect()
-        } else {
-            // Non-iid channels are counter-keyed per (round, shard), not
-            // drawn from the sequential RNG: apply them with the bitset
-            // kernel's exact shard layout, so the scalar oracle reproduces
-            // the bitset transcript bit-for-bit. The pre-channel OR is
-            // still computed independently per node here, which keeps the
-            // differential tests meaningful.
-            let mut frame = BitVec::from_fn(n, &clean_bit);
-            let beepers = BitVec::from_fn(n, |v| actions[v] == Action::Beep);
-            let protect = (!self_hearing_noisy).then_some(&beepers);
-            apply_channel_sharded(
-                &self.channel,
-                graph,
-                self.seed,
-                round,
-                self.shard_count,
-                protect,
-                &mut frame,
-            );
-            (0..n).map(|v| frame.get(v)).collect()
-        };
+        // Every channel is counter-keyed per (round, shard): apply it with
+        // the bitset kernel's exact shard layout, so the scalar oracle
+        // reproduces the bitset transcript bit-for-bit. The pre-channel OR
+        // is still computed independently per node here, which keeps the
+        // differential tests meaningful.
+        let mut frame = BitVec::from_fn(n, clean_bit);
+        let beepers = BitVec::from_fn(n, |v| actions[v] == Action::Beep);
+        let protect = (!self.self_hearing_noisy).then_some(&beepers);
+        apply_channel_sharded(
+            &self.channel,
+            graph,
+            self.seed,
+            round,
+            self.shard_count,
+            protect,
+            &mut frame,
+        );
+        let mut received: Vec<bool> = frame.iter_bits().collect();
         // Fault overlay, step 2: crashed nodes are deaf — their received
         // bit is forced to 0 *after* the channel, so feedback sees silence.
         // Adaptive deafening clears at the same point.
@@ -880,7 +814,7 @@ impl BeepNetwork {
             }
         }
         if let Some(t) = &mut self.transcript {
-            t.push(BitVec::from_fn(n, |v| actions[v] == Action::Beep));
+            t.push(beepers);
         }
         Ok(received)
     }
@@ -995,7 +929,10 @@ impl BeepNetwork {
             AdjKernel::Implicit(shape) => Some(*shape),
             _ => None,
         };
-        let gather = rows.is_none() && shape.is_none() && GATHER_DENSITY_FACTOR * beep_count >= n;
+        let gather = rows.is_none()
+            && shape.is_none()
+            && (GATHER_DENSITY_FACTOR * beep_count >= n
+                || !matches!(self.graph.repr(), AdjacencyRepr::Csr));
         // The implicit kernel reads the beeper words directly; only the
         // dense-row and scatter kernels walk the materialized beeper list.
         let beeper_list: Vec<usize> = if gather || shape.is_some() {
@@ -1007,7 +944,6 @@ impl BeepNetwork {
             graph: &self.graph,
             rows,
             shape,
-            csr: matches!(self.graph.repr(), AdjacencyRepr::Csr),
             beep_count,
             beepers,
             beeper_list: &beeper_list,
@@ -1207,267 +1143,21 @@ impl BeepNetwork {
         Ok(())
     }
 
-    /// Fault-overlay step 1 for one round, applied in place to an owned
-    /// effective-beeper bitmap: static fault overrides, then the adaptive
-    /// decision (from the same pre-fan-out [`AdversaryView`] every kernel
-    /// builds), then its spam/mute edits. Returns the round's decision and
-    /// whether any node effectively beeped *before* adaptive additions
-    /// (what `last_activity` tracks). The batched frame driver runs this
-    /// round-sequentially so its transcripts match the per-round kernels
-    /// bit for bit.
-    fn overlay_step1(&self, effective: &mut BitVec, round: u64) -> (RoundFaults, bool) {
-        if self.faults.is_empty() {
-            return (RoundFaults::none(), effective.count_ones() > 0);
-        }
-        self.faults.apply_to_beepers(round, effective);
-        let pre_adaptive_active = effective.count_ones() > 0;
-        let decision = self.faults.decide(&AdversaryView {
-            seed: self.seed,
-            round,
-            beepers: effective,
-            beeps_per_node: &self.beeps_per_node,
-            last_activity: self.last_activity,
-        });
-        decision.apply_to_beepers(effective);
-        (decision, pre_adaptive_active)
-    }
-
-    /// [`run_frame_of_len`](Self::run_frame_of_len) through the
-    /// cache-blocked batched kernel: the whole transmit schedule is driven
-    /// in blocks of [`FRAME_BLOCK_ROUNDS`] rounds, and within a block each
-    /// shard computes *all* its rounds back to back. A shard's output
-    /// words and the block's beeper bitmaps stay hot in L2 across the
-    /// block, and — decisively for large sparse graphs — each shard
-    /// touches the adjacency once per block instead of once per round.
-    ///
-    /// Byte-identical to [`run_frame`](Self::run_frame): rounds are
-    /// prepared (fault overlay, adaptive decisions, stats, transcript)
-    /// sequentially in submission order before the block fans out, noise
-    /// stays keyed by `(seed, round, shard)`, and the block size is *not*
-    /// part of the determinism tuple. Pinned by the batched oracle tests
-    /// and golden FNV fingerprints.
+    /// [`run_frame_into`](Self::run_frame_into) under the name the
+    /// benchmark harness (`perfbench/src/replay.rs`) calls. It exists only
+    /// for that harness and goes when the harness is next revised.
     ///
     /// # Errors
     ///
-    /// * [`NetError::ActionCount`] if `frames.len()` differs from the node
-    ///   count.
-    /// * [`NetError::FrameLength`] if a transmitted frame's length is not
-    ///   `rounds`.
-    pub fn run_frames_batched(
-        &mut self,
-        frames: &[Option<BitVec>],
-        rounds: usize,
-    ) -> Result<Vec<BitVec>, NetError> {
-        let mut heard = Vec::new();
-        self.run_frames_batched_into(frames, rounds, &mut heard)?;
-        Ok(heard)
-    }
-
-    /// [`run_frames_batched`](Self::run_frames_batched) writing into a
-    /// caller buffer, with the same reuse contract as
-    /// [`run_frame_into`](Self::run_frame_into).
-    ///
-    /// # Errors
-    ///
-    /// * [`NetError::ActionCount`] if `frames.len()` differs from the node
-    ///   count.
-    /// * [`NetError::FrameLength`] if a transmitted frame's length is not
-    ///   `rounds`.
+    /// As [`run_frame_into`](Self::run_frame_into).
+    #[doc(hidden)]
     pub fn run_frames_batched_into(
         &mut self,
         frames: &[Option<BitVec>],
         rounds: usize,
         heard: &mut Vec<BitVec>,
     ) -> Result<(), NetError> {
-        let n = self.graph.node_count();
-        if frames.len() != n {
-            return Err(NetError::ActionCount {
-                expected: n,
-                actual: frames.len(),
-            });
-        }
-        let mut transmitters: Vec<(usize, &BitVec)> = Vec::new();
-        for (v, frame) in frames.iter().enumerate() {
-            if let Some(f) = frame {
-                if f.len() != rounds {
-                    return Err(NetError::FrameLength {
-                        node: v,
-                        expected: rounds,
-                        actual: f.len(),
-                    });
-                }
-                transmitters.push((v, f));
-            }
-        }
-        heard.truncate(n);
-        for h in heard.iter_mut() {
-            if h.len() == rounds {
-                h.clear();
-            } else {
-                *h = BitVec::zeros(rounds);
-            }
-        }
-        heard.resize_with(n, || BitVec::zeros(rounds));
-        if matches!(self.kernel, AdjKernel::DensePending) {
-            self.kernel = AdjKernel::dense(&self.graph);
-        }
-        let shape = match &self.kernel {
-            AdjKernel::Implicit(shape) => Some(*shape),
-            _ => None,
-        };
-        let csr = matches!(self.graph.repr(), AdjacencyRepr::Csr);
-        // Shard layout: identical to the per-round kernel's — a pure
-        // function of (n, shard_count), so the (round, shard) noise cells
-        // line up exactly.
-        let words_len = n.div_ceil(64);
-        let per = words_len.div_ceil(self.shard_count).max(1);
-        let num_shards = words_len.div_ceil(per);
-        let mut slab: Vec<u64> = Vec::new();
-        let mut base = 0usize;
-        while base < rounds {
-            let block = FRAME_BLOCK_ROUNDS.min(rounds - base);
-            // Sequential pre-pass: assemble each round's effective beeper
-            // bitmap and run everything order-dependent (fault overlay,
-            // adaptive decisions, stats, energy, transcript, activity
-            // tracking) exactly as the round-by-round driver would.
-            let mut block_beepers: Vec<BitVec> = Vec::with_capacity(block);
-            let mut decisions: Vec<RoundFaults> = Vec::with_capacity(block);
-            let mut round_meta: Vec<(u64, u64, usize)> = Vec::with_capacity(block);
-            for i in 0..block {
-                let mut eff = BitVec::zeros(n);
-                for &(v, f) in &transmitters {
-                    if f.get(base + i) {
-                        eff.set(v, true);
-                    }
-                }
-                let round = self.stats.rounds as u64;
-                let (decision, pre_adaptive_active) = self.overlay_step1(&mut eff, round);
-                let beep_count = eff.count_ones();
-                if pre_adaptive_active {
-                    self.last_activity = Some(round);
-                }
-                self.stats.rounds += 1;
-                self.stats.beeps += beep_count as u64;
-                self.stats.listens += (n - beep_count) as u64;
-                for u in eff.iter_ones() {
-                    self.beeps_per_node[u] += 1;
-                }
-                if let Some(t) = &mut self.transcript {
-                    t.push(eff.clone());
-                }
-                round_meta.push((
-                    round,
-                    self.channel.round_state(self.seed, round),
-                    beep_count,
-                ));
-                decisions.push(decision);
-                block_beepers.push(eff);
-            }
-            let rows = match &self.kernel {
-                AdjKernel::Dense(rows) => Some(rows.as_slice()),
-                _ => None,
-            };
-            let beeper_lists: Vec<Vec<usize>> = block_beepers
-                .iter()
-                .enumerate()
-                .map(|(i, eff)| {
-                    let gather = rows.is_none()
-                        && shape.is_none()
-                        && GATHER_DENSITY_FACTOR * round_meta[i].2 >= n;
-                    if gather || shape.is_some() {
-                        Vec::new()
-                    } else {
-                        eff.iter_ones().collect()
-                    }
-                })
-                .collect();
-            let ctxs: Vec<ShardCtx> = (0..block)
-                .map(|i| ShardCtx {
-                    graph: &self.graph,
-                    rows,
-                    shape,
-                    csr,
-                    beep_count: round_meta[i].2,
-                    beepers: &block_beepers[i],
-                    beeper_list: &beeper_lists[i],
-                    protect: (!self.self_hearing_noisy).then_some(&block_beepers[i]),
-                    channel: &self.channel,
-                    seed: self.seed,
-                    round: round_meta[i].0,
-                    shard_count: self.shard_count,
-                    round_state: round_meta[i].1,
-                    gather: rows.is_none()
-                        && shape.is_none()
-                        && GATHER_DENSITY_FACTOR * round_meta[i].2 >= n,
-                })
-                .collect();
-            // Shard-major main pass over one flat slab: shard `s` owns a
-            // contiguous `len_s × block` run of words, so worker threads
-            // write disjoint slices and a shard's rounds are adjacent in
-            // memory. Per (shard, round) cell the computation is exactly
-            // `ShardCtx::compute` — the same OR, the same noise stream.
-            slab.clear();
-            slab.resize(words_len * block, 0);
-            let threads = self.effective_threads().min(num_shards.max(1));
-            let mut queues: Vec<Vec<(usize, &mut [u64])>> =
-                (0..threads).map(|_| Vec::new()).collect();
-            for (s, shard_slab) in slab.chunks_mut(per * block).enumerate() {
-                queues[s % threads].push((s, shard_slab));
-            }
-            let run_queue = |queue: Vec<(usize, &mut [u64])>| {
-                for (s, shard_slab) in queue {
-                    let len_s = shard_slab.len() / block;
-                    let lo = s * per * 64;
-                    let hi = (lo + len_s * 64).min(n);
-                    for (i, seg) in shard_slab.chunks_mut(len_s).enumerate() {
-                        ctxs[i].compute(s, lo, hi, seg);
-                    }
-                }
-            };
-            if threads <= 1 {
-                for queue in queues {
-                    run_queue(queue);
-                }
-            } else {
-                let own = queues.pop().expect("threads >= 2 queues");
-                std::thread::scope(|scope| {
-                    for queue in queues {
-                        scope.spawn(|| run_queue(queue));
-                    }
-                    run_queue(own);
-                });
-            }
-            // Post-pass: scatter the slab into per-node heard strings and
-            // apply fault-overlay step 2 (crash deafness + adaptive
-            // deafening) per round — the same post-channel point as the
-            // per-round kernels.
-            for (s, shard_slab) in slab.chunks(per * block).enumerate() {
-                let len_s = shard_slab.len() / block;
-                let lo = s * per * 64;
-                for (i, seg) in shard_slab.chunks(len_s).enumerate() {
-                    for (wi, &word) in seg.iter().enumerate() {
-                        let word_base = lo + wi * 64;
-                        let mut bits = word;
-                        while bits != 0 {
-                            let b = bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            heard[word_base + b].set(base + i, true);
-                        }
-                    }
-                }
-            }
-            for (i, decision) in decisions.iter().enumerate() {
-                let round = round_meta[i].0;
-                for v in self.faults.crashed(round) {
-                    heard[v].set(base + i, false);
-                }
-                for &v in decision.deafen() {
-                    heard[v].set(base + i, false);
-                }
-            }
-            base += block;
-        }
-        Ok(())
+        self.run_frame_into(frames, rounds, heard)
     }
 
     /// Drives one [`BeepProtocol`] instance per node until all report done

@@ -1,8 +1,8 @@
-//! Undirected simple graphs: materialized CSR, implicit structured
-//! topologies, and delta-varint compressed CSR.
+//! Undirected simple graphs: materialized CSR and implicit structured
+//! topologies.
 //!
 //! The engine touches every adjacency list every round, so the
-//! representation matters at scale. Three families coexist behind one
+//! representation matters at scale. Two families coexist behind one
 //! [`Graph`] type:
 //!
 //! * **CSR** (`offsets` + flat `neighbors`) — the general-purpose form
@@ -11,9 +11,6 @@
 //!   fly from the shape parameters, zero adjacency storage. This is what
 //!   makes n = 10M–100M fit in RAM: a 100M-node torus stores two `usize`s
 //!   where CSR would store 3.2 GB.
-//! * **Delta-varint CSR** — sorted adjacency lists stored as LEB128
-//!   varints of consecutive gaps, for scale-free graphs whose structure
-//!   can't be computed implicitly. Typically 3–5× smaller than CSR.
 //!
 //! All read paths below [`Graph::neighbors`] (which is CSR-only and kept
 //! for hot slice-based loops) are representation-generic; the engine
@@ -55,8 +52,6 @@ pub enum AdjacencyRepr {
         /// Number of columns.
         cols: usize,
     },
-    /// Delta-varint compressed CSR (LEB128 gap encoding of sorted lists).
-    DeltaCsr,
 }
 
 impl AdjacencyRepr {
@@ -68,7 +63,6 @@ impl AdjacencyRepr {
             AdjacencyRepr::Complete { .. } => "implicit-complete",
             AdjacencyRepr::Torus { .. } => "implicit-torus",
             AdjacencyRepr::Grid { .. } => "implicit-grid",
-            AdjacencyRepr::DeltaCsr => "delta-csr",
         }
     }
 }
@@ -90,54 +84,13 @@ enum Repr {
         rows: usize,
         cols: usize,
     },
-    DeltaCsr {
-        n: usize,
-        m: usize,
-        max_degree: usize,
-        /// Byte offset of each node's varint run in `bytes` (`n + 1` entries).
-        offsets: Vec<u32>,
-        /// Per node: `varint(degree)`, then `varint(first)` and
-        /// `varint(gap)` for each subsequent neighbor (gaps ≥ 1 because
-        /// lists are sorted and deduplicated).
-        bytes: Vec<u8>,
-    },
-}
-
-/// Appends `value` to `bytes` as an LEB128 varint (7 data bits per byte,
-/// high bit = continuation).
-pub(crate) fn push_varint(bytes: &mut Vec<u8>, mut value: u64) {
-    loop {
-        let b = (value & 0x7f) as u8;
-        value >>= 7;
-        if value == 0 {
-            bytes.push(b);
-            break;
-        }
-        bytes.push(b | 0x80);
-    }
-}
-
-/// Decodes one LEB128 varint at `*pos`, advancing `*pos` past it.
-pub(crate) fn read_varint(bytes: &[u8], pos: &mut usize) -> u64 {
-    let mut value = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let b = bytes[*pos];
-        *pos += 1;
-        value |= u64::from(b & 0x7f) << shift;
-        if b & 0x80 == 0 {
-            return value;
-        }
-        shift += 7;
-    }
 }
 
 /// An undirected simple graph over nodes `0..n`.
 ///
-/// Stored either materialized (CSR), implicitly (complete/torus/grid shape
-/// parameters only), or delta-varint compressed — see [`AdjacencyRepr`]
-/// and the module docs. `PartialEq` is representational: it compares
-/// storage, not edge sets.
+/// Stored either materialized (CSR) or implicitly (complete/torus/grid
+/// shape parameters only) — see [`AdjacencyRepr`] and the module docs.
+/// `PartialEq` is representational: it compares storage, not edge sets.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Graph {
     repr: Repr,
@@ -219,61 +172,9 @@ impl Graph {
         }
     }
 
-    /// Re-encodes this graph as delta-varint compressed CSR: each sorted
-    /// adjacency list becomes `varint(degree)`, `varint(first neighbor)`,
-    /// then varints of consecutive gaps. Neighbor scans decode on the fly
-    /// (ascending, with early exit), trading a few cycles per neighbor for
-    /// a 3–5× smaller adjacency on scale-free graphs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::InvalidTopology`] if the encoded stream would
-    /// exceed `u32` byte offsets (≈4 GiB); such graphs should stay CSR.
-    pub fn to_delta_csr(&self) -> Result<Self, GraphError> {
-        let n = self.node_count();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut bytes = Vec::new();
-        let mut max_degree = 0usize;
-        let mut m2 = 0usize; // directed edge count (2m)
-        offsets.push(0u32);
-        let mut list = Vec::new();
-        for v in 0..n {
-            list.clear();
-            self.for_each_neighbor(v, |u| list.push(u));
-            let deg = list.len();
-            max_degree = max_degree.max(deg);
-            m2 += deg;
-            push_varint(&mut bytes, deg as u64);
-            let mut prev = 0u64;
-            for (i, &u) in list.iter().enumerate() {
-                let u = u as u64;
-                if i == 0 {
-                    push_varint(&mut bytes, u);
-                } else {
-                    push_varint(&mut bytes, u - prev);
-                }
-                prev = u;
-            }
-            let end = u32::try_from(bytes.len()).map_err(|_| GraphError::InvalidTopology {
-                detail: "delta-varint CSR stream exceeds u32 offsets (~4 GiB); keep CSR"
-                    .to_string(),
-            })?;
-            offsets.push(end);
-        }
-        Ok(Graph {
-            repr: Repr::DeltaCsr {
-                n,
-                m: m2 / 2,
-                max_degree,
-                offsets,
-                bytes,
-            },
-        })
-    }
-
     /// Materializes this graph as plain CSR (a no-op clone if it already
-    /// is). Useful for comparing an implicit or compressed graph against
-    /// the general-purpose representation.
+    /// is). Useful for comparing an implicit graph against the
+    /// general-purpose representation.
     #[must_use]
     pub fn materialize(&self) -> Self {
         if matches!(self.repr, Repr::Csr { .. }) {
@@ -306,12 +207,11 @@ impl Graph {
                 rows: *rows,
                 cols: *cols,
             },
-            Repr::DeltaCsr { .. } => AdjacencyRepr::DeltaCsr,
         }
     }
 
     /// Bytes of adjacency storage (offsets + neighbor data; zero for
-    /// implicit shapes). The number the compressed modes exist to shrink.
+    /// implicit shapes).
     #[must_use]
     pub fn adjacency_bytes(&self) -> usize {
         match &self.repr {
@@ -319,7 +219,6 @@ impl Graph {
                 offsets.len() * size_of::<usize>() + neighbors.len() * size_of::<NodeId>()
             }
             Repr::Complete { .. } | Repr::Torus { .. } | Repr::Grid { .. } => 0,
-            Repr::DeltaCsr { offsets, bytes, .. } => offsets.len() * size_of::<u32>() + bytes.len(),
         }
     }
 
@@ -330,7 +229,6 @@ impl Graph {
             Repr::Csr { offsets, .. } => offsets.len() - 1,
             Repr::Complete { n } => *n,
             Repr::Torus { rows, cols } | Repr::Grid { rows, cols } => rows * cols,
-            Repr::DeltaCsr { n, .. } => *n,
         }
     }
 
@@ -348,12 +246,11 @@ impl Graph {
                     rows * (cols - 1) + cols * (rows - 1)
                 }
             }
-            Repr::DeltaCsr { m, .. } => *m,
         }
     }
 
     /// The neighbors of `v` as a borrowed sorted slice. **CSR only** —
-    /// implicit and delta-compressed graphs have no slice to borrow; use
+    /// implicit graphs have no slice to borrow; use
     /// [`Graph::for_each_neighbor`] or [`Graph::collect_neighbors`] for
     /// representation-generic access.
     ///
@@ -371,7 +268,6 @@ impl Graph {
                     Repr::Complete { .. } => "implicit-complete",
                     Repr::Torus { .. } => "implicit-torus",
                     Repr::Grid { .. } => "implicit-grid",
-                    Repr::DeltaCsr { .. } => "delta-csr",
                     Repr::Csr { .. } => unreachable!(),
                 }
             ),
@@ -428,60 +324,6 @@ impl Graph {
                 if r + 1 < *rows {
                     f(v + cols);
                 }
-            }
-            Repr::DeltaCsr { offsets, bytes, .. } => {
-                let mut pos = offsets[v] as usize;
-                let deg = read_varint(bytes, &mut pos) as usize;
-                let mut u = 0u64;
-                for i in 0..deg {
-                    let step = read_varint(bytes, &mut pos);
-                    u = if i == 0 { step } else { u + step };
-                    f(u as usize);
-                }
-            }
-        }
-    }
-
-    /// Calls `f` for every neighbor `u` of `v` with `lo <= u < hi`,
-    /// ascending. Decoding stops as soon as a neighbor `>= hi` is seen
-    /// (lists are sorted in every representation), which is what makes
-    /// sharded scatter affordable on compressed graphs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v >= n`.
-    pub fn for_each_neighbor_in_range<F: FnMut(NodeId)>(
-        &self,
-        v: NodeId,
-        lo: NodeId,
-        hi: NodeId,
-        mut f: F,
-    ) {
-        match &self.repr {
-            Repr::Csr { offsets, neighbors } => {
-                let adj = &neighbors[offsets[v]..offsets[v + 1]];
-                let start = adj.partition_point(|&u| u < lo);
-                for &u in &adj[start..] {
-                    if u >= hi {
-                        break;
-                    }
-                    f(u);
-                }
-            }
-            Repr::Complete { n } => {
-                assert!(v < *n);
-                for u in lo..hi.min(*n) {
-                    if u != v {
-                        f(u);
-                    }
-                }
-            }
-            _ => {
-                self.for_each_neighbor(v, |u| {
-                    if u >= lo && u < hi {
-                        f(u);
-                    }
-                });
             }
         }
     }
@@ -547,16 +389,12 @@ impl Graph {
                     + usize::from(c + 1 < *cols)
                     + usize::from(r + 1 < *rows)
             }
-            Repr::DeltaCsr { offsets, bytes, .. } => {
-                let mut pos = offsets[v] as usize;
-                read_varint(bytes, &mut pos) as usize
-            }
         }
     }
 
     /// The maximum degree `Δ` (0 for an empty or edgeless graph). This is
     /// the parameter every bound in the paper is expressed in. O(1) for
-    /// implicit and delta-compressed graphs.
+    /// implicit graphs.
     #[must_use]
     pub fn max_degree(&self) -> usize {
         match &self.repr {
@@ -573,12 +411,11 @@ impl Graph {
                     (if *rows > 2 { 2 } else { rows - 1 }) + (if *cols > 2 { 2 } else { cols - 1 })
                 }
             }
-            Repr::DeltaCsr { max_degree, .. } => *max_degree,
         }
     }
 
-    /// Whether `{u, v}` is an edge. O(1) for implicit shapes, a decode
-    /// scan (CSR: binary search) otherwise.
+    /// Whether `{u, v}` is an edge. O(1) for implicit shapes, a binary
+    /// search for CSR.
     ///
     /// # Panics
     ///
@@ -744,30 +581,6 @@ mod tests {
     }
 
     #[test]
-    fn varint_roundtrip_edge_values() {
-        let mut bytes = Vec::new();
-        let values = [
-            0u64,
-            1,
-            127,
-            128,
-            129,
-            16383,
-            16384,
-            u64::from(u32::MAX),
-            u64::MAX,
-        ];
-        for &v in &values {
-            push_varint(&mut bytes, v);
-        }
-        let mut pos = 0;
-        for &v in &values {
-            assert_eq!(read_varint(&bytes, &mut pos), v);
-        }
-        assert_eq!(pos, bytes.len());
-    }
-
-    #[test]
     fn implicit_complete_matches_csr() {
         for n in [0usize, 1, 2, 5, 9] {
             let imp = Graph::implicit_complete(n);
@@ -812,50 +625,6 @@ mod tests {
             for v in 0..imp.node_count() {
                 assert_eq!(imp.collect_neighbors(v), gen.neighbors(v));
                 assert_eq!(imp.degree(v), gen.degree(v));
-            }
-        }
-    }
-
-    #[test]
-    fn delta_csr_roundtrips_and_compresses() {
-        let g = triangle_plus_tail();
-        let dc = g.to_delta_csr().unwrap();
-        assert_eq!(dc.repr(), AdjacencyRepr::DeltaCsr);
-        assert_eq!(dc.node_count(), g.node_count());
-        assert_eq!(dc.edge_count(), g.edge_count());
-        assert_eq!(dc.max_degree(), g.max_degree());
-        assert_eq!(dc.edges(), g.edges());
-        for v in 0..g.node_count() {
-            assert_eq!(dc.collect_neighbors(v), g.neighbors(v));
-            assert_eq!(dc.degree(v), g.degree(v));
-        }
-        assert_eq!(dc.materialize(), g);
-        assert!(dc.adjacency_bytes() < g.adjacency_bytes());
-        assert!(dc.has_edge(0, 1));
-        assert!(!dc.has_edge(0, 3));
-        assert!(!dc.has_edge(0, 99));
-    }
-
-    #[test]
-    fn range_scans_agree_with_full_scans() {
-        let g = crate::topology::torus(4, 5).unwrap();
-        for graph in [
-            g.clone(),
-            g.to_delta_csr().unwrap(),
-            Graph::implicit_torus(4, 5).unwrap(),
-            Graph::implicit_complete(20),
-        ] {
-            for v in 0..graph.node_count() {
-                for (lo, hi) in [(0, 20), (0, 7), (7, 13), (13, 20), (5, 5)] {
-                    let mut ranged = Vec::new();
-                    graph.for_each_neighbor_in_range(v, lo, hi, |u| ranged.push(u));
-                    let expect: Vec<_> = graph
-                        .collect_neighbors(v)
-                        .into_iter()
-                        .filter(|&u| u >= lo && u < hi)
-                        .collect();
-                    assert_eq!(ranged, expect, "v={v} lo={lo} hi={hi}");
-                }
             }
         }
     }

@@ -38,9 +38,9 @@
 //! bit-parallel [`BeepNetwork::run_round_bitset`] /
 //! [`BeepNetwork::run_frame`] that the simulators and protocols in the
 //! workspace use, and — inside the bitset kernel — a sharded
-//! multi-threaded execution path ([`BeepNetwork::set_parallelism`]) whose
-//! noisy transcripts are bit-identical at every thread count because
-//! channel noise is keyed by `(seed, round, shard)`
+//! multi-threaded execution path ([`BeepNetwork::set_parallelism`]). All
+//! three produce bit-identical noisy transcripts at every thread count
+//! because channel noise is keyed by `(seed, round, shard)`
 //! ([`noise_stream_seed`]). See ARCHITECTURE.md at the repository root for
 //! the full determinism contract.
 //!

@@ -8,8 +8,8 @@ use rand::{Rng, RngExt, SeedableRng};
 /// Derives the seed of the noise RNG stream for one `(seed, round, shard)`
 /// cell — the determinism contract of the sharded round engine.
 ///
-/// Every noisy round of the bit-parallel kernel draws its channel flips
-/// from `StdRng::seed_from_u64(noise_stream_seed(seed, round, shard))`, one
+/// Every noisy round, in every round kernel, draws its channel flips from
+/// `StdRng::seed_from_u64(noise_stream_seed(seed, round, shard))`, one
 /// independent stream per shard per round. Because the stream is keyed by
 /// *position* rather than threaded through one sequential RNG, the noisy
 /// transcript depends only on `(graph, noise, seed, actions, shard_count)`
@@ -61,13 +61,16 @@ pub fn protocol_coin(seed: u64, node: usize, phase: u64) -> bool {
 /// use rand::SeedableRng;
 ///
 /// let mut rng = StdRng::seed_from_u64(1);
-/// // The noiseless channel is the identity; ε ∈ (0, ½) flips each bit
-/// // independently with probability ε.
-/// assert!(Noise::Noiseless.apply(true, &mut rng));
+/// // ε ∈ (0, ½) flips each bit independently with probability ε.
 /// let noisy = Noise::bernoulli(0.25);
 /// assert_eq!(noisy.epsilon(), 0.25);
-/// let flips = (0..10_000).filter(|_| noisy.apply(false, &mut rng)).count();
+/// let mut words = vec![0u64; 160];
+/// noisy.apply_to_words(&mut words, 0, 10_240, None, &mut rng);
+/// let flips: u32 = words.iter().map(|w| w.count_ones()).sum();
 /// assert!((2_000..3_000).contains(&flips));
+/// // The noiseless channel is the identity.
+/// Noise::Noiseless.apply_to_words(&mut words, 0, 10_240, None, &mut rng);
+/// assert_eq!(words.iter().map(|w| w.count_ones()).sum::<u32>(), flips);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Noise {
@@ -122,55 +125,24 @@ impl Noise {
         }
     }
 
-    /// Passes one bit through the channel.
-    #[must_use]
-    pub fn apply<R: Rng + ?Sized>(&self, bit: bool, rng: &mut R) -> bool {
-        match *self {
-            Noise::Noiseless => bit,
-            Noise::Bernoulli(e) => {
-                if rng.random_bool(e) {
-                    !bit
-                } else {
-                    bit
-                }
-            }
-        }
-    }
-
-    /// Passes a whole frame of received bits through the channel at once:
-    /// each bit of `bits` is flipped independently with probability `ε`,
-    /// except at positions set in `protect` (the engine passes the beeper
-    /// set there when self-hearing is configured noise-free).
+    /// Passes the received bits at *global* positions `lo..hi` (with `lo`
+    /// word-aligned) through the channel: each bit inside `words`, whose
+    /// first word holds bits `lo..lo + 64`, is flipped independently with
+    /// probability `ε`, except at positions set in `protect` (indexed by
+    /// global position; the engine passes the beeper set there when
+    /// self-hearing is configured noise-free).
     ///
     /// Instead of one Bernoulli draw per bit, flip positions are generated
-    /// by geometric gap sampling (inversion of the geometric CDF), so a
-    /// frame of `n` bits costs `O(ε·n + 1)` RNG draws — the batching that
-    /// makes the noisy channel as cheap as the noiseless one at simulation
-    /// scale. The per-bit marginal is exactly `Bernoulli(ε)` and flips stay
-    /// i.i.d.; only the *stream* of RNG draws differs from bit-by-bit
-    /// [`Noise::apply`], so scalar and batched runs under noise are each
-    /// deterministic in `(graph, noise, seed, actions)` but not bit-equal
-    /// to one another.
-    pub fn apply_frame<R: Rng + ?Sized>(
-        &self,
-        bits: &mut BitVec,
-        protect: Option<&BitVec>,
-        rng: &mut R,
-    ) {
-        let hi = bits.len();
-        self.apply_to_words(bits.as_words_mut(), 0, hi, protect, rng);
-    }
-
-    /// The word-slice core of [`apply_frame`](Self::apply_frame): flips
-    /// bits at *global* positions `lo..hi` (with `lo` word-aligned) inside
-    /// `words`, whose first word holds bits `lo..lo + 64`. `protect` is
-    /// indexed by global position.
+    /// by geometric gap sampling (inversion of the geometric CDF), so `n`
+    /// bits cost `O(ε·n + 1)` RNG draws — the batching that makes the
+    /// noisy channel as cheap as the noiseless one at simulation scale.
+    /// The per-bit marginal is exactly `Bernoulli(ε)` and flips stay
+    /// i.i.d.
     ///
     /// This is the form the sharded round engine uses: each shard owns a
     /// disjoint word range of the received frame and passes it here with
     /// its own counter-keyed RNG stream (see [`noise_stream_seed`]), so
-    /// channel
-    /// noise is identical no matter how many threads ran the round.
+    /// channel noise is identical no matter how many threads ran the round.
     ///
     /// # Panics
     ///
@@ -218,33 +190,20 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Passes a whole bit string through the channel.
+    fn apply_all(noise: Noise, bits: &mut BitVec, protect: Option<&BitVec>, rng: &mut StdRng) {
+        let hi = bits.len();
+        noise.apply_to_words(bits.as_words_mut(), 0, hi, protect, rng);
+    }
+
     #[test]
     fn noiseless_is_identity() {
-        let mut rng = StdRng::seed_from_u64(1);
-        for _ in 0..100 {
-            assert!(Noise::Noiseless.apply(true, &mut rng));
-            assert!(!Noise::Noiseless.apply(false, &mut rng));
-        }
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut bits = BitVec::from_fn(100, |i| i % 7 == 0);
+        let before = bits.clone();
+        apply_all(Noise::Noiseless, &mut bits, None, &mut rng);
+        assert_eq!(bits, before);
         assert_eq!(Noise::Noiseless.epsilon(), 0.0);
-    }
-
-    #[test]
-    fn bernoulli_flip_rate_is_close_to_epsilon() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let noise = Noise::bernoulli(0.2);
-        let flips = (0..20_000).filter(|_| noise.apply(false, &mut rng)).count();
-        assert!((3500..=4500).contains(&flips), "flips = {flips}");
-        assert_eq!(noise.epsilon(), 0.2);
-    }
-
-    #[test]
-    fn bernoulli_is_symmetric_across_bit_values() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let noise = Noise::bernoulli(0.3);
-        let zeros_flipped = (0..20_000).filter(|_| noise.apply(false, &mut rng)).count();
-        let ones_flipped = (0..20_000).filter(|_| !noise.apply(true, &mut rng)).count();
-        let diff = (zeros_flipped as i64 - ones_flipped as i64).abs();
-        assert!(diff < 600, "asymmetry {zeros_flipped} vs {ones_flipped}");
     }
 
     #[test]
@@ -275,9 +234,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         for eps in [0.05, 0.2, 0.45] {
             let noise = Noise::bernoulli(eps);
+            assert_eq!(noise.epsilon(), eps);
             let n = 40_000;
             let mut bits = BitVec::zeros(n);
-            noise.apply_frame(&mut bits, None, &mut rng);
+            apply_all(noise, &mut bits, None, &mut rng);
             let rate = bits.count_ones() as f64 / n as f64;
             let sigma = (eps * (1.0 - eps) / n as f64).sqrt();
             assert!(
@@ -285,6 +245,22 @@ mod tests {
                 "ε = {eps}: measured {rate}"
             );
         }
+    }
+
+    #[test]
+    fn batched_flips_are_symmetric_across_bit_values() {
+        // A received 1 is lost at the same rate a 0 turns into a phantom.
+        let mut rng = StdRng::seed_from_u64(3);
+        let noise = Noise::bernoulli(0.3);
+        let n = 20_000;
+        let mut zeros = BitVec::zeros(n);
+        let mut ones = BitVec::ones(n);
+        apply_all(noise, &mut zeros, None, &mut rng);
+        apply_all(noise, &mut ones, None, &mut rng);
+        let zeros_flipped = zeros.count_ones() as i64;
+        let ones_flipped = ones.count_zeros() as i64;
+        let diff = (zeros_flipped - ones_flipped).abs();
+        assert!(diff < 600, "asymmetry {zeros_flipped} vs {ones_flipped}");
     }
 
     #[test]
@@ -297,7 +273,7 @@ mod tests {
         let mut seen = vec![0usize; n];
         for _ in 0..2_000 {
             let mut bits = BitVec::zeros(n);
-            noise.apply_frame(&mut bits, None, &mut rng);
+            apply_all(noise, &mut bits, None, &mut rng);
             for i in bits.iter_ones() {
                 seen[i] += 1;
             }
@@ -322,7 +298,7 @@ mod tests {
         let protect = BitVec::from_fn(n, |i| i % 3 == 0);
         let mut bits = BitVec::zeros(n);
         for _ in 0..50 {
-            noise.apply_frame(&mut bits, Some(&protect), &mut rng);
+            apply_all(noise, &mut bits, Some(&protect), &mut rng);
             assert!(!bits.intersects(&protect), "a protected bit flipped");
             bits.clear();
         }
@@ -355,33 +331,10 @@ mod tests {
     }
 
     #[test]
-    fn apply_to_words_matches_apply_frame_at_full_range() {
-        // apply_frame is defined as the lo = 0, hi = len special case; the
-        // two must consume the RNG stream identically.
-        let noise = Noise::bernoulli(0.2);
-        let mut a = BitVec::zeros(300);
-        let mut b = BitVec::zeros(300);
-        let mut rng_a = StdRng::seed_from_u64(9);
-        let mut rng_b = StdRng::seed_from_u64(9);
-        noise.apply_frame(&mut a, None, &mut rng_a);
-        noise.apply_to_words(b.as_words_mut(), 0, 300, None, &mut rng_b);
-        assert_eq!(a, b);
-    }
-
-    #[test]
     #[should_panic(expected = "not word-aligned")]
     fn apply_to_words_rejects_unaligned_start() {
         let mut words = [0u64; 2];
         let mut rng = StdRng::seed_from_u64(10);
         Noise::bernoulli(0.1).apply_to_words(&mut words, 3, 64, None, &mut rng);
-    }
-
-    #[test]
-    fn noiseless_apply_frame_is_identity() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut bits = BitVec::from_fn(100, |i| i % 7 == 0);
-        let before = bits.clone();
-        Noise::Noiseless.apply_frame(&mut bits, None, &mut rng);
-        assert_eq!(bits, before);
     }
 }

@@ -1,14 +1,11 @@
-//! Property tests for the compressed/implicit adjacency layer: the
-//! delta-varint CSR must roundtrip any graph exactly, and the implicit
+//! Property tests for the implicit adjacency layer: the implicit
 //! torus/grid/complete representations must expose the same neighbor sets
 //! as the materialized generators on random sizes. These are the
 //! structure-level guarantees underneath the kernel oracle in
 //! `bitset_oracle.rs`.
 
-use beep_net::{topology, AdjacencyRepr, Graph};
+use beep_net::{topology, Graph};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Canonical edge list for graph equality across representations.
 fn edges(g: &Graph) -> Vec<(usize, usize)> {
@@ -26,34 +23,6 @@ fn neighbor_set(g: &Graph, v: usize) -> Vec<usize> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    // --- Delta-varint CSR: encode → decode is the identity on edge sets.
-
-    #[test]
-    fn delta_csr_roundtrips_random_graphs(n in 2usize..48, seed in 0u64..1000) {
-        let g = topology::gnp(n, 0.3, &mut StdRng::seed_from_u64(seed)).unwrap();
-        let compressed = g.to_delta_csr().unwrap();
-        prop_assert_eq!(compressed.repr().name(), "delta-csr");
-        prop_assert_eq!(compressed.node_count(), g.node_count());
-        prop_assert_eq!(compressed.edge_count(), g.edge_count());
-        prop_assert_eq!(compressed.max_degree(), g.max_degree());
-        prop_assert_eq!(edges(&compressed), edges(&g));
-        // And back: materialize() restores a plain CSR with the same edges.
-        let restored = compressed.materialize();
-        prop_assert!(matches!(restored.repr(), AdjacencyRepr::Csr));
-        prop_assert_eq!(edges(&restored), edges(&g));
-    }
-
-    #[test]
-    fn delta_csr_preserves_per_node_neighborhoods(n in 2usize..40, seed in 0u64..500) {
-        let g = topology::preferential_attachment(n.max(4), 2, &mut StdRng::seed_from_u64(seed))
-            .unwrap();
-        let compressed = g.to_delta_csr().unwrap();
-        for v in 0..g.node_count() {
-            prop_assert_eq!(compressed.degree(v), g.degree(v), "degree of {}", v);
-            prop_assert_eq!(neighbor_set(&compressed, v), neighbor_set(&g, v), "node {}", v);
-        }
-    }
 
     // --- Implicit shapes: zero-storage neighborhoods equal the
     // materialized generators' on random sizes.

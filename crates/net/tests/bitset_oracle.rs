@@ -1,9 +1,9 @@
 //! Differential oracle: the bit-parallel kernel (`run_round_bitset`,
 //! `run_frame`) against the scalar reference `run_round`, bit-exact under
-//! `Noise::Noiseless`, across **every** `topology::*` generator, both
-//! adjacency kernels, and the sharded multi-threaded execution path at
-//! thread counts {1, 2, 4, 8} — plus the statistical contract of the
-//! batched noisy channel.
+//! the noiseless channel and every noisy channel model, across **every**
+//! `topology::*` generator, both adjacency kernels, and the sharded
+//! multi-threaded execution path at thread counts {1, 2, 4, 8} — plus the
+//! statistical contract of the geometric-skip noisy channel.
 //!
 //! CI runs this file explicitly (and fails if it vanishes or stops
 //! executing tests): it is the proof that the production kernel and the
@@ -53,9 +53,9 @@ fn all_topologies() -> Vec<(String, Graph)> {
             "random_tree(16)".into(),
             topology::random_tree(16, &mut rng).unwrap(),
         ),
-        // Compressed/implicit adjacency representations: same edge sets as
-        // generator-built CSR graphs, zero (or delta-varint) storage. Every
-        // oracle in this file sweeps them alongside the materialized forms.
+        // Implicit adjacency representations: same edge sets as
+        // generator-built CSR graphs, zero storage. Every oracle in this
+        // file sweeps them alongside the materialized forms.
         ("torus(4,5)".into(), topology::torus(4, 5).unwrap()),
         (
             "implicit_torus(4,5)".into(),
@@ -70,18 +70,8 @@ fn all_topologies() -> Vec<(String, Graph)> {
             topology::implicit_complete(9).unwrap(),
         ),
         (
-            "delta_csr(pa(15,2))".into(),
-            topology::preferential_attachment(15, 2, &mut rng)
-                .unwrap()
-                .to_delta_csr()
-                .unwrap(),
-        ),
-        (
-            "delta_csr(gnp(15,0.3))".into(),
-            topology::gnp(15, 0.3, &mut rng)
-                .unwrap()
-                .to_delta_csr()
-                .unwrap(),
+            "preferential_attachment(15,2)".into(),
+            topology::preferential_attachment(15, 2, &mut rng).unwrap(),
         ),
     ]
 }
@@ -96,6 +86,24 @@ fn random_actions(n: usize, density: f64, rng: &mut StdRng) -> Vec<Action> {
 
 fn beeper_bitmap(actions: &[Action]) -> BitVec {
     BitVec::from_fn(actions.len(), |v| actions[v] == Action::Beep)
+}
+
+/// What every node hears when `frames` (one `len`-round schedule per
+/// node, `None` = listen) is driven through the scalar `run_round` one
+/// slot at a time — the reference the frame drivers are checked against.
+fn scalar_frame(scalar: &mut BeepNetwork, frames: &[Option<BitVec>], len: usize) -> Vec<BitVec> {
+    let n = frames.len();
+    let mut heard: Vec<BitVec> = (0..n).map(|_| BitVec::zeros(len)).collect();
+    for i in 0..len {
+        let actions: Vec<Action> = frames
+            .iter()
+            .map(|f| Action::from_bit(f.as_ref().is_some_and(|f| f.get(i))))
+            .collect();
+        for (v, &bit) in scalar.run_round(&actions).unwrap().iter().enumerate() {
+            heard[v].set(i, bit);
+        }
+    }
+    heard
 }
 
 #[test]
@@ -147,6 +155,9 @@ fn bitset_kernel_is_bit_identical_to_scalar_on_every_topology() {
 
 #[test]
 fn run_frame_matches_round_by_round_scalar_driving() {
+    // Noiseless, and under the paper's iid channel at the ε = 0.05 that
+    // Algorithm 1 and the TDMA baseline run at: the frame driver they use
+    // must reproduce slot-by-slot scalar driving bit for bit.
     let mut rng = StdRng::seed_from_u64(21);
     for (name, graph) in all_topologies() {
         let n = graph.node_count();
@@ -155,26 +166,15 @@ fn run_frame_matches_round_by_round_scalar_driving() {
         let frames: Vec<Option<BitVec>> = (0..n)
             .map(|v| (v % 2 == 0).then(|| BitVec::random_uniform(len, &mut rng)))
             .collect();
-        let mut scalar = BeepNetwork::new(graph.clone(), Noise::Noiseless, 2);
-        let mut batched = BeepNetwork::new(graph.clone(), Noise::Noiseless, 2);
-        let mut expected: Vec<BitVec> = (0..n).map(|_| BitVec::zeros(len)).collect();
-        let mut actions = vec![Action::Listen; n];
-        for i in 0..len {
-            for (v, frame) in frames.iter().enumerate() {
-                actions[v] = match frame {
-                    Some(f) if f.get(i) => Action::Beep,
-                    _ => Action::Listen,
-                };
-            }
-            for (v, &bit) in scalar.run_round(&actions).unwrap().iter().enumerate() {
-                if bit {
-                    expected[v].set(i, true);
-                }
-            }
+        for noise in [Noise::Noiseless, Noise::bernoulli(0.05)] {
+            let mut scalar = BeepNetwork::new(graph.clone(), noise, 2);
+            let mut framed = BeepNetwork::new(graph.clone(), noise, 2);
+            let expected = scalar_frame(&mut scalar, &frames, len);
+            let mut heard = Vec::new();
+            framed.run_frame_into(&frames, len, &mut heard).unwrap();
+            assert_eq!(heard, expected, "{name} {noise:?}");
+            assert_eq!(scalar.stats(), framed.stats(), "{name} {noise:?} stats");
         }
-        let heard = batched.run_frame(&frames).unwrap();
-        assert_eq!(heard, expected, "{name}");
-        assert_eq!(scalar.stats(), batched.stats(), "{name} stats");
     }
 }
 
@@ -342,40 +342,48 @@ fn batched_self_hearing_flag_protects_beepers() {
 /// {1, 2, 8} — both sides of the words-per-shard boundary at these sizes).
 const SHARD_COUNTS: [usize; 3] = [1, 2, 8];
 
-/// One representative of each non-iid channel family, at rates strong
-/// enough that a stream break cannot hide inside an all-quiet noise pass.
-/// The adversary's budget scales with `n` so every topology in the sweep
-/// actually loses bits.
-fn non_iid_channels(n: usize) -> Vec<(&'static str, ChannelModel)> {
+/// The channels the fault and adaptive oracles run under: the paper's iid
+/// channel and the bursty Gilbert–Elliott one (a per-round good/bad state
+/// drawn from its own reserved stream on top of per-shard flips).
+fn fault_oracle_channels() -> Vec<(&'static str, ChannelModel)> {
     vec![
+        ("iid", Noise::bernoulli(0.25).into()),
         (
             "ge",
             GilbertElliott::try_new(0.05, 0.3, 0.25, 0.4)
                 .unwrap()
                 .into(),
         ),
-        (
-            "pernode",
-            PerNodeEps::try_new(vec![0.0, 0.1, 0.3]).unwrap().into(),
-        ),
-        (
-            "adv",
-            AdversarialErasure::try_new(n / 4 + 1, 0.1).unwrap().into(),
-        ),
     ]
 }
 
+/// One representative of each noisy channel family, at rates strong
+/// enough that a stream break cannot hide inside an all-quiet noise pass.
+/// The adversary's budget scales with `n` so every topology in the sweep
+/// actually loses bits.
+fn noisy_channels(n: usize) -> Vec<(&'static str, ChannelModel)> {
+    let mut channels = fault_oracle_channels();
+    channels.push((
+        "pernode",
+        PerNodeEps::try_new(vec![0.0, 0.1, 0.3]).unwrap().into(),
+    ));
+    channels.push((
+        "adv",
+        AdversarialErasure::try_new(n / 4 + 1, 0.1).unwrap().into(),
+    ));
+    channels
+}
+
 #[test]
-fn non_iid_channels_scalar_bitset_threaded_agree_bit_for_bit() {
-    // Unlike the iid channel (whose scalar path draws bit-by-bit from the
-    // sequential RNG and is only equal in distribution to the kernel),
-    // every non-iid model is counter-keyed per (seed, round, shard), so
+fn every_channel_scalar_bitset_threaded_agree_bit_for_bit() {
+    // Every channel model is counter-keyed per (seed, round, shard), and
+    // the scalar kernel applies it through the same shard pass, so
     // scalar ≡ bitset ≡ threaded holds *bit-for-bit* — across every
     // topology generator, threads {1, 2, 4, 8} × shards {1, 2, 8}.
     let mut rng = StdRng::seed_from_u64(0xC4A2);
     for (name, graph) in all_topologies() {
         let n = graph.node_count();
-        for (key, channel) in non_iid_channels(n) {
+        for (key, channel) in noisy_channels(n) {
             for shards in SHARD_COUNTS {
                 let mut scalar = BeepNetwork::new(graph.clone(), channel.clone(), 3);
                 scalar.set_shard_count(shards);
@@ -604,55 +612,54 @@ fn adaptive_scalar_bitset_threaded_agree_bit_for_bit() {
     // per-node energy, last activity round) and applied through the same
     // two override passes as static faults — so scalar ≡ bitset ≡ threaded
     // must stay bit-for-bit under every AdaptivePolicy, across every
-    // topology generator, threads {1, 2, 4, 8} × shards {1, 2, 8}.
-    // Counter-keyed channel for the same reason as the static-fault oracle.
+    // topology generator, threads {1, 2, 4, 8} × shards {1, 2, 8}, under
+    // the iid and the bursty channel.
     let mut rng = StdRng::seed_from_u64(0xADA7);
-    let channel: ChannelModel = GilbertElliott::try_new(0.05, 0.3, 0.25, 0.4)
-        .unwrap()
-        .into();
     for (name, graph) in all_topologies() {
         let n = graph.node_count();
-        for (key, plan) in adaptive_plans(n) {
-            for shards in SHARD_COUNTS {
-                let mut scalar = BeepNetwork::new(graph.clone(), channel.clone(), 23);
-                scalar.set_shard_count(shards);
-                scalar.set_fault_plan(plan.clone()).unwrap();
-                let mut threaded: Vec<BeepNetwork> = THREAD_COUNTS
-                    .iter()
-                    .map(|&threads| {
-                        let mut net = BeepNetwork::new(graph.clone(), channel.clone(), 23);
-                        net.set_shard_count(shards);
-                        net.set_parallelism(threads);
-                        net.set_fault_plan(plan.clone()).unwrap();
-                        net
-                    })
-                    .collect();
-                for round in 0..6 {
-                    let density = [0.0, 0.1, 0.5, 1.0][round % 4];
-                    let actions = random_actions(n, density, &mut rng);
-                    let beepers = beeper_bitmap(&actions);
-                    let expected = scalar.run_round(&actions).unwrap();
-                    for net in &mut threaded {
-                        let received = net.run_round_bitset(&beepers).unwrap();
+        for (ch, channel) in fault_oracle_channels() {
+            for (key, plan) in adaptive_plans(n) {
+                for shards in SHARD_COUNTS {
+                    let mut scalar = BeepNetwork::new(graph.clone(), channel.clone(), 23);
+                    scalar.set_shard_count(shards);
+                    scalar.set_fault_plan(plan.clone()).unwrap();
+                    let mut threaded: Vec<BeepNetwork> = THREAD_COUNTS
+                        .iter()
+                        .map(|&threads| {
+                            let mut net = BeepNetwork::new(graph.clone(), channel.clone(), 23);
+                            net.set_shard_count(shards);
+                            net.set_parallelism(threads);
+                            net.set_fault_plan(plan.clone()).unwrap();
+                            net
+                        })
+                        .collect();
+                    for round in 0..6 {
+                        let density = [0.0, 0.1, 0.5, 1.0][round % 4];
+                        let actions = random_actions(n, density, &mut rng);
+                        let beepers = beeper_bitmap(&actions);
+                        let expected = scalar.run_round(&actions).unwrap();
+                        for net in &mut threaded {
+                            let received = net.run_round_bitset(&beepers).unwrap();
+                            assert_eq!(
+                                expected,
+                                received.iter_bits().collect::<Vec<bool>>(),
+                                "{name} {ch} {key} round {round} threads={} shards={shards}",
+                                net.parallelism(),
+                            );
+                        }
+                    }
+                    for net in &threaded {
                         assert_eq!(
-                            expected,
-                            received.iter_bits().collect::<Vec<bool>>(),
-                            "{name} {key} round {round} threads={} shards={shards}",
-                            net.parallelism(),
+                            scalar.stats(),
+                            net.stats(),
+                            "{name} {ch} {key} shards={shards} stats"
+                        );
+                        assert_eq!(
+                            scalar.beeps_by_node(),
+                            net.beeps_by_node(),
+                            "{name} {ch} {key} shards={shards} energy"
                         );
                     }
-                }
-                for net in &threaded {
-                    assert_eq!(
-                        scalar.stats(),
-                        net.stats(),
-                        "{name} {key} shards={shards} stats"
-                    );
-                    assert_eq!(
-                        scalar.beeps_by_node(),
-                        net.beeps_by_node(),
-                        "{name} {key} shards={shards} energy"
-                    );
                 }
             }
         }
@@ -662,13 +669,9 @@ fn adaptive_scalar_bitset_threaded_agree_bit_for_bit() {
 #[test]
 fn adaptive_frames_match_round_by_round_driving() {
     // run_frame under an adaptive plan ≡ driving the same frame one
-    // run_round at a time: the per-round decision must be recomputed per
-    // slot inside the batched kernel (the adversary watches slots, not
-    // frames).
+    // run_round at a time: the frame driver must recompute the per-round
+    // decision every slot (the adversary watches slots, not frames).
     let mut rng = StdRng::seed_from_u64(0xADA8);
-    let channel: ChannelModel = GilbertElliott::try_new(0.05, 0.3, 0.25, 0.4)
-        .unwrap()
-        .into();
     for (name, graph) in all_topologies() {
         let n = graph.node_count();
         let len = 8;
@@ -681,28 +684,16 @@ fn adaptive_frames_match_round_by_round_driving() {
         let frames: Vec<Option<BitVec>> = (0..n)
             .map(|v| (v % 2 == 0).then(|| BitVec::random_uniform(len, &mut rng)))
             .collect();
-        let mut scalar = BeepNetwork::new(graph.clone(), channel.clone(), 37);
-        scalar.set_fault_plan(plan.clone()).unwrap();
-        let mut batched = BeepNetwork::new(graph.clone(), channel.clone(), 37);
-        batched.set_fault_plan(plan).unwrap();
-        let mut expected: Vec<BitVec> = (0..n).map(|_| BitVec::zeros(len)).collect();
-        let mut actions = vec![Action::Listen; n];
-        for i in 0..len {
-            for (v, frame) in frames.iter().enumerate() {
-                actions[v] = match frame {
-                    Some(f) if f.get(i) => Action::Beep,
-                    _ => Action::Listen,
-                };
-            }
-            for (v, &bit) in scalar.run_round(&actions).unwrap().iter().enumerate() {
-                if bit {
-                    expected[v].set(i, true);
-                }
-            }
+        for (ch, channel) in fault_oracle_channels() {
+            let mut scalar = BeepNetwork::new(graph.clone(), channel.clone(), 37);
+            scalar.set_fault_plan(plan.clone()).unwrap();
+            let mut framed = BeepNetwork::new(graph.clone(), channel, 37);
+            framed.set_fault_plan(plan.clone()).unwrap();
+            let expected = scalar_frame(&mut scalar, &frames, len);
+            let heard = framed.run_frame(&frames).unwrap();
+            assert_eq!(heard, expected, "{name} {ch}");
+            assert_eq!(scalar.stats(), framed.stats(), "{name} {ch} stats");
         }
-        let heard = batched.run_frame(&frames).unwrap();
-        assert_eq!(heard, expected, "{name}");
-        assert_eq!(scalar.stats(), batched.stats(), "{name} stats");
     }
 }
 
@@ -752,56 +743,53 @@ fn faulted_scalar_bitset_threaded_agree_bit_for_bit() {
     // silences crashed listeners after it — both shard-independent, so
     // scalar ≡ bitset ≡ threaded must stay bit-for-bit under every
     // FaultKind, across every topology generator, threads {1, 2, 4, 8}
-    // × shards {1, 2, 8}. The channel is a counter-keyed (non-iid) noisy
-    // one — the scalar iid path draws from the sequential RNG and is
-    // only distribution-equal, so it cannot anchor a bit-exact oracle.
+    // × shards {1, 2, 8}, under the iid and the bursty channel.
     let mut rng = StdRng::seed_from_u64(0xFA17);
-    let channel: ChannelModel = GilbertElliott::try_new(0.05, 0.3, 0.25, 0.4)
-        .unwrap()
-        .into();
     for (name, graph) in all_topologies() {
         let n = graph.node_count();
-        for (key, plan) in fault_plans(n) {
-            for shards in SHARD_COUNTS {
-                let mut scalar = BeepNetwork::new(graph.clone(), channel.clone(), 19);
-                scalar.set_shard_count(shards);
-                scalar.set_fault_plan(plan.clone()).unwrap();
-                let mut threaded: Vec<BeepNetwork> = THREAD_COUNTS
-                    .iter()
-                    .map(|&threads| {
-                        let mut net = BeepNetwork::new(graph.clone(), channel.clone(), 19);
-                        net.set_shard_count(shards);
-                        net.set_parallelism(threads);
-                        net.set_fault_plan(plan.clone()).unwrap();
-                        net
-                    })
-                    .collect();
-                for round in 0..6 {
-                    let density = [0.0, 0.1, 0.5, 1.0][round % 4];
-                    let actions = random_actions(n, density, &mut rng);
-                    let beepers = beeper_bitmap(&actions);
-                    let expected = scalar.run_round(&actions).unwrap();
-                    for net in &mut threaded {
-                        let received = net.run_round_bitset(&beepers).unwrap();
+        for (ch, channel) in fault_oracle_channels() {
+            for (key, plan) in fault_plans(n) {
+                for shards in SHARD_COUNTS {
+                    let mut scalar = BeepNetwork::new(graph.clone(), channel.clone(), 19);
+                    scalar.set_shard_count(shards);
+                    scalar.set_fault_plan(plan.clone()).unwrap();
+                    let mut threaded: Vec<BeepNetwork> = THREAD_COUNTS
+                        .iter()
+                        .map(|&threads| {
+                            let mut net = BeepNetwork::new(graph.clone(), channel.clone(), 19);
+                            net.set_shard_count(shards);
+                            net.set_parallelism(threads);
+                            net.set_fault_plan(plan.clone()).unwrap();
+                            net
+                        })
+                        .collect();
+                    for round in 0..6 {
+                        let density = [0.0, 0.1, 0.5, 1.0][round % 4];
+                        let actions = random_actions(n, density, &mut rng);
+                        let beepers = beeper_bitmap(&actions);
+                        let expected = scalar.run_round(&actions).unwrap();
+                        for net in &mut threaded {
+                            let received = net.run_round_bitset(&beepers).unwrap();
+                            assert_eq!(
+                                expected,
+                                received.iter_bits().collect::<Vec<bool>>(),
+                                "{name} {ch} {key} round {round} threads={} shards={shards}",
+                                net.parallelism(),
+                            );
+                        }
+                    }
+                    for net in &threaded {
                         assert_eq!(
-                            expected,
-                            received.iter_bits().collect::<Vec<bool>>(),
-                            "{name} {key} round {round} threads={} shards={shards}",
-                            net.parallelism(),
+                            scalar.stats(),
+                            net.stats(),
+                            "{name} {ch} {key} shards={shards} stats"
+                        );
+                        assert_eq!(
+                            scalar.beeps_by_node(),
+                            net.beeps_by_node(),
+                            "{name} {ch} {key} shards={shards} energy"
                         );
                     }
-                }
-                for net in &threaded {
-                    assert_eq!(
-                        scalar.stats(),
-                        net.stats(),
-                        "{name} {key} shards={shards} stats"
-                    );
-                    assert_eq!(
-                        scalar.beeps_by_node(),
-                        net.beeps_by_node(),
-                        "{name} {key} shards={shards} energy"
-                    );
                 }
             }
         }
@@ -811,13 +799,9 @@ fn faulted_scalar_bitset_threaded_agree_bit_for_bit() {
 #[test]
 fn faulted_frames_match_round_by_round_driving() {
     // run_frame under a fault plan ≡ driving the same frame one
-    // run_round at a time: the overlay must apply per-slot inside the
-    // batched kernel too (a crash round can split a frame). Counter-keyed
-    // channel for the same reason as the bit-exact oracle above.
+    // run_round at a time: the frame driver must apply the overlay every
+    // slot (a crash round can split a frame).
     let mut rng = StdRng::seed_from_u64(0xFA18);
-    let channel: ChannelModel = GilbertElliott::try_new(0.05, 0.3, 0.25, 0.4)
-        .unwrap()
-        .into();
     for (name, graph) in all_topologies() {
         let n = graph.node_count();
         let len = 8;
@@ -825,28 +809,16 @@ fn faulted_frames_match_round_by_round_driving() {
         let frames: Vec<Option<BitVec>> = (0..n)
             .map(|v| (v % 2 == 0).then(|| BitVec::random_uniform(len, &mut rng)))
             .collect();
-        let mut scalar = BeepNetwork::new(graph.clone(), channel.clone(), 31);
-        scalar.set_fault_plan(plan.clone()).unwrap();
-        let mut batched = BeepNetwork::new(graph.clone(), channel.clone(), 31);
-        batched.set_fault_plan(plan).unwrap();
-        let mut expected: Vec<BitVec> = (0..n).map(|_| BitVec::zeros(len)).collect();
-        let mut actions = vec![Action::Listen; n];
-        for i in 0..len {
-            for (v, frame) in frames.iter().enumerate() {
-                actions[v] = match frame {
-                    Some(f) if f.get(i) => Action::Beep,
-                    _ => Action::Listen,
-                };
-            }
-            for (v, &bit) in scalar.run_round(&actions).unwrap().iter().enumerate() {
-                if bit {
-                    expected[v].set(i, true);
-                }
-            }
+        for (ch, channel) in fault_oracle_channels() {
+            let mut scalar = BeepNetwork::new(graph.clone(), channel.clone(), 31);
+            scalar.set_fault_plan(plan.clone()).unwrap();
+            let mut framed = BeepNetwork::new(graph.clone(), channel, 31);
+            framed.set_fault_plan(plan.clone()).unwrap();
+            let expected = scalar_frame(&mut scalar, &frames, len);
+            let heard = framed.run_frame(&frames).unwrap();
+            assert_eq!(heard, expected, "{name} {ch}");
+            assert_eq!(scalar.stats(), framed.stats(), "{name} {ch} stats");
         }
-        let heard = batched.run_frame(&frames).unwrap();
-        assert_eq!(heard, expected, "{name}");
-        assert_eq!(scalar.stats(), batched.stats(), "{name} stats");
     }
 }
 
@@ -891,13 +863,12 @@ fn faulted_noisy_transcripts_are_thread_and_shard_invariant() {
 }
 
 #[test]
-fn implicit_and_compressed_reprs_reproduce_materialized_noisy_transcripts() {
+fn implicit_reprs_reproduce_materialized_noisy_transcripts() {
     // The adjacency representation is NOT part of the determinism tuple:
-    // an implicit or delta-compressed graph with the same edge set as a
-    // materialized CSR graph must produce byte-identical noisy transcripts
-    // at every thread and shard count, because channel noise is keyed by
-    // (seed, round, shard) and the OR is representation-independent.
-    let mut rng = StdRng::seed_from_u64(0xC0DE);
+    // an implicit graph with the same edge set as a materialized CSR graph
+    // must produce byte-identical noisy transcripts at every thread and
+    // shard count, because channel noise is keyed by (seed, round, shard)
+    // and the OR is representation-independent.
     let pairs: Vec<(String, Graph, Graph)> = vec![
         (
             "torus(5,7)".into(),
@@ -914,18 +885,9 @@ fn implicit_and_compressed_reprs_reproduce_materialized_noisy_transcripts() {
             topology::complete(11).unwrap(),
             topology::implicit_complete(11).unwrap(),
         ),
-        (
-            "pa(20,3)".into(),
-            topology::preferential_attachment(20, 3, &mut rng).unwrap(),
-            topology::preferential_attachment(20, 3, &mut StdRng::seed_from_u64(0xC0DE))
-                .unwrap()
-                .to_delta_csr()
-                .unwrap(),
-        ),
     ];
-    // (The PA pair re-seeds its RNG so both builds sample the same graph.)
     let mut rng = StdRng::seed_from_u64(0x51AB);
-    for (name, csr, compressed) in pairs {
+    for (name, csr, implicit) in pairs {
         let n = csr.node_count();
         let beeper_sets: Vec<BitVec> = (0..10)
             .map(|round| {
@@ -946,112 +908,11 @@ fn implicit_and_compressed_reprs_reproduce_materialized_noisy_transcripts() {
                 };
                 assert_eq!(
                     run(&csr),
-                    run(&compressed),
+                    run(&implicit),
                     "{name} threads={threads} shards={shards}"
                 );
             }
         }
-    }
-}
-
-#[test]
-fn batched_frames_match_run_frame_on_every_topology() {
-    // run_frames_batched ≡ run_frame, bit for bit, noisy, across every
-    // topology (incl. implicit/compressed reprs), threads {1, 2, 4, 8} ×
-    // shards {1, 2, 8}. The schedule is longer than one cache block so the
-    // equivalence crosses a block boundary.
-    let mut rng = StdRng::seed_from_u64(0xBA7C);
-    for (name, graph) in all_topologies() {
-        let n = graph.node_count();
-        let len = 40; // > FRAME_BLOCK_ROUNDS: at least two blocks
-        let frames: Vec<Option<BitVec>> = (0..n)
-            .map(|v| (v % 3 != 1).then(|| BitVec::random_uniform(len, &mut rng)))
-            .collect();
-        for shards in SHARD_COUNTS {
-            for &threads in &THREAD_COUNTS {
-                let mut reference = BeepNetwork::new(graph.clone(), Noise::bernoulli(0.2), 41);
-                reference.set_shard_count(shards);
-                reference.set_parallelism(threads);
-                reference.record_transcript();
-                let mut batched = BeepNetwork::new(graph.clone(), Noise::bernoulli(0.2), 41);
-                batched.set_shard_count(shards);
-                batched.set_parallelism(threads);
-                batched.record_transcript();
-                let mut expected = Vec::new();
-                reference
-                    .run_frame_into(&frames, len, &mut expected)
-                    .unwrap();
-                let heard = batched.run_frames_batched(&frames, len).unwrap();
-                assert_eq!(heard, expected, "{name} threads={threads} shards={shards}");
-                assert_eq!(reference.stats(), batched.stats(), "{name} stats");
-                assert_eq!(
-                    reference.beeps_by_node(),
-                    batched.beeps_by_node(),
-                    "{name} energy"
-                );
-                assert_eq!(
-                    reference.transcript(),
-                    batched.transcript(),
-                    "{name} transcript"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn batched_frames_match_run_frame_under_faults_and_adaptive_adversaries() {
-    // The batched driver's sequential pre-pass must reproduce the fault
-    // overlay exactly: static crashes mid-schedule, adaptive decisions
-    // fed by the rounds the same block already prepared, crash deafness
-    // applied per slot.
-    let mut rng = StdRng::seed_from_u64(0xBA7D);
-    let channel: ChannelModel = GilbertElliott::try_new(0.05, 0.3, 0.25, 0.4)
-        .unwrap()
-        .into();
-    for (name, graph) in all_topologies() {
-        let n = graph.node_count();
-        let len = 40;
-        let plan = FaultPlan::realize(n, 0.2, FaultKind::Crash { round: 17 }, 0xB1)
-            .unwrap()
-            .with_policy(AdaptivePolicy::TargetLoudest { budget: n / 8 + 1 });
-        let frames: Vec<Option<BitVec>> = (0..n)
-            .map(|v| (v % 2 == 0).then(|| BitVec::random_uniform(len, &mut rng)))
-            .collect();
-        let mut reference = BeepNetwork::new(graph.clone(), channel.clone(), 43);
-        reference.set_fault_plan(plan.clone()).unwrap();
-        let mut batched = BeepNetwork::new(graph.clone(), channel.clone(), 43);
-        batched.set_fault_plan(plan).unwrap();
-        batched.set_parallelism(4);
-        let expected = reference.run_frame_of_len(&frames, len).unwrap();
-        let heard = batched.run_frames_batched(&frames, len).unwrap();
-        assert_eq!(heard, expected, "{name}");
-        assert_eq!(reference.stats(), batched.stats(), "{name} stats");
-        assert_eq!(
-            reference.beeps_by_node(),
-            batched.beeps_by_node(),
-            "{name} energy"
-        );
-    }
-}
-
-#[test]
-fn batched_single_round_schedule_is_byte_identical_to_run_frame() {
-    // Satellite regression: a 1-round schedule through run_frames_batched
-    // is byte-identical to run_frame — the degenerate block still goes
-    // through pre-pass/slab/post-pass and must change nothing.
-    let mut rng = StdRng::seed_from_u64(0x0B01);
-    for (name, graph) in all_topologies() {
-        let n = graph.node_count();
-        let frames: Vec<Option<BitVec>> = (0..n)
-            .map(|v| (v % 2 == 0).then(|| BitVec::random_uniform(1, &mut rng)))
-            .collect();
-        let mut reference = BeepNetwork::new(graph.clone(), Noise::bernoulli(0.3), 47);
-        let mut batched = BeepNetwork::new(graph.clone(), Noise::bernoulli(0.3), 47);
-        let expected = reference.run_frame(&frames).unwrap();
-        let heard = batched.run_frames_batched(&frames, 1).unwrap();
-        assert_eq!(heard, expected, "{name}");
-        assert_eq!(reference.stats(), batched.stats(), "{name} stats");
     }
 }
 

@@ -566,16 +566,17 @@ fn per_round_bitmaps(heard: &[BitVec], rounds: usize) -> Vec<BitVec> {
 }
 
 #[test]
-fn batched_frames_reproduce_the_golden_per_round_stream() {
-    // Frame batching is NOT part of the stream key either: driving the
-    // same 8-round schedule through `run_frames_batched` must reproduce
-    // the original fault-free golden fingerprint byte-for-byte.
+fn frames_reproduce_the_golden_per_round_stream() {
+    // Driving the same 8-round schedule through `run_frame_into` — the
+    // frame driver Algorithm 1 and the TDMA baseline run on — must
+    // reproduce the original fault-free golden fingerprint byte-for-byte.
     let mut net = BeepNetwork::new(topology::cycle(512).unwrap(), Noise::bernoulli(0.1), 1);
     net.set_shard_count(8);
     let frames: Vec<Option<BitVec>> = (0..512)
         .map(|v| Some(BitVec::from_fn(8, |_| v % 37 == 0)))
         .collect();
-    let heard = net.run_frames_batched(&frames, 8).unwrap();
+    let mut heard = Vec::new();
+    net.run_frame_into(&frames, 8, &mut heard).unwrap();
     assert_eq!(
         transcript_fingerprint(&per_round_bitmaps(&heard, 8)),
         0xF20B_61B1_63CB_81F1
@@ -583,23 +584,23 @@ fn batched_frames_reproduce_the_golden_per_round_stream() {
 }
 
 #[test]
-fn golden_batched_implicit_transcript_crosses_a_block_boundary() {
-    // One pin covering both new paths at once: a 40-round schedule (two
-    // cache blocks) through `run_frames_batched` on the implicit torus.
+fn golden_implicit_frame_transcript_matches_per_round_driving() {
+    // A 40-round schedule through `run_frame_into` on the implicit torus.
     // The per-round loop on the materialized torus must produce the same
-    // bytes, and the fingerprint is pinned so a change to the block
-    // pre-pass ordering or the slab scatter fails loudly.
+    // bytes, and the fingerprint is pinned so a change to the frame
+    // driver's beeper assembly or heard-string scatter fails loudly.
     let rounds = 40;
     let frames: Vec<Option<BitVec>> = (0..512)
         .map(|v| Some(BitVec::from_fn(rounds, |r| (v + r) % 37 == 0)))
         .collect();
-    let mut batched = BeepNetwork::new(
+    let mut framed = BeepNetwork::new(
         topology::implicit_torus(8, 64).unwrap(),
         Noise::bernoulli(0.1),
         1,
     );
-    batched.set_shard_count(8);
-    let heard = batched.run_frames_batched(&frames, rounds).unwrap();
+    framed.set_shard_count(8);
+    let mut heard = Vec::new();
+    framed.run_frame_into(&frames, rounds, &mut heard).unwrap();
 
     let mut reference = BeepNetwork::new(topology::torus(8, 64).unwrap(), Noise::bernoulli(0.1), 1);
     reference.set_shard_count(8);
@@ -611,7 +612,7 @@ fn golden_batched_implicit_transcript_crosses_a_block_boundary() {
         .collect();
     assert_eq!(per_round_bitmaps(&heard, rounds), expected);
     let fp = transcript_fingerprint(&expected);
-    println!("batched implicit torus 40 rounds: {fp:#018X}");
+    println!("implicit torus frame, 40 rounds: {fp:#018X}");
     assert_eq!(fp, 0x8ABB_5AE8_D342_DCB2);
 }
 

@@ -107,8 +107,8 @@ impl Json {
     }
 
     /// Renders on a single line (`{"a": 1, "b": [2, 3]}`) — the JSONL
-    /// form used by the checkpoint journal and the campaign daemon,
-    /// where one value per line is the framing. Same separators as
+    /// form used by the checkpoint journal, where one value per line is
+    /// the framing. Same separators as
     /// [`to_pretty`](Json::to_pretty) (`": "` after keys, `", "`
     /// between items) so textual greps behave identically on both
     /// forms; parseable by [`Json::parse`].

@@ -11,7 +11,7 @@
 //!
 //! * [`run_campaign`] — the classic one-shot: every cell, report out.
 //! * [`run_campaign_with_sink`] — bring your own sink (and optionally a
-//!   shared [`InstanceCache`]); what the campaign daemon builds on.
+//!   shared [`InstanceCache`]).
 //! * [`run_campaign_resumable`] — checkpointed execution: replay the
 //!   journal's completed cells, run only the remainder, stream new
 //!   completions back to the journal.
@@ -25,7 +25,7 @@
 //! *which* worker builds it cannot matter), later workers share it, and
 //! groups whose every cell is replayed from a checkpoint never build at
 //! all. An [`InstanceCache`] handed to [`run_campaign_with_sink`]
-//! carries those instances across campaigns — the daemon's cache.
+//! carries those instances across campaigns.
 //!
 //! Builds and protocol runs are both panic-guarded: a panicking topology
 //! generator fails that group's cells, and a panicking protocol fails
@@ -68,8 +68,7 @@ type BuiltInstance = Result<(Graph, Vec<(String, f64)>), BuildFailure>;
 /// Lazily built topology instances, keyed by the cell group
 /// (`family/n{size}/s{seed}/topology`). Safe to share across campaigns
 /// and threads: instance seeds derive from the group key alone, so a
-/// cache hit is byte-equivalent to a rebuild. The campaign daemon keeps
-/// one of these alive across every campaign it serves.
+/// cache hit is byte-equivalent to a rebuild.
 #[derive(Debug, Default)]
 pub struct InstanceCache {
     inner: Mutex<HashMap<String, Arc<OnceLock<BuiltInstance>>>>,
@@ -167,9 +166,8 @@ pub fn run_campaign(
 }
 
 /// Runs a campaign through a caller-supplied sink — the engine-agnostic
-/// executor surface. `cache` may be shared across campaigns (the daemon
-/// keeps one process-wide); pass a fresh [`InstanceCache`] when reuse is
-/// unwanted. Returns the number of cells completed (all of them, unless
+/// executor surface. `cache` may be shared across campaigns; pass a
+/// fresh [`InstanceCache`] when reuse is unwanted. Returns the number of cells completed (all of them, unless
 /// `options.max_cells` cut the run short).
 ///
 /// # Errors

@@ -8,7 +8,7 @@
 //! ([`MemorySink`]); the incremental JSONL checkpoint journal is another
 //! ([`CheckpointSink`](crate::checkpoint::CheckpointSink)); sinks
 //! compose with [`TeeSink`] and adapt from closures with [`FnSink`]
-//! (e.g. the campaign daemon's per-cell progress counter).
+//! (e.g. a per-cell progress counter).
 //!
 //! # Ordering
 //!
