@@ -42,4 +42,4 @@ mod random;
 pub use bitvec::BitVec;
 pub use fmt::ParseBitVecError;
 pub use iter::Ones;
-pub use ops::superimpose;
+pub use ops::{superimpose, transpose64};

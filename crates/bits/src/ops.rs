@@ -83,6 +83,42 @@ impl BitVec {
             .sum()
     }
 
+    /// Whether [`and_not_count`](Self::and_not_count) is at least `limit`,
+    /// counting a word at a time and stopping as soon as the count reaches
+    /// `limit`.
+    ///
+    /// The phase-1 decoder rejects a codeword once `limit` (the Lemma 9
+    /// threshold) of its 1s fall where the heard string is 0; a codeword a
+    /// node did not hear crosses it long before the last word, so most set
+    /// tests stop early.
+    ///
+    /// # Panics
+    ///
+    /// Panics on length mismatch.
+    #[must_use]
+    pub fn and_not_count_reaches(&self, other: &BitVec, limit: usize) -> bool {
+        self.assert_same_len(other, "and_not_count_reaches");
+        let and_not = |a: &[u64], b: &[u64]| -> usize {
+            a.iter()
+                .zip(b)
+                .map(|(a, b)| (a & !b).count_ones() as usize)
+                .sum()
+        };
+        // The stop test runs once per 8 words: a per-word test keeps the
+        // compiler from vectorizing the popcounts and costs more than the
+        // words it skips.
+        let mut ours = self.words.chunks_exact(8);
+        let mut theirs = other.words.chunks_exact(8);
+        let mut count = 0usize;
+        for (a, b) in (&mut ours).zip(&mut theirs) {
+            count += and_not(a, b);
+            if count >= limit {
+                return true;
+            }
+        }
+        count + and_not(ours.remainder(), theirs.remainder()) >= limit
+    }
+
     /// Whether `self` `d`-intersects `other`: `1(self ∧ other) ≥ d`
     /// (Definition 2).
     ///
@@ -233,6 +269,41 @@ pub fn superimpose<'a>(strings: impl IntoIterator<Item = &'a BitVec>) -> Option<
         acc.or_assign(s);
     }
     Some(acc)
+}
+
+/// Transposes a 64×64 bit matrix in place: bit `j` of word `i` trades
+/// places with bit `i` of word `j`.
+///
+/// Frames are stored node-major (one string per node, bit `i` = round `i`)
+/// while the round kernel takes round-major beeper bitmaps (bit `v` = node
+/// `v`); transposing 64-node × 64-round word blocks converts between the
+/// two a word at a time. This is the recursive block swap (Hacker's
+/// Delight §7-3): six passes, each exchanging the off-diagonal quadrants
+/// of every `2j×2j` sub-block.
+///
+/// ```
+/// let mut block = [0u64; 64];
+/// block[3] = 1 << 40; // row 3, column 40
+/// beep_bits::transpose64(&mut block);
+/// assert_eq!(block[40], 1 << 3);
+/// assert_eq!(block.iter().map(|w| w.count_ones()).sum::<u32>(), 1);
+/// ```
+pub fn transpose64(block: &mut [u64; 64]) {
+    let mut width = 32;
+    let mut mask: u64 = 0x0000_0000_FFFF_FFFF;
+    while width != 0 {
+        let mut row = 0;
+        while row < 64 {
+            // Rows with bit `width` clear pair with the row `width` below:
+            // this row's high columns swap with that row's low columns.
+            let t = ((block[row] >> width) ^ block[row + width]) & mask;
+            block[row] ^= t << width;
+            block[row + width] ^= t;
+            row = (row + width + 1) & !width;
+        }
+        width >>= 1;
+        mask ^= mask << width;
+    }
 }
 
 macro_rules! owned_binop {

@@ -1,7 +1,7 @@
 //! Property-based tests for `BitVec`: algebraic laws of the paper's string
 //! operations (Section 1.5) and metric axioms of Hamming distance.
 
-use beep_bits::{superimpose, BitVec};
+use beep_bits::{superimpose, transpose64, BitVec};
 use proptest::prelude::*;
 
 /// Strategy: a pair (length, Vec<bool>) describing an arbitrary bit string.
@@ -96,6 +96,49 @@ proptest! {
             a.count_ones(),
             a.intersection_count(&b) + a.and_not_count(&b)
         );
+    }
+
+    #[test]
+    fn and_not_count_reaches_is_the_threshold_of_and_not_count(
+        (a, b) in bitvec_pair(300),
+        extra in 0usize..70,
+    ) {
+        // Exact at every limit: below, at and above the count, the word
+        // boundaries the early stop checks at, and past the string's weight.
+        let count = a.and_not_count(&b);
+        let weight = a.count_ones();
+        for limit in [
+            0,
+            1,
+            count.saturating_sub(1),
+            count,
+            count + 1,
+            extra,
+            weight,
+            weight + 1,
+        ] {
+            prop_assert_eq!(a.and_not_count_reaches(&b, limit), count >= limit);
+        }
+    }
+
+    #[test]
+    fn transpose64_is_the_bitwise_transpose_and_an_involution(
+        words in prop::collection::vec(any::<u64>(), 64),
+        sparsity in prop::collection::vec(any::<u64>(), 64),
+    ) {
+        // AND-ing two draws gives a sparser matrix as well as a dense one.
+        for matrix in [words.clone(), words.iter().zip(&sparsity).map(|(w, s)| w & s).collect()] {
+            let original: [u64; 64] = matrix.try_into().unwrap();
+            let mut block = original;
+            transpose64(&mut block);
+            for (i, row) in original.iter().enumerate() {
+                for (j, column) in block.iter().enumerate() {
+                    prop_assert_eq!((column >> i) & 1, (row >> j) & 1);
+                }
+            }
+            transpose64(&mut block);
+            prop_assert_eq!(block, original);
+        }
     }
 
     #[test]

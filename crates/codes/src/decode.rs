@@ -14,7 +14,9 @@
 //!   the network simulator uses: scoring every node's codeword plus random
 //!   decoys measures exactly the error events Lemmas 8–10 bound, without the
 //!   `2^a` enumeration the paper's information-theoretic decoder performs
-//!   (see DESIGN.md §3, substitution 2).
+//!   (see DESIGN.md §3, substitution 2). The simulator hands both decoders
+//!   codewords it has already computed ([`SetDecoder::accepts_codeword`],
+//!   [`MessageDecoder::decode_encoded`]), so each is encoded once per round.
 //! * **exhaustive decoding** — enumerate the full input space; exact but
 //!   exponential, intended for validating the candidate decoder at small
 //!   sizes and for tests.
@@ -22,6 +24,7 @@
 use crate::error::CodeError;
 use crate::{BeepCode, DistanceCode};
 use beep_bits::BitVec;
+use std::borrow::Borrow;
 
 /// Upper limit on input bits for exhaustive decoding (2^24 codeword
 /// evaluations is the largest that stays interactive in debug builds).
@@ -62,13 +65,15 @@ impl<'a> SetDecoder<'a> {
 
     /// Whether a given codeword is accepted as "present" in the received
     /// string: fewer than `threshold` of its 1s fall where `received` is 0.
+    /// Counting stops once it reaches the threshold, so a rejected
+    /// codeword is usually decided well before its last word.
     ///
     /// # Panics
     ///
     /// Panics if lengths differ (callers hold strings from the same code).
     #[must_use]
     pub fn accepts_codeword(&self, codeword: &BitVec, received: &BitVec) -> bool {
-        codeword.and_not_count(received) < self.threshold
+        !codeword.and_not_count_reaches(received, self.threshold)
     }
 
     /// Whether the codeword of input `r` is accepted as present.
@@ -168,6 +173,9 @@ impl<'a> MessageDecoder<'a> {
     /// Decodes by scoring an explicit candidate message list, returning the
     /// nearest. Ties break toward the earlier candidate (deterministic).
     ///
+    /// Encodes each candidate, then scores it as
+    /// [`decode_encoded`](Self::decode_encoded) does.
+    ///
     /// # Errors
     ///
     /// * [`CodeError::NoCandidates`] if the list is empty.
@@ -178,6 +186,32 @@ impl<'a> MessageDecoder<'a> {
         received: &BitVec,
         candidates: impl IntoIterator<Item = &'b BitVec>,
     ) -> Result<DecodedMessage, CodeError> {
+        self.decode_encoded(
+            received,
+            candidates.into_iter().map(|m| (m, self.code.encode(m))),
+        )
+    }
+
+    /// [`decode_candidates`](Self::decode_candidates) over candidates that
+    /// are already encoded: each item is a message `m` paired with its
+    /// codeword `D(m)`. A caller that decodes many received strings
+    /// against one candidate pool encodes the pool once and passes it
+    /// here. Same winner, distance, margin and first-wins tie-break.
+    ///
+    /// # Errors
+    ///
+    /// * [`CodeError::NoCandidates`] if the list is empty.
+    /// * [`CodeError::ReceivedLength`] if `received` is not one distance
+    ///   codeword long.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a codeword is not one distance codeword long.
+    pub fn decode_encoded<'b, C: Borrow<BitVec>>(
+        &self,
+        received: &BitVec,
+        candidates: impl IntoIterator<Item = (&'b BitVec, C)>,
+    ) -> Result<DecodedMessage, CodeError> {
         if received.len() != self.code.params().length() {
             return Err(CodeError::ReceivedLength {
                 expected: self.code.params().length(),
@@ -186,8 +220,8 @@ impl<'a> MessageDecoder<'a> {
         }
         let mut best: Option<(usize, &BitVec)> = None;
         let mut runner_up: Option<usize> = None;
-        for m in candidates {
-            let d = self.code.encode(m).hamming_distance(received);
+        for (m, codeword) in candidates {
+            let d = codeword.borrow().hamming_distance(received);
             match best {
                 None => best = Some((d, m)),
                 Some((bd, _)) if d < bd => {

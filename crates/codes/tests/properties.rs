@@ -102,6 +102,76 @@ proptest! {
     }
 
     #[test]
+    fn threshold_stopped_set_test_equals_the_full_count(
+        r in input_bits(8),
+        others in prop::collection::vec(0u64..256, 0..4),
+        flips in prop::collection::vec(0usize..600, 0..40),
+        include in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        // a=8, k=3, c=5: length 600 (ten words, so past the 8-word stop
+        // test), weight 40. The received string superimposes a few
+        // codewords, with or without the tested one, and flips bits.
+        let code = BeepCode::with_seed(BeepCodeParams::new(8, 3, 5).unwrap(), seed);
+        let codeword = code.encode(&r);
+        let mut received = BitVec::zeros(code.params().length());
+        if include {
+            received.or_assign(&codeword);
+        }
+        for v in others {
+            received.or_assign(&code.encode(&BitVec::from_u64_lsb(v, 8)));
+        }
+        for i in flips {
+            received.flip(i);
+        }
+        let count = codeword.and_not_count(&received);
+        let weight = code.params().weight();
+        let lemma9 = SetDecoder::new(&code, 0.1).threshold();
+        for threshold in [0, 1, weight, weight + 1, count, count + 1, lemma9] {
+            let decoder = SetDecoder::with_threshold(&code, threshold);
+            prop_assert_eq!(
+                decoder.accepts_codeword(&codeword, &received),
+                count < threshold,
+                "threshold {}", threshold
+            );
+        }
+    }
+
+    #[test]
+    fn pre_encoded_decode_equals_candidate_decode(
+        pool in prop::collection::vec(0u64..64, 1..12),
+        received in input_bits(12),
+        seed in any::<u64>(),
+    ) {
+        // 6-bit messages at length 12: distances fall in 0..=12, so equal
+        // distances between distinct candidates are common, and a pool of
+        // up to 11 draws from 64 messages often repeats one.
+        let code = DistanceCode::with_seed(DistanceCodeParams::new(6, 2).unwrap(), seed);
+        let decoder = MessageDecoder::new(&code);
+        let candidates: Vec<BitVec> = pool.iter().map(|&v| BitVec::from_u64_lsb(v, 6)).collect();
+        let codewords: Vec<BitVec> = candidates.iter().map(|m| code.encode(m)).collect();
+        let by_candidates = decoder.decode_candidates(&received, &candidates).unwrap();
+        let by_codewords = decoder
+            .decode_encoded(&received, candidates.iter().zip(&codewords))
+            .unwrap();
+        prop_assert_eq!(&by_codewords, &by_candidates);
+        // Reference: the first candidate at minimum distance wins, and the
+        // margin is the nearest other candidate's distance minus the
+        // winner's (0 when a duplicate or a tie follows it).
+        let distances: Vec<usize> = codewords.iter().map(|c| c.hamming_distance(&received)).collect();
+        let winner = (0..distances.len()).min_by_key(|&i| distances[i]).unwrap();
+        let runner_up = distances
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| i != winner)
+            .map(|(_, &d)| d)
+            .min();
+        prop_assert_eq!(&by_codewords.message, &candidates[winner]);
+        prop_assert_eq!(by_codewords.distance, distances[winner]);
+        prop_assert_eq!(by_codewords.margin, runner_up.map(|d| d - distances[winner]));
+    }
+
+    #[test]
     fn kautz_singleton_subset_structure(m in 0u64..4096, k in 1usize..6) {
         let code = KautzSingleton::new(12, k).unwrap();
         let cw = code.encode(&BitVec::from_u64_lsb(m, 12));

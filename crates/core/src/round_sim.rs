@@ -144,24 +144,21 @@ impl BroadcastSimulator {
         // `sample_avoiding`).
         let a_bits = self.codes.beep.params().input_bits();
         let mut drawn: HashSet<BitVec> = HashSet::new();
-        let mut inputs: Vec<Option<BitVec>> = Vec::with_capacity(n);
         let mut phase1_frames: Vec<Option<BitVec>> = Vec::with_capacity(n);
         let mut phase2_frames: Vec<Option<BitVec>> = Vec::with_capacity(n);
         for msg in outgoing {
             match msg {
                 Some(m) => {
                     let r = sample_avoiding(a_bits, &drawn, rng);
-                    drawn.insert(r.clone());
                     let carrier = self.codes.beep.encode(&r);
+                    drawn.insert(r);
                     let payload = self.codes.distance.encode(&m.to_bitvec());
                     let combined = beep_codes::CombinedCode::combine(&carrier, &payload)
                         .expect("carrier weight = payload length by construction");
-                    inputs.push(Some(r));
                     phase1_frames.push(Some(carrier));
                     phase2_frames.push(Some(combined));
                 }
                 None => {
-                    inputs.push(None);
                     phase1_frames.push(None);
                     phase2_frames.push(None);
                 }
@@ -177,7 +174,7 @@ impl BroadcastSimulator {
         self.run_phase(net, &phase2_frames, &mut heard2)?;
 
         // --- Decode at every node.
-        self.decode_all(net, outgoing, &inputs, &drawn, &heard1, &heard2, rng)
+        self.decode_all(net, outgoing, &phase1_frames, &drawn, &heard1, &heard2, rng)
     }
 
     /// Transmits one frame per node (None = listen throughout), writing
@@ -198,12 +195,17 @@ impl BroadcastSimulator {
 
     /// The Section 4 decoder at every node, with candidate + decoy scoring
     /// (DESIGN.md §3, substitution 2).
+    ///
+    /// Every codeword is computed once per round: the transmitters'
+    /// phase-1 carriers are their candidate codewords, and the message
+    /// pool is distance-encoded once and shared by every node's
+    /// nearest-codeword decodes.
     #[allow(clippy::too_many_arguments)]
     fn decode_all(
         &self,
         net: &BeepNetwork,
         outgoing: &[Option<Message>],
-        inputs: &[Option<BitVec>],
+        carriers: &[Option<BitVec>],
         transmitted: &HashSet<BitVec>,
         heard1: &[BitVec],
         heard2: &[BitVec],
@@ -214,20 +216,21 @@ impl BroadcastSimulator {
         let set_decoder = SetDecoder::new(&self.codes.beep, self.params.epsilon);
         let msg_decoder = MessageDecoder::new(&self.codes.distance);
 
-        // Global candidate pool: every transmitter's (r, C(r), m).
-        struct Candidate {
+        // Global candidate pool: every transmitter's C(r_v), the carrier
+        // it sent in phase 1.
+        struct Candidate<'a> {
             node: usize,
-            codeword: BitVec,
+            codeword: &'a BitVec,
         }
-        let mut candidates = Vec::new();
-        for (v, input) in inputs.iter().enumerate() {
-            if let Some(r) = input {
-                candidates.push(Candidate {
-                    node: v,
-                    codeword: self.codes.beep.encode(r),
-                });
-            }
-        }
+        let candidates: Vec<Candidate> = carriers
+            .iter()
+            .enumerate()
+            .filter_map(|(node, carrier)| {
+                carrier
+                    .as_ref()
+                    .map(|codeword| Candidate { node, codeword })
+            })
+            .collect();
         // Message candidates for phase-2 nearest-codeword decoding.
         let mut message_pool: Vec<BitVec> =
             outgoing.iter().flatten().map(Message::to_bitvec).collect();
@@ -248,6 +251,10 @@ impl BroadcastSimulator {
         for _ in 0..self.params.decoys {
             message_pool.push(BitVec::random_uniform(self.message_bits, rng));
         }
+        let pool_codewords: Vec<BitVec> = message_pool
+            .iter()
+            .map(|m| self.codes.distance.encode(m))
+            .collect();
 
         let mut stats = RoundStats {
             rounds: 1,
@@ -263,7 +270,7 @@ impl BroadcastSimulator {
                     // A node need not decode itself (it knows its message).
                     continue;
                 }
-                let accepted = set_decoder.accepts_codeword(&cand.codeword, &heard1[v]);
+                let accepted = set_decoder.accepts_codeword(cand.codeword, &heard1[v]);
                 let is_neighbor = graph.has_edge(v, cand.node);
                 match (is_neighbor, accepted) {
                     (true, false) => {
@@ -276,10 +283,10 @@ impl BroadcastSimulator {
                 }
                 // Phase 2: project ỹ_v onto the accepted codeword's
                 // 1-positions and nearest-codeword decode.
-                let projected = beep_codes::CombinedCode::project(&heard2[v], &cand.codeword)
+                let projected = beep_codes::CombinedCode::project(&heard2[v], cand.codeword)
                     .expect("heard string has phase length");
                 let decoded = msg_decoder
-                    .decode_candidates(&projected, message_pool.iter())
+                    .decode_encoded(&projected, message_pool.iter().zip(&pool_codewords))
                     .expect("message pool is non-empty when a candidate transmitted");
                 if is_neighbor {
                     let truth = outgoing[cand.node]
@@ -301,8 +308,8 @@ impl BroadcastSimulator {
                     stats.decoy_acceptances += 1;
                     let projected = beep_codes::CombinedCode::project(&heard2[v], decoy)
                         .expect("heard string has phase length");
-                    if let Ok(decoded) =
-                        msg_decoder.decode_candidates(&projected, message_pool.iter())
+                    if let Ok(decoded) = msg_decoder
+                        .decode_encoded(&projected, message_pool.iter().zip(&pool_codewords))
                     {
                         inbox.push(Message::from_bits(&decoded.message));
                     }
@@ -310,11 +317,8 @@ impl BroadcastSimulator {
             }
             inbox.sort_unstable();
             // Ideal Broadcast CONGEST delivery, for the perfection check.
-            let mut ideal: Vec<Message> = graph
-                .neighbors(v)
-                .iter()
-                .filter_map(|&u| outgoing[u].clone())
-                .collect();
+            let mut ideal: Vec<Message> = Vec::new();
+            graph.for_each_neighbor(v, |u| ideal.extend(outgoing[u].clone()));
             ideal.sort_unstable();
             if inbox != ideal && stats.imperfect_rounds == 0 {
                 stats.imperfect_rounds = 1;
@@ -419,6 +423,33 @@ mod tests {
             perfect >= trials - 1,
             "only {perfect}/{trials} perfect rounds"
         );
+    }
+
+    #[test]
+    fn implicit_and_materialized_torus_rounds_are_identical() {
+        // The ideal-inbox check walks neighbors through the
+        // representation-generic API, so an implicit graph simulates the
+        // same round as its materialized twin instead of panicking.
+        let params = SimulationParams::calibrated(0.05);
+        for seed in 0..4 {
+            let outgoing: Vec<Option<Message>> = (0..16)
+                .map(|v| (v % 3 != 0).then(|| msg(v + seed)))
+                .collect();
+            let run = |graph| {
+                run_one(
+                    graph,
+                    Noise::bernoulli(0.05),
+                    params,
+                    outgoing.clone(),
+                    seed,
+                )
+            };
+            let (implicit, implicit_rounds) = run(topology::implicit_torus(4, 4).unwrap());
+            let (csr, csr_rounds) = run(topology::torus(4, 4).unwrap());
+            assert_eq!(implicit.delivered, csr.delivered, "seed {seed}");
+            assert_eq!(implicit.stats, csr.stats, "seed {seed}");
+            assert_eq!(implicit_rounds, csr_rounds, "seed {seed}");
+        }
     }
 
     #[test]

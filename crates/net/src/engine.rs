@@ -7,7 +7,7 @@ use crate::graph::{AdjacencyRepr, Graph};
 use crate::node::{Action, BeepProtocol};
 use crate::noise::Noise;
 use crate::trace::{NetStats, Transcript};
-use beep_bits::BitVec;
+use beep_bits::{transpose64, BitVec};
 
 /// Word budget for the precomputed dense adjacency bitmasks: `n` rows of
 /// `⌈n/64⌉` words each are only materialized when they fit in this many
@@ -1030,9 +1030,14 @@ impl BeepNetwork {
     /// Use [`run_frame_of_len`](Self::run_frame_of_len) when silent batches
     /// must still consume rounds.
     ///
-    /// This is the frame-level API the phase simulators run on: each round
-    /// touches only the transmitting nodes to assemble the beeper bitmap,
-    /// then goes through the sharded bitset kernel.
+    /// This is the frame-level API the phase simulators run on. Frames
+    /// move in word blocks of 64 rounds × 64 nodes: one 64×64 bit
+    /// transpose ([`beep_bits::transpose64`]) turns a node group's frame
+    /// words into 64 rounds of beeper words and another turns 64 rounds
+    /// of received words back into heard words. Each round still goes
+    /// through the sharded bitset kernel on its own, so the transcript,
+    /// noise and fault overlay are exactly those of round-by-round
+    /// driving.
     ///
     /// ```
     /// use beep_bits::BitVec;
@@ -1104,7 +1109,6 @@ impl BeepNetwork {
                 actual: frames.len(),
             });
         }
-        let mut transmitters: Vec<(usize, &BitVec)> = Vec::new();
         for (v, frame) in frames.iter().enumerate() {
             if let Some(f) = frame {
                 if f.len() != rounds {
@@ -1114,30 +1118,54 @@ impl BeepNetwork {
                         actual: f.len(),
                     });
                 }
-                transmitters.push((v, f));
             }
         }
+        // Every word of every heard string is written below, so strings
+        // of the right length are reused as they are.
         heard.truncate(n);
         for h in heard.iter_mut() {
-            if h.len() == rounds {
-                h.clear();
-            } else {
+            if h.len() != rounds {
                 *h = BitVec::zeros(rounds);
             }
         }
         heard.resize_with(n, || BitVec::zeros(rounds));
+        // Frames move in blocks of 64 rounds × 64 nodes. `send` and `recv`
+        // hold one 64-word block per node group `g`; word `i` of a block
+        // is the group's beeper (received) word in the block's round `i`.
+        // Transposing a block converts it to or from the group's 64
+        // node-major frame (heard) words.
+        let groups = n.div_ceil(64);
+        let mut send = vec![[0u64; 64]; groups];
+        let mut recv = vec![[0u64; 64]; groups];
         let mut beepers = BitVec::zeros(n);
         let mut received = BitVec::zeros(n);
-        for i in 0..rounds {
-            beepers.clear();
-            for &(v, f) in &transmitters {
-                if f.get(i) {
-                    beepers.set(v, true);
+        for (b, start) in (0..rounds).step_by(64).enumerate() {
+            let block_rounds = (rounds - start).min(64);
+            for (g, block) in send.iter_mut().enumerate() {
+                for (j, word) in block.iter_mut().enumerate() {
+                    *word = frames
+                        .get(g * 64 + j)
+                        .and_then(Option::as_ref)
+                        .map_or(0, |f| f.as_words()[b]);
+                }
+                transpose64(block);
+            }
+            for i in 0..block_rounds {
+                for (word, block) in beepers.as_words_mut().iter_mut().zip(&send) {
+                    *word = block[i];
+                }
+                self.run_round_bitset_into(&beepers, &mut received)?;
+                for (&word, block) in received.as_words().iter().zip(&mut recv) {
+                    block[i] = word;
                 }
             }
-            self.run_round_bitset_into(&beepers, &mut received)?;
-            for v in received.iter_ones() {
-                heard[v].set(i, true);
+            for (g, block) in recv.iter_mut().enumerate() {
+                // Rounds past the frame's end were not run: hear silence.
+                block[block_rounds..].fill(0);
+                transpose64(block);
+                for (h, &word) in heard[g * 64..].iter_mut().zip(block.iter()) {
+                    h.as_words_mut()[b] = word;
+                }
             }
         }
         Ok(())

@@ -76,6 +76,23 @@ fn all_topologies() -> Vec<(String, Graph)> {
     ]
 }
 
+/// [`all_topologies`] plus a graph whose node count is past one 64-node
+/// word and not a multiple of 64, so the frame driver's 64-node groups
+/// include a partial one.
+fn frame_topologies() -> Vec<(String, Graph)> {
+    let mut graphs = all_topologies();
+    let mut rng = StdRng::seed_from_u64(0xF4A3);
+    graphs.push((
+        "random_regular(150,4)".into(),
+        topology::random_regular(150, 4, &mut rng).unwrap(),
+    ));
+    graphs
+}
+
+/// Frame lengths below, at and past the frame driver's 64-round block, and
+/// past two blocks.
+const FRAME_LENS: [usize; 4] = [24, 64, 65, 130];
+
 /// Random beep probability per round, chosen to cover silent, sparse and
 /// dense beeper sets.
 fn random_actions(n: usize, density: f64, rng: &mut StdRng) -> Vec<Action> {
@@ -159,21 +176,26 @@ fn run_frame_matches_round_by_round_scalar_driving() {
     // Algorithm 1 and the TDMA baseline run at: the frame driver they use
     // must reproduce slot-by-slot scalar driving bit for bit.
     let mut rng = StdRng::seed_from_u64(21);
-    for (name, graph) in all_topologies() {
+    for (name, graph) in frame_topologies() {
         let n = graph.node_count();
-        let len = 24;
-        // Half the nodes transmit a random frame, half listen.
-        let frames: Vec<Option<BitVec>> = (0..n)
-            .map(|v| (v % 2 == 0).then(|| BitVec::random_uniform(len, &mut rng)))
-            .collect();
-        for noise in [Noise::Noiseless, Noise::bernoulli(0.05)] {
-            let mut scalar = BeepNetwork::new(graph.clone(), noise, 2);
-            let mut framed = BeepNetwork::new(graph.clone(), noise, 2);
-            let expected = scalar_frame(&mut scalar, &frames, len);
-            let mut heard = Vec::new();
-            framed.run_frame_into(&frames, len, &mut heard).unwrap();
-            assert_eq!(heard, expected, "{name} {noise:?}");
-            assert_eq!(scalar.stats(), framed.stats(), "{name} {noise:?} stats");
+        for len in FRAME_LENS {
+            // Half the nodes transmit a random frame, half listen.
+            let frames: Vec<Option<BitVec>> = (0..n)
+                .map(|v| (v % 2 == 0).then(|| BitVec::random_uniform(len, &mut rng)))
+                .collect();
+            for noise in [Noise::Noiseless, Noise::bernoulli(0.05)] {
+                let mut scalar = BeepNetwork::new(graph.clone(), noise, 2);
+                let mut framed = BeepNetwork::new(graph.clone(), noise, 2);
+                let expected = scalar_frame(&mut scalar, &frames, len);
+                let mut heard = Vec::new();
+                framed.run_frame_into(&frames, len, &mut heard).unwrap();
+                assert_eq!(heard, expected, "{name} len={len} {noise:?}");
+                assert_eq!(
+                    scalar.stats(),
+                    framed.stats(),
+                    "{name} len={len} {noise:?} stats"
+                );
+            }
         }
     }
 }
@@ -672,27 +694,32 @@ fn adaptive_frames_match_round_by_round_driving() {
     // run_round at a time: the frame driver must recompute the per-round
     // decision every slot (the adversary watches slots, not frames).
     let mut rng = StdRng::seed_from_u64(0xADA8);
-    for (name, graph) in all_topologies() {
+    for (name, graph) in frame_topologies() {
         let n = graph.node_count();
-        let len = 8;
         let plan = FaultPlan::realize(n, 0.2, FaultKind::Crash { round: 4 }, 0xB0)
             .unwrap()
             .with_policy(AdaptivePolicy::RushingSpam {
                 budget: n / 8 + 1,
                 window: 2,
             });
-        let frames: Vec<Option<BitVec>> = (0..n)
-            .map(|v| (v % 2 == 0).then(|| BitVec::random_uniform(len, &mut rng)))
-            .collect();
-        for (ch, channel) in fault_oracle_channels() {
-            let mut scalar = BeepNetwork::new(graph.clone(), channel.clone(), 37);
-            scalar.set_fault_plan(plan.clone()).unwrap();
-            let mut framed = BeepNetwork::new(graph.clone(), channel, 37);
-            framed.set_fault_plan(plan.clone()).unwrap();
-            let expected = scalar_frame(&mut scalar, &frames, len);
-            let heard = framed.run_frame(&frames).unwrap();
-            assert_eq!(heard, expected, "{name} {ch}");
-            assert_eq!(scalar.stats(), framed.stats(), "{name} {ch} stats");
+        for len in FRAME_LENS {
+            let frames: Vec<Option<BitVec>> = (0..n)
+                .map(|v| (v % 2 == 0).then(|| BitVec::random_uniform(len, &mut rng)))
+                .collect();
+            for (ch, channel) in fault_oracle_channels() {
+                let mut scalar = BeepNetwork::new(graph.clone(), channel.clone(), 37);
+                scalar.set_fault_plan(plan.clone()).unwrap();
+                let mut framed = BeepNetwork::new(graph.clone(), channel, 37);
+                framed.set_fault_plan(plan.clone()).unwrap();
+                let expected = scalar_frame(&mut scalar, &frames, len);
+                let heard = framed.run_frame(&frames).unwrap();
+                assert_eq!(heard, expected, "{name} len={len} {ch}");
+                assert_eq!(
+                    scalar.stats(),
+                    framed.stats(),
+                    "{name} len={len} {ch} stats"
+                );
+            }
         }
     }
 }
