@@ -84,8 +84,8 @@ impl BitVec {
     }
 
     /// Whether [`and_not_count`](Self::and_not_count) is at least `limit`,
-    /// counting a word at a time and stopping as soon as the count reaches
-    /// `limit`.
+    /// counting eight words at a time and stopping at the first group after
+    /// which the count has reached `limit`.
     ///
     /// The phase-1 decoder rejects a codeword once `limit` (the Lemma 9
     /// threshold) of its 1s fall where the heard string is 0; a codeword a
@@ -278,8 +278,8 @@ pub fn superimpose<'a>(strings: impl IntoIterator<Item = &'a BitVec>) -> Option<
 /// while the round kernel takes round-major beeper bitmaps (bit `v` = node
 /// `v`); transposing 64-node × 64-round word blocks converts between the
 /// two a word at a time. This is the recursive block swap (Hacker's
-/// Delight §7-3): six passes, each exchanging the off-diagonal quadrants
-/// of every `2j×2j` sub-block.
+/// Delight §7-3): six passes, for `w` = 32, 16, …, 1, each exchanging the
+/// off-diagonal `w×w` quadrants of every `2w×2w` diagonal sub-block.
 ///
 /// ```
 /// let mut block = [0u64; 64];
@@ -290,16 +290,18 @@ pub fn superimpose<'a>(strings: impl IntoIterator<Item = &'a BitVec>) -> Option<
 /// ```
 pub fn transpose64(block: &mut [u64; 64]) {
     let mut width = 32;
+    // Selects the low `width` columns of every `2·width`-column group.
     let mut mask: u64 = 0x0000_0000_FFFF_FFFF;
     while width != 0 {
-        let mut row = 0;
-        while row < 64 {
-            // Rows with bit `width` clear pair with the row `width` below:
-            // this row's high columns swap with that row's low columns.
-            let t = ((block[row] >> width) ^ block[row + width]) & mask;
-            block[row] ^= t << width;
-            block[row + width] ^= t;
-            row = (row + width + 1) & !width;
+        for pair in block.chunks_exact_mut(2 * width) {
+            // Each row of the top half swaps its high columns with the low
+            // columns of the row `width` below it.
+            let (top, bottom) = pair.split_at_mut(width);
+            for (a, b) in top.iter_mut().zip(bottom) {
+                let t = ((*a >> width) ^ *b) & mask;
+                *a ^= t << width;
+                *b ^= t;
+            }
         }
         width >>= 1;
         mask ^= mask << width;
