@@ -2,8 +2,9 @@
 //! `RoundOutcome.delivered` and `RoundStats` of consecutive
 //! `BroadcastSimulator::simulate_round` calls, per cell of
 //! {random 4-regular, cycle, complete} × n ∈ {16, 70, 130} ×
-//! ε ∈ {0, 0.05, 0.25} × 3 seeds, plus one TDMA baseline cell and a few
-//! low-expansion cells whose decoders make mistakes.
+//! ε ∈ {0, 0.05, 0.25} × 3 seeds at the calibrated profile, the same
+//! topologies and sizes at a low expansion whose decoders make mistakes,
+//! and one TDMA baseline cell.
 //!
 //! `tests/equivalence.rs` checks that simulated and native runs compute
 //! the same outputs; this file pins the statistics too, so a change to the
