@@ -635,3 +635,107 @@ fn golden_transcripts_survive_any_thread_count() {
         );
     }
 }
+
+/// The number of received bits the channel flipped: positions where a
+/// noisy transcript differs from the same schedule run noiselessly.
+fn flips_against_noiseless(noisy: &[BitVec], clean: &[BitVec]) -> usize {
+    noisy
+        .iter()
+        .zip(clean)
+        .map(|(a, b)| {
+            a.as_words()
+                .iter()
+                .zip(b.as_words())
+                .map(|(x, y)| (x ^ y).count_ones() as usize)
+                .sum::<usize>()
+        })
+        .sum()
+}
+
+/// Like [`noisy_transcript`], but for any iid channel (the noiseless one
+/// included) on a cycle of `n` nodes.
+fn noisy_transcript_with(
+    n: usize,
+    noise: Noise,
+    seed: u64,
+    shards: usize,
+    rounds: usize,
+) -> Vec<BitVec> {
+    let mut net = BeepNetwork::new(topology::cycle(n).unwrap(), noise, seed);
+    net.set_shard_count(shards);
+    let beepers = BitVec::from_fn(n, |v| v % 37 == 0);
+    (0..rounds)
+        .map(|_| net.run_round_bitset(&beepers).unwrap())
+        .collect()
+}
+
+#[test]
+fn golden_edge_rates_on_wide_shards() {
+    // The geometric gap sampler at the edges of its range, on 4096- and
+    // 512-bit shards: at ε = 1e-5 almost every gap runs past a 4096-bit
+    // shard, at 0.001 about 2% of gaps still do, and at 0.45 the shards are
+    // dense with flips. Every cell must contain flips, so each pin covers
+    // the flip path, not just the break.
+    let n = 4096;
+    let rounds = 256;
+    let clean = noisy_transcript_with(n, Noise::Noiseless, 1, 1, rounds);
+    let mut computed = Vec::new();
+    for &eps in &[1e-5f64, 0.001, 0.05, 0.45] {
+        for &shards in &[1usize, 8] {
+            let frames = noisy_transcript_with(n, Noise::bernoulli(eps), 1, shards, rounds);
+            let flips = flips_against_noiseless(&frames, &clean);
+            assert!(flips > 0, "eps={eps} shards={shards}: no flips");
+            let fp = transcript_fingerprint(&frames);
+            println!("cycle(4096) eps={eps} shards={shards}: {fp:#018X} ({flips} flips)");
+            computed.push(fp);
+        }
+    }
+    assert_eq!(
+        computed,
+        vec![
+            0xA830_5E7F_43FB_5EC6,
+            0x1A2F_9A79_061F_D8E4,
+            0xF496_814C_00D8_002A,
+            0xD190_2FCB_F1BC_CED3,
+            0x5A12_6CAD_CE22_6A0D,
+            0xE3CA_DA11_EE09_9724,
+            0x4FD4_8BE8_EC35_8660,
+            0x09D4_BDCF_69F6_7F23,
+        ]
+    );
+}
+
+#[test]
+fn golden_noise_free_self_hearing_transcript() {
+    // With self-hearing noise-free, the beeper set is the protect mask the
+    // sampler must skip. Only this pin and the scalar-vs-bitset oracle
+    // cover that path, and the oracle's two kernels share the sampler.
+    let n = 512;
+    let mut net = BeepNetwork::new(topology::cycle(n).unwrap(), Noise::bernoulli(0.3), 1);
+    net.set_shard_count(8);
+    net.set_self_hearing_noisy(false);
+    let beepers = BitVec::from_fn(n, |v| v % 3 == 0);
+    let frames: Vec<BitVec> = (0..8)
+        .map(|_| net.run_round_bitset(&beepers).unwrap())
+        .collect();
+    for frame in &frames {
+        assert!(
+            beepers.iter_ones().all(|v| frame.get(v)),
+            "a protected beeper lost its own 1"
+        );
+    }
+    let fp = transcript_fingerprint(&frames);
+    println!("protected self-hearing: {fp:#018X}");
+    assert_eq!(fp, 0x0A06_215E_E713_9EC0);
+}
+
+#[test]
+fn golden_gilbert_elliott_dense_bad_state() {
+    // Gilbert–Elliott with a bad-state rate of 0.45: the bad rounds
+    // exercise the sampler at its densest, on one 512-bit shard.
+    let ge = GilbertElliott::try_new(0.05, 0.45, 0.3, 0.5).unwrap();
+    let frames = channel_transcript(ge.into(), 1, 1, 16);
+    let fp = transcript_fingerprint(&frames);
+    println!("ge eps_bad=0.45 seed=1 shards=1: {fp:#018X}");
+    assert_eq!(fp, 0x3180_1357_834E_DB0E);
+}
