@@ -35,7 +35,7 @@
 
 use crate::error::NetError;
 use crate::graph::Graph;
-use crate::noise::{noise_stream_seed, Noise};
+use crate::noise::{noise_stream_seed, FlipSampler, Noise};
 use beep_bits::BitVec;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -75,6 +75,11 @@ pub struct ChannelCtx<'a> {
     /// Bits that must not be corrupted (the beeper set when self-hearing
     /// is configured noise-free), indexed by global bit position.
     pub protect: Option<&'a BitVec>,
+    /// The model's [`FlipSampler`]s, one per rate it flips bits at:
+    /// `[ε]` for the iid channel, `[ε_good, ε_bad]` for Gilbert–Elliott.
+    /// The engine builds them once per network; empty means the model
+    /// builds a sampler per call, with the same flips.
+    pub samplers: &'a [FlipSampler],
 }
 
 impl ChannelCtx<'_> {
@@ -139,7 +144,8 @@ pub trait NoiseModel: std::fmt::Debug + Send + Sync {
 
 /// The iid Bernoulli channel is the back-compat [`NoiseModel`]: the
 /// per-shard geometric-skip pass the engine has always run, byte-for-byte
-/// (the golden transcript pins prove it).
+/// (the golden transcript pins prove it), through the sampler in
+/// `ctx.samplers[0]`.
 impl NoiseModel for Noise {
     fn label(&self) -> String {
         format!("eps{}", self.epsilon())
@@ -155,7 +161,10 @@ impl NoiseModel for Noise {
 
     fn apply_to_shard(&self, words: &mut [u64], lo: usize, hi: usize, ctx: &ChannelCtx<'_>) {
         let mut rng = StdRng::seed_from_u64(noise_stream_seed(ctx.seed, ctx.round, ctx.shard));
-        self.apply_to_words(words, lo, hi, ctx.protect, &mut rng);
+        match ctx.samplers.first() {
+            Some(sampler) => sampler.apply(words, lo, hi, ctx.protect, &mut rng),
+            None => self.apply_to_words(words, lo, hi, ctx.protect, &mut rng),
+        }
     }
 }
 
@@ -337,18 +346,19 @@ impl NoiseModel for GilbertElliott {
     }
 
     fn apply_to_shard(&self, words: &mut [u64], lo: usize, hi: usize, ctx: &ChannelCtx<'_>) {
-        let eps = if ctx.round_state == 1 {
-            self.eps_bad
-        } else {
-            self.eps_good
-        };
+        let bad = ctx.round_state == 1;
+        let eps = if bad { self.eps_bad } else { self.eps_good };
         if eps == 0.0 {
             return;
         }
         // The per-shard flips reuse the iid geometric-skip pass at the
-        // active state's rate, on the normal (seed, round, shard) stream.
+        // active state's rate (sampler 0 good, 1 bad), on the normal
+        // (seed, round, shard) stream.
         let mut rng = StdRng::seed_from_u64(noise_stream_seed(ctx.seed, ctx.round, ctx.shard));
-        Noise::Bernoulli(eps).apply_to_words(words, lo, hi, ctx.protect, &mut rng);
+        match ctx.samplers.get(usize::from(bad)) {
+            Some(sampler) => sampler.apply(words, lo, hi, ctx.protect, &mut rng),
+            None => Noise::Bernoulli(eps).apply_to_words(words, lo, hi, ctx.protect, &mut rng),
+        }
     }
 }
 
@@ -612,6 +622,22 @@ impl NoiseModel for ChannelModel {
     }
 }
 
+impl ChannelModel {
+    /// One [`FlipSampler`] per rate the model draws geometric skips at,
+    /// for shards of up to `width` bits, in the order
+    /// [`ChannelCtx::samplers`] documents; none for the other models.
+    pub(crate) fn flip_samplers(&self, width: usize) -> Vec<FlipSampler> {
+        match self {
+            ChannelModel::Iid(Noise::Bernoulli(eps)) => vec![FlipSampler::new(*eps, width)],
+            ChannelModel::GilbertElliott(m) => vec![
+                FlipSampler::new(m.eps_good, width),
+                FlipSampler::new(m.eps_bad, width),
+            ],
+            _ => Vec::new(),
+        }
+    }
+}
+
 impl From<Noise> for ChannelModel {
     fn from(noise: Noise) -> Self {
         ChannelModel::Iid(noise)
@@ -637,36 +663,28 @@ impl From<AdversarialErasure> for ChannelModel {
 }
 
 /// Applies `channel` to a whole received frame using the *exact* shard
-/// layout of the bitset kernel (`per = ⌈words/S⌉` words per shard), so
-/// callers outside the kernel — the scalar oracle path — produce
-/// bit-identical corruption for every counter-keyed model.
+/// layout of the bitset kernel (`per = ⌈words/S⌉` words per shard, with
+/// `S = round.shard_count`), so callers outside the kernel — the scalar
+/// oracle path — produce bit-identical corruption for every
+/// counter-keyed model. `round` carries everything but the shard index,
+/// which each shard's context sets to its own.
 pub(crate) fn apply_channel_sharded(
     channel: &ChannelModel,
-    graph: &Graph,
-    seed: u64,
-    round: u64,
-    shard_count: usize,
-    protect: Option<&BitVec>,
+    round: &ChannelCtx<'_>,
     frame: &mut BitVec,
 ) {
     if channel.is_noiseless() {
         return;
     }
     let n = frame.len();
-    let round_state = channel.round_state(seed, round);
     let words = frame.as_words_mut();
-    let per = words.len().div_ceil(shard_count).max(1);
+    let per = words.len().div_ceil(round.shard_count).max(1);
     for (s, chunk) in words.chunks_mut(per).enumerate() {
         let lo = s * per * 64;
         let hi = (lo + chunk.len() * 64).min(n);
         let ctx = ChannelCtx {
-            graph,
-            seed,
-            round,
             shard: s as u64,
-            shard_count,
-            round_state,
-            protect,
+            ..*round
         };
         channel.apply_to_shard(chunk, lo, hi, &ctx);
     }
@@ -686,6 +704,7 @@ mod tests {
             shard_count: 2,
             round_state: 0,
             protect,
+            samplers: &[],
         }
     }
 
@@ -888,7 +907,12 @@ mod tests {
         let g = topology::cycle(200).unwrap();
         let channel: ChannelModel = PerNodeEps::try_new(vec![0.1, 0.3, 0.0]).unwrap().into();
         let mut via_helper = BitVec::zeros(200);
-        apply_channel_sharded(&channel, &g, 9, 4, 2, None, &mut via_helper);
+        let round = ChannelCtx {
+            seed: 9,
+            round: 4,
+            ..ctx(&g, 0, None)
+        };
+        apply_channel_sharded(&channel, &round, &mut via_helper);
         // Manual replication of the kernel's layout: 4 words, 2 per shard.
         let mut manual = BitVec::zeros(200);
         let words = manual.as_words_mut();
@@ -903,6 +927,7 @@ mod tests {
                 shard_count: 2,
                 round_state: 0,
                 protect: None,
+                samplers: &[],
             };
             channel.apply_to_shard(&mut words[s * 2..(s * 2 + 2).min(4)], lo, hi, &c);
         }

@@ -5,7 +5,7 @@ use crate::error::NetError;
 use crate::faults::{AdversaryView, FaultPlan, RoundFaults};
 use crate::graph::{AdjacencyRepr, Graph};
 use crate::node::{Action, BeepProtocol};
-use crate::noise::Noise;
+use crate::noise::{FlipSampler, Noise};
 use crate::trace::{NetStats, Transcript};
 use beep_bits::{transpose64, BitVec};
 
@@ -213,6 +213,8 @@ struct ShardCtx<'a> {
     /// self-hearing is configured noise-free).
     protect: Option<&'a BitVec>,
     channel: &'a ChannelModel,
+    /// The channel's flip samplers, built once per network.
+    samplers: &'a [FlipSampler],
     seed: u64,
     round: u64,
     /// The round's shard layout size `S` — part of the channel streams.
@@ -375,6 +377,7 @@ impl ShardCtx<'_> {
             shard_count: self.shard_count,
             round_state: self.round_state,
             protect: self.protect,
+            samplers: self.samplers,
         };
         self.channel.apply_to_shard(out, lo, hi, &ctx);
     }
@@ -469,6 +472,10 @@ pub struct BeepNetwork {
     self_hearing_noisy: bool,
     transcript: Option<Transcript>,
     kernel: AdjKernel,
+    /// The channel's flip samplers for the current shard layout. Built on
+    /// the first noisy round, as dense rows are: a network that never runs
+    /// one never pays for the tables.
+    samplers: Option<Vec<FlipSampler>>,
     shard_count: usize,
     /// Worker threads for the sharded kernel; 0 = auto heuristic.
     threads: usize,
@@ -499,6 +506,7 @@ impl BeepNetwork {
             self_hearing_noisy: true,
             transcript: None,
             kernel,
+            samplers: None,
             shard_count: DEFAULT_SHARD_COUNT,
             threads: 0,
         }
@@ -677,6 +685,8 @@ impl BeepNetwork {
     pub fn set_shard_count(&mut self, shards: usize) {
         assert!(shards > 0, "shard count must be at least 1");
         self.shard_count = shards;
+        // The samplers are sized for the widest shard of the old layout.
+        self.samplers = None;
     }
 
     /// The shard count `S` of the sharded bitset kernel.
@@ -701,6 +711,17 @@ impl BeepNetwork {
             self.threads
         };
         configured.clamp(1, self.shard_count)
+    }
+
+    /// Builds the channel's flip samplers on the first noisy round, for
+    /// shards of the layout's widest width, `⌈words/S⌉·64` bits. A
+    /// noiseless channel never reaches a sampler and gets none.
+    fn prepare_samplers(&mut self) {
+        if self.samplers.is_none() && !self.channel.is_noiseless() {
+            let words = self.graph.node_count().div_ceil(64);
+            let widest = words.div_ceil(self.shard_count).max(1) * 64;
+            self.samplers = Some(self.channel.flip_samplers(widest));
+        }
     }
 
     /// Starts recording a [`Transcript`] of beep bitmaps from the next
@@ -732,6 +753,7 @@ impl BeepNetwork {
                 actual: actions.len(),
             });
         }
+        self.prepare_samplers();
         let round = self.stats.rounds as u64;
         // Fault overlay, step 1: override faulty nodes' actions *before*
         // the neighborhood OR and the channel — the same pre-channel point
@@ -780,16 +802,17 @@ impl BeepNetwork {
         // differential tests meaningful.
         let mut frame = BitVec::from_fn(n, clean_bit);
         let beepers = BitVec::from_fn(n, |v| actions[v] == Action::Beep);
-        let protect = (!self.self_hearing_noisy).then_some(&beepers);
-        apply_channel_sharded(
-            &self.channel,
+        let ctx = ChannelCtx {
             graph,
-            self.seed,
+            seed: self.seed,
             round,
-            self.shard_count,
-            protect,
-            &mut frame,
-        );
+            shard: 0,
+            shard_count: self.shard_count,
+            round_state: self.channel.round_state(self.seed, round),
+            protect: (!self.self_hearing_noisy).then_some(&beepers),
+            samplers: self.samplers.as_deref().unwrap_or_default(),
+        };
+        apply_channel_sharded(&self.channel, &ctx, &mut frame);
         let mut received: Vec<bool> = frame.iter_bits().collect();
         // Fault overlay, step 2: crashed nodes are deaf — their received
         // bit is forced to 0 *after* the channel, so feedback sees silence.
@@ -885,6 +908,7 @@ impl BeepNetwork {
         if matches!(self.kernel, AdjKernel::DensePending) {
             self.kernel = AdjKernel::dense(&self.graph);
         }
+        self.prepare_samplers();
         if received.len() != n {
             *received = BitVec::zeros(n);
         }
@@ -949,6 +973,7 @@ impl BeepNetwork {
             beeper_list: &beeper_list,
             protect: (!self.self_hearing_noisy).then_some(beepers),
             channel: &self.channel,
+            samplers: self.samplers.as_deref().unwrap_or_default(),
             seed: self.seed,
             round,
             shard_count: self.shard_count,
@@ -1331,6 +1356,22 @@ mod tests {
             .unwrap();
         assert_eq!(net.beeps_by_node(), &[2, 0, 1]);
         assert_eq!(net.stats().beeps, 3);
+    }
+
+    #[test]
+    fn rates_below_the_draw_resolution_are_silent_on_every_kernel() {
+        // ε = 1e-17 passes validation, but 1 − ε rounds to 1: such a rate
+        // must flip nothing (it used to flip every received bit).
+        let g = topology::cycle(64).unwrap();
+        let silent = BitVec::zeros(64);
+        let mut iid = BeepNetwork::new(g.clone(), Noise::try_bernoulli(1e-17).unwrap(), 3);
+        assert_eq!(iid.run_round_bitset(&silent).unwrap().count_ones(), 0);
+        assert!(iid.run_round(&all_listen(64)).unwrap().iter().all(|&b| !b));
+        let ge = crate::GilbertElliott::try_new(1e-17, 1e-17, 0.5, 0.5).unwrap();
+        let mut bursty = BeepNetwork::new(g, ge, 3);
+        for _ in 0..8 {
+            assert_eq!(bursty.run_round_bitset(&silent).unwrap().count_ones(), 0);
+        }
     }
 
     #[test]

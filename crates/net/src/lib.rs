@@ -78,7 +78,7 @@ pub use faults::{
 };
 pub use graph::{AdjacencyRepr, Graph, NodeId};
 pub use node::{Action, BeepProtocol};
-pub use noise::{noise_stream_seed, protocol_coin, Noise, PROTOCOL_COIN_STREAM};
+pub use noise::{noise_stream_seed, protocol_coin, FlipSampler, Noise, PROTOCOL_COIN_STREAM};
 pub use trace::{NetStats, Transcript};
 
 /// Every reserved shard index in the workspace, by stable name.

@@ -137,7 +137,9 @@ impl Noise {
     /// bits cost `O(ε·n + 1)` RNG draws — the batching that makes the
     /// noisy channel as cheap as the noiseless one at simulation scale.
     /// The per-bit marginal is exactly `Bernoulli(ε)` and flips stay
-    /// i.i.d.
+    /// i.i.d. The gaps come from a [`FlipSampler`] built for this call;
+    /// the round engine builds one per rate and network instead, and draws
+    /// the same flips from the same stream.
     ///
     /// This is the form the sharded round engine uses: each shard owns a
     /// disjoint word range of the received frame and passes it here with
@@ -156,31 +158,311 @@ impl Noise {
         protect: Option<&BitVec>,
         rng: &mut R,
     ) {
-        let Noise::Bernoulli(e) = *self else {
-            return;
+        if let Noise::Bernoulli(e) = *self {
+            FlipSampler::new(e, hi.saturating_sub(lo)).apply(words, lo, hi, protect, rng);
+        }
+    }
+}
+
+/// `2⁻⁵³`: the weight of one unit of a 53-bit draw.
+const DRAW_UNIT: f64 = 1.0 / (1u64 << 53) as f64;
+
+/// The largest 53-bit draw.
+const DRAW_MAX: u64 = (1 << 53) - 1;
+
+/// The most step points one table holds, whatever the shard width.
+const MAX_STEPS: usize = 4096;
+
+/// Heap bytes one table (step points plus bucket index) may use.
+const TABLE_BYTES: usize = 64 << 10;
+
+/// The geometric-skip flip sampler for one rate `ε`: an exact step-point
+/// table for the channel's gap function.
+///
+/// # The stream
+///
+/// Each draw takes the top 53 bits `x` of one `next_u64()`, so
+/// `u = x·2⁻⁵³` and `v = 1 − u` are exact `f64`s, and its gap — the
+/// number of unflipped bits before the next flip — is
+///
+/// ```text
+/// g(x) = ⌊ln(1 − x·2⁻⁵³) / ln(1 − ε)⌋, evaluated in f64.
+/// ```
+///
+/// A pass over bits `lo..hi` starts at `i = lo` and, while `i < hi`,
+/// draws `x`: it stops if `g(x) ≥ hi − i`, and otherwise flips bit
+/// `i + g(x)` (unless protected) and moves `i` one past it. `g(x)` is
+/// Geometric(ε), so every bit flips independently with probability `ε`.
+/// This gap function is the stream: it fixes every flip and every draw.
+/// A rate whose `1 − ε` rounds to 1 (`ε ≤ 2⁻⁵⁴`, below what a 53-bit draw
+/// resolves) flips nothing; its every gap is unbounded.
+///
+/// # The table
+///
+/// `g` is a step function of `x`, so the sampler stores its step points
+/// `t_k = min{x : g(x) ≥ k}` for `k = 1..=K`, each found by bisection
+/// against the `ln` expression itself, with `K` the shard width it was
+/// built for (at most 4096) or the largest gap any draw can produce,
+/// whichever is smaller. A draw is placed among them in O(1): an index of
+/// buckets, keyed on the high bits of `v`'s `f64` representation (log
+/// scale, like the step points), records how many step points precede
+/// each bucket, and the lookup walks on from there past the few step
+/// points inside the bucket. A lookup is then a few integer compares
+/// instead of an `ln` and a division.
+///
+/// Two kinds of draws evaluate the `ln` expression instead: a draw within
+/// [`GUARD_BAND`](Self::GUARD_BAND) of a step point, where a platform
+/// `ln` that is not monotone to the last bit could disagree with a
+/// monotone table, and a draw past the table's last step point when the
+/// bits left exceed `K`. So the table changes the cost of a pass, never
+/// its flips or its draws, and `K` and the bucket width are not part of
+/// the stream. Step points and bucket index together stay within 64 KiB.
+///
+/// ```
+/// use beep_net::FlipSampler;
+/// use rand::rngs::StdRng;
+/// use rand::SeedableRng;
+///
+/// let sampler = FlipSampler::new(0.05, 512);
+/// // Draws below the first step point skip no bits at all.
+/// let first = sampler.step_points()[0];
+/// assert_eq!(sampler.gap(0, 512), 0);
+/// assert_eq!(sampler.gap(first + FlipSampler::GUARD_BAND, 512), 1);
+/// // A pass over one 512-bit shard flips about ε·512 bits.
+/// let mut words = [0u64; 8];
+/// sampler.apply(&mut words, 0, 512, None, &mut StdRng::seed_from_u64(1));
+/// let flips: u32 = words.iter().map(|w| w.count_ones()).sum();
+/// assert!((5..60).contains(&flips));
+/// ```
+pub struct FlipSampler {
+    /// `ln(1 − ε)`; not negative only for a rate that flips nothing.
+    log_keep: f64,
+    /// `steps[k] = t_k` for `k = 1..=K`, framed by `steps[0] = 0` and a
+    /// final `u64::MAX`, so a lookup never runs off either end.
+    steps: Vec<u64>,
+    /// `buckets[b]` counts the step points `t ≤ x + GUARD_BAND` for the
+    /// least draw `x` in bucket `b`, so a lookup starts there.
+    buckets: Vec<u16>,
+    /// Right shift from `v`'s bits to its bucket key.
+    shift: u32,
+    /// The bucket key of `v = 1` (draw 0), bucket 0's key.
+    top: u64,
+}
+
+impl FlipSampler {
+    /// Draws at most this far (in units of `x`) from a step point evaluate
+    /// the `ln` expression rather than trust the table.
+    pub const GUARD_BAND: u64 = 64;
+
+    /// Builds the sampler for flip rate `epsilon` on shards of up to
+    /// `width` bits. Any width gives the same flips; it sets only how many
+    /// step points the table holds, and so which draws it answers.
+    #[must_use]
+    pub fn new(epsilon: f64, width: usize) -> Self {
+        let log_keep = (1.0 - epsilon).ln();
+        let mut sampler = FlipSampler {
+            log_keep,
+            steps: vec![0, u64::MAX],
+            buckets: vec![0],
+            shift: 63,
+            top: 0,
         };
+        // A rate that flips nothing (`ln(1 − ε)` not negative) has no step
+        // points to find and no ln(1 − ε) to divide by: it keeps the
+        // single bucket above, which sends every draw to `exact_gap`, and
+        // that ends the pass.
+        if log_keep < 0.0 {
+            let k_max = width.min(MAX_STEPS).min(sampler.draw_gap(DRAW_MAX));
+            let mut steps = Vec::with_capacity(k_max + 2);
+            steps.push(0);
+            for k in 1..=k_max {
+                steps.push(sampler.step_point(k, steps[k - 1]));
+            }
+            steps.push(u64::MAX);
+            sampler.steps = steps;
+            sampler.index_buckets();
+        }
+        sampler
+    }
+
+    /// The gap of draw `x` (its top-53-bit value, `x < 2⁵³`), capped at
+    /// `room`: `min(g(x), room)`, where `room` is the number of bits left
+    /// in the pass, so a result of `room` means the pass ends.
+    #[inline]
+    #[must_use]
+    pub fn gap(&self, x: u64, room: usize) -> usize {
+        let v = 1.0 - x as f64 * DRAW_UNIT;
+        let bucket =
+            ((self.top - (v.to_bits() >> self.shift)) as usize).min(self.buckets.len() - 1);
+        // k = #{t_j ≤ x + GUARD_BAND}: the bucket's count, plus the step
+        // points between the bucket's least draw and x. Buckets rarely
+        // hold more than one, so the first is a branch-free compare.
+        let reach = x + Self::GUARD_BAND;
+        let mut k = usize::from(self.buckets[bucket]);
+        k += usize::from(self.steps[k + 1] <= reach);
+        while self.steps[k + 1] <= reach {
+            k += 1;
+        }
+        // Within the band of step point k, or past the table's end with
+        // more bits left than it answers for: ask the definition.
+        let end = self.steps.len() - 2;
+        if x < self.steps[k] + Self::GUARD_BAND || (k == end && k < room) {
+            return self.exact_gap(v).min(room);
+        }
+        k.min(room)
+    }
+
+    /// Passes bits `lo..hi` (with `lo` word-aligned) through the channel,
+    /// exactly as [`Noise::apply_to_words`] documents: flips from `rng`,
+    /// none at positions set in `protect`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lo` is not a multiple of 64, or if `hi - lo` exceeds the
+    /// bit capacity of `words`.
+    pub fn apply<R: Rng + ?Sized>(
+        &self,
+        words: &mut [u64],
+        lo: usize,
+        hi: usize,
+        protect: Option<&BitVec>,
+        rng: &mut R,
+    ) {
         assert!(lo.is_multiple_of(64), "shard start {lo} not word-aligned");
         assert!(
             hi.saturating_sub(lo) <= words.len() * 64,
             "range {lo}..{hi} exceeds {} words",
             words.len()
         );
-        // gap = ⌊ln(1−U)/ln(1−ε)⌋ is Geometric(ε) on {0, 1, 2, …}: the
-        // number of unflipped bits before the next flip.
-        let denom = (1.0 - e).ln();
         let mut i = lo;
         while i < hi {
-            let u: f64 = rng.random();
-            let gap = (1.0 - u).ln() / denom;
-            if gap >= (hi - i) as f64 {
+            let room = hi - i;
+            let gap = self.gap(rng.next_u64() >> 11, room);
+            if gap == room {
                 break;
             }
-            i += gap as usize;
+            i += gap;
             if !protect.is_some_and(|p| p.get(i)) {
                 words[(i - lo) / 64] ^= 1u64 << (i % 64);
             }
             i += 1;
         }
+    }
+
+    /// The step points `t_1, t_2, …` the table holds, ascending.
+    #[must_use]
+    pub fn step_points(&self) -> &[u64] {
+        &self.steps[1..self.steps.len() - 1]
+    }
+
+    /// Heap bytes held by the step points and the bucket index.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        self.steps.capacity() * std::mem::size_of::<u64>()
+            + self.buckets.capacity() * std::mem::size_of::<u16>()
+    }
+
+    /// The stream's gap for the draw whose `1 − u` is `v`: the definition,
+    /// and the fallback for every draw the table does not answer.
+    fn exact_gap(&self, v: f64) -> usize {
+        if self.log_keep < 0.0 {
+            (v.ln() / self.log_keep) as usize
+        } else {
+            usize::MAX
+        }
+    }
+
+    /// [`exact_gap`](Self::exact_gap) of draw `x`.
+    fn draw_gap(&self, x: u64) -> usize {
+        self.exact_gap(1.0 - x as f64 * DRAW_UNIT)
+    }
+
+    /// `t_k`, the least draw `x ≥ from` whose gap is at least `k`, where
+    /// `from = t_(k−1)` and `k ≤ g(DRAW_MAX)`: bisection against the `ln`
+    /// expression, first narrowed around the closed form
+    /// `2⁵³·(1 − (1 − ε)^k)`.
+    fn step_point(&self, k: usize, from: u64) -> u64 {
+        let reaches = |x: u64| self.draw_gap(x) >= k;
+        if reaches(from) {
+            return from;
+        }
+        // Invariant: lo falls short of k, hi reaches it.
+        let (mut lo, mut hi) = (from, DRAW_MAX);
+        let guess = (-(k as f64 * self.log_keep).exp_m1() / DRAW_UNIT) as u64;
+        for probe in [guess.saturating_sub(256), guess.saturating_add(256)] {
+            if lo < probe && probe < hi {
+                if reaches(probe) {
+                    hi = probe;
+                } else {
+                    lo = probe;
+                }
+            }
+        }
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if reaches(mid) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        hi
+    }
+
+    /// The bucket of draw `x` under a key shift of `shift`.
+    fn bucket_at(shift: u32, x: u64) -> usize {
+        let key = |x: u64| (1.0 - x as f64 * DRAW_UNIT).to_bits() >> shift;
+        (key(0) - key(x)) as usize
+    }
+
+    /// Sizes and fills the bucket index. Buckets are `2⁻ᵇ` of an octave of
+    /// `v` with `b = ⌈log₂(2/|ln(1 − ε)|)⌉`, so one holds about half a step
+    /// point or less, coarsened until the table fits [`TABLE_BYTES`]. The
+    /// index covers draws up to the last step point's guard band; later
+    /// draws use the last bucket.
+    fn index_buckets(&mut self) {
+        let fine_bits = (2.0 / -self.log_keep).log2().ceil().clamp(0.0, 52.0) as u32;
+        let points = self.step_points();
+        let end = points
+            .last()
+            .map_or(0, |&t| (t + Self::GUARD_BAND).min(DRAW_MAX));
+        let step_bytes = self.steps.len() * std::mem::size_of::<u64>();
+        let mut shift = 52 - fine_bits;
+        while shift < 52
+            && step_bytes + (Self::bucket_at(shift, end) + 1) * std::mem::size_of::<u16>()
+                > TABLE_BYTES
+        {
+            shift += 1;
+        }
+        // Step point j counts in every bucket whose least draw is at least
+        // t_j − GUARD_BAND: every bucket after the one holding the draw
+        // just below that.
+        let mut buckets = vec![0u16; Self::bucket_at(shift, end) + 1];
+        let mut j = 0;
+        for (b, count) in buckets.iter_mut().enumerate() {
+            while let Some(&t) = points.get(j) {
+                let counted =
+                    t <= Self::GUARD_BAND || Self::bucket_at(shift, t - Self::GUARD_BAND - 1) < b;
+                if !counted {
+                    break;
+                }
+                j += 1;
+            }
+            *count = j as u16;
+        }
+        self.shift = shift;
+        self.top = 1.0f64.to_bits() >> shift;
+        self.buckets = buckets;
+    }
+}
+
+impl std::fmt::Debug for FlipSampler {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FlipSampler")
+            .field("log_keep", &self.log_keep)
+            .field("step_points", &self.step_points().len())
+            .field("buckets", &self.buckets.len())
+            .finish()
     }
 }
 
@@ -225,6 +507,26 @@ mod tests {
             let err = Noise::try_bernoulli(bad).unwrap_err();
             assert!(matches!(err, NetError::InvalidNoise { .. }), "ε = {bad}");
         }
+    }
+
+    #[test]
+    fn rates_below_the_draw_resolution_flip_nothing() {
+        // For ε ≤ 2⁻⁵⁴, 1 − ε rounds to 1 and ln(1 − ε) = 0: the gap used
+        // to come out −∞ (or NaN), cast to 0, and flip every bit.
+        for eps in [1e-17, 2f64.powi(-54), f64::MIN_POSITIVE] {
+            let noise = Noise::try_bernoulli(eps).unwrap();
+            let mut bits = BitVec::zeros(10_240);
+            apply_all(noise, &mut bits, None, &mut StdRng::seed_from_u64(1));
+            assert_eq!(bits.count_ones(), 0, "eps = {eps}");
+            let sampler = FlipSampler::new(eps, 4096);
+            assert!(sampler.step_points().is_empty());
+            assert_eq!(sampler.gap(0, 64), 64);
+            assert_eq!(sampler.gap(DRAW_MAX, 64), 64);
+        }
+        // The first rate above the cutoff resolves: its gaps are finite.
+        let sampler = FlipSampler::new(2f64.powi(-53), 64);
+        assert_eq!(sampler.step_points().len(), 64);
+        assert_eq!(sampler.gap(0, 64), 0);
     }
 
     #[test]
