@@ -16,16 +16,16 @@ pub fn distance2_coloring(graph: &Graph) -> Vec<usize> {
     let mut taken = Vec::new();
     for v in 0..n {
         taken.clear();
-        for &u in graph.neighbors(v) {
+        graph.for_each_neighbor(v, |u| {
             if colors[u] != usize::MAX {
                 taken.push(colors[u]);
             }
-            for &w in graph.neighbors(u) {
+            graph.for_each_neighbor(u, |w| {
                 if w != v && colors[w] != usize::MAX {
                     taken.push(colors[w]);
                 }
-            }
-        }
+            });
+        });
         taken.sort_unstable();
         taken.dedup();
         // Smallest color not taken (mex).
@@ -54,16 +54,16 @@ pub fn num_colors(coloring: &[usize]) -> usize {
 pub fn verify_distance2_coloring(graph: &Graph, coloring: &[usize]) -> Vec<(usize, usize)> {
     let mut violations = Vec::new();
     for v in 0..graph.node_count() {
-        for &u in graph.neighbors(v) {
+        graph.for_each_neighbor(v, |u| {
             if u > v && coloring[u] == coloring[v] {
                 violations.push((v, u));
             }
-            for &w in graph.neighbors(u) {
+            graph.for_each_neighbor(u, |w| {
                 if w > v && coloring[w] == coloring[v] {
                     violations.push((v, w));
                 }
-            }
-        }
+            });
+        });
     }
     violations.sort_unstable();
     violations.dedup();
