@@ -410,7 +410,8 @@ impl ShardCtx<'_> {
 ///   production kernel: beepers come in as a [`BitVec`], the received OR is
 ///   computed from the set bits (or via precomputed adjacency bitmask rows
 ///   on small/dense graphs), and channel noise is applied with batched
-///   geometric-skip sampling.
+///   geometric-skip sampling, each gap read from the rate's exact
+///   step-point table ([`FlipSampler`]).
 /// * The **sharded multi-threaded path** inside the bitset kernel: the
 ///   received frame is split into [`shard_count`](Self::shard_count)
 ///   word-aligned shards, each computed independently (and, above a work
@@ -859,8 +860,9 @@ impl BeepNetwork {
     /// dense — so a sparse-beeper round is `O(Σ deg(beeper) + n/64)`
     /// instead of the scalar path's `O(n + m)`. Under [`Noise::Bernoulli`]
     /// the channel is applied with geometric-skip batch sampling (`O(ε·n)`
-    /// expected RNG draws) from per-shard counter-keyed streams; see the
-    /// type-level determinism contract.
+    /// expected RNG draws, each answered by a [`FlipSampler`] table built
+    /// on the first noisy round) from per-shard counter-keyed streams; see
+    /// the type-level determinism contract.
     ///
     /// ```
     /// use beep_bits::BitVec;

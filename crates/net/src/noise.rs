@@ -137,14 +137,13 @@ impl Noise {
     /// bits cost `O(ε·n + 1)` RNG draws — the batching that makes the
     /// noisy channel as cheap as the noiseless one at simulation scale.
     /// The per-bit marginal is exactly `Bernoulli(ε)` and flips stay
-    /// i.i.d. The gaps come from a [`FlipSampler`] built for this call;
-    /// the round engine builds one per rate and network instead, and draws
-    /// the same flips from the same stream.
+    /// i.i.d. The gaps come from a [`FlipSampler`] built for this call.
     ///
-    /// This is the form the sharded round engine uses: each shard owns a
-    /// disjoint word range of the received frame and passes it here with
-    /// its own counter-keyed RNG stream (see [`noise_stream_seed`]), so
-    /// channel noise is identical no matter how many threads ran the round.
+    /// The sharded round engine runs the same pass through samplers it
+    /// builds once per rate and network: each shard owns a disjoint word
+    /// range of the received frame and passes it with its own
+    /// counter-keyed RNG stream (see [`noise_stream_seed`]), so channel
+    /// noise is identical no matter how many threads ran the round.
     ///
     /// # Panics
     ///
@@ -235,7 +234,7 @@ const TABLE_BYTES: usize = 64 << 10;
 /// assert!((5..60).contains(&flips));
 /// ```
 pub struct FlipSampler {
-    /// `ln(1 − ε)`; not negative only for a rate that flips nothing.
+    /// `ln(1 − ε)`, negative for every rate that flips anything.
     log_keep: f64,
     /// `steps[k] = t_k` for `k = 1..=K`, framed by `steps[0] = 0` and a
     /// final `u64::MAX`, so a lookup never runs off either end.
