@@ -116,12 +116,9 @@ impl<'g> BroadcastRunner<'g> {
         }
         let mut delivered = 0u64;
         for (v, algo) in algorithms.iter_mut().enumerate() {
-            let mut inbox: Vec<Message> = self
-                .graph
-                .neighbors(v)
-                .iter()
-                .filter_map(|&u| outgoing[u].clone())
-                .collect();
+            let mut inbox: Vec<Message> = Vec::new();
+            self.graph
+                .for_each_neighbor(v, |u| inbox.extend(outgoing[u].clone()));
             // Canonical order: reception is an anonymous multiset.
             inbox.sort_unstable();
             delivered += inbox.len() as u64;

@@ -179,11 +179,11 @@ pub fn check_distance2_coloring(graph: &Graph, colors: &[Option<u64>]) -> Vec<St
         }
     }
     for v in 0..graph.node_count() {
-        for &u in graph.neighbors(v) {
+        for &u in graph.neighbors(v).iter() {
             if u > v && colors[u].is_some() && colors[u] == colors[v] {
                 violations.push(format!("adjacent {v},{u} share color {:?}", colors[v]));
             }
-            for &w in graph.neighbors(u) {
+            for &w in graph.neighbors(u).iter() {
                 if w > v && colors[w].is_some() && colors[w] == colors[v] {
                     violations.push(format!("distance-2 {v},{w} share color {:?}", colors[v]));
                 }

@@ -32,18 +32,6 @@ const PARALLEL_WORK_BUDGET: usize = 1 << 16;
 /// per beeper). Cost-only — both strategies write the same bits.
 const GATHER_DENSITY_FACTOR: usize = 16;
 
-/// The implicit topologies the zero-storage OR kernel computes on the fly
-/// (mirrors the implicit variants of [`AdjacencyRepr`]).
-#[derive(Debug, Clone, Copy)]
-enum ImplicitShape {
-    /// Complete graph: anyone beeping means everyone receives a 1.
-    Complete,
-    /// Wrap-around `rows × cols` torus.
-    Torus { rows: usize, cols: usize },
-    /// Boundary `rows × cols` grid.
-    Grid { rows: usize, cols: usize },
-}
-
 /// How [`BeepNetwork::run_round_bitset`] computes the neighborhood OR.
 #[derive(Debug)]
 enum AdjKernel {
@@ -62,7 +50,7 @@ enum AdjKernel {
     /// a whole output word is a handful of masked shifts of the beeper
     /// words (`O(n/64)` per round regardless of beeper density), so the
     /// adjacency is never touched because it never exists.
-    Implicit(ImplicitShape),
+    Implicit,
 }
 
 impl AdjKernel {
@@ -73,15 +61,8 @@ impl AdjKernel {
     /// average adjacency list (`2m/n` bit-writes), i.e. roughly when
     /// `128·m ≥ n²`. The rows themselves are built lazily on first use.
     fn auto(graph: &Graph) -> Self {
-        match graph.repr() {
-            AdjacencyRepr::Complete { .. } => return AdjKernel::Implicit(ImplicitShape::Complete),
-            AdjacencyRepr::Torus { rows, cols } => {
-                return AdjKernel::Implicit(ImplicitShape::Torus { rows, cols })
-            }
-            AdjacencyRepr::Grid { rows, cols } => {
-                return AdjKernel::Implicit(ImplicitShape::Grid { rows, cols })
-            }
-            AdjacencyRepr::Csr => {}
+        if graph.repr() != AdjacencyRepr::Csr {
+            return AdjKernel::Implicit;
         }
         let n = graph.node_count();
         let words_per_row = n.div_ceil(64);
@@ -198,8 +179,8 @@ struct ShardCtx<'a> {
     graph: &'a Graph,
     /// Dense adjacency rows when the dense kernel is active.
     rows: Option<&'a [BitVec]>,
-    /// The implicit topology when the zero-storage shift kernel is active.
-    shape: Option<ImplicitShape>,
+    /// Whether the zero-storage shift kernel is active.
+    implicit: bool,
     /// `beepers.count_ones()`, computed once per round (the complete-graph
     /// kernel and the gather/scatter strategy choice both need it).
     beep_count: usize,
@@ -223,8 +204,7 @@ struct ShardCtx<'a> {
     /// computed once before the shards fan out.
     round_state: u64,
     /// Sparse-kernel strategy for this round: destination-side gather
-    /// (dense beeper sets, or a graph with no CSR slices to scatter) vs
-    /// source-side scatter (sparse beeper sets on CSR).
+    /// (dense beeper sets) vs source-side scatter (sparse beeper sets).
     gather: bool,
 }
 
@@ -252,16 +232,13 @@ impl ShardCtx<'_> {
             for &u in self.beeper_list {
                 or_words_wide(out, &rows[u].as_words()[w_lo..w_lo + out.len()]);
             }
-        } else if let Some(shape) = self.shape {
+        } else if self.implicit {
             // Implicit kernel: the neighborhood OR of a whole word is a
             // handful of masked shifts — no adjacency exists to touch.
-            self.implicit_or(shape, w_lo, out);
+            self.implicit_or(w_lo, out);
         } else if self.gather {
             // Dense beeper set: scan each shard node's neighborhood with
-            // early exit — at ≥ n/16 beepers a hit comes fast. Also the
-            // only sparse strategy for a non-CSR graph (an implicit graph
-            // with the shift kernel turned off), which has no adjacency
-            // slices to scatter.
+            // early exit — at ≥ n/16 beepers a hit comes fast.
             for v in lo..hi {
                 let mask = 1u64 << (v % 64);
                 if out[(v - lo) / 64] & mask != 0 {
@@ -308,19 +285,21 @@ impl ShardCtx<'_> {
     /// shifted windows of the beeper words. `out` already holds the
     /// self-hearing beeper copy; this ORs the neighbor contributions on
     /// top and re-zeros the padding bits of the final word.
-    fn implicit_or(&self, shape: ImplicitShape, w_lo: usize, out: &mut [u64]) {
+    fn implicit_or(&self, w_lo: usize, out: &mut [u64]) {
         let n = self.beepers.len();
         let src = self.beepers.as_words();
+        let shape = self.graph.repr();
         match shape {
-            ImplicitShape::Complete => {
+            AdjacencyRepr::Csr => unreachable!("the shift kernel runs on implicit graphs only"),
+            AdjacencyRepr::Complete { .. } => {
                 // Carrier sensing on K_n: any beeper at all is heard by
                 // every node (beeper or not).
                 if self.beep_count > 0 {
                     out.fill(!0);
                 }
             }
-            ImplicitShape::Torus { rows, cols } | ImplicitShape::Grid { rows, cols } => {
-                let wrap = matches!(shape, ImplicitShape::Torus { .. });
+            AdjacencyRepr::Torus { rows, cols } | AdjacencyRepr::Grid { rows, cols } => {
+                let wrap = matches!(shape, AdjacencyRepr::Torus { .. });
                 debug_assert_eq!(rows * cols, n);
                 let c = cols as i64;
                 for (idx, o) in out.iter_mut().enumerate() {
@@ -408,10 +387,11 @@ impl ShardCtx<'_> {
 ///   differential-testing oracle.
 /// * [`run_round_bitset`](Self::run_round_bitset) — the bit-parallel
 ///   production kernel: beepers come in as a [`BitVec`], the received OR is
-///   computed from the set bits (or via precomputed adjacency bitmask rows
-///   on small/dense graphs), and channel noise is applied with batched
-///   geometric-skip sampling, each gap read from the rate's exact
-///   step-point table ([`FlipSampler`]).
+///   computed by the kernel the graph selects (masked word shifts on
+///   implicit graphs, precomputed adjacency bitmask rows on small dense
+///   CSR graphs, the beepers' adjacency lists otherwise), and channel
+///   noise is applied with batched geometric-skip sampling, each gap read
+///   from the rate's exact step-point table ([`FlipSampler`]).
 /// * The **sharded multi-threaded path** inside the bitset kernel: the
 ///   received frame is split into [`shard_count`](Self::shard_count)
 ///   word-aligned shards, each computed independently (and, above a work
@@ -604,35 +584,6 @@ impl BeepNetwork {
     /// noisy channel (default `true`, matching the paper's footnote 2).
     pub fn set_self_hearing_noisy(&mut self, noisy: bool) {
         self.self_hearing_noisy = noisy;
-    }
-
-    /// Overrides the auto-selected bitset kernel: `true` materializes the
-    /// `n × n` adjacency bitmask rows (word-parallel row ORs per beeper),
-    /// `false` uses the sparse scatter. A tuning knob — results are
-    /// identical either way; only [`run_round_bitset`](Self::run_round_bitset)
-    /// throughput changes. On an implicit graph this *turns the implicit
-    /// shift kernel off* (its neighborhoods are enumerated through the
-    /// generic accessors instead), which is how the differential oracle
-    /// gets a second kernel to compare the shift kernel against; build a
-    /// fresh network to get the auto selection back.
-    pub fn set_dense_adjacency(&mut self, dense: bool) {
-        self.kernel = if dense {
-            AdjKernel::DensePending
-        } else {
-            AdjKernel::Sparse
-        };
-    }
-
-    /// A short stable label of the bitset kernel the next round will use:
-    /// `"sparse"`, `"dense"`, or `"implicit"`. Exposed for tests, logs,
-    /// and bench metadata; the kernel never affects results, only speed.
-    #[must_use]
-    pub fn kernel_label(&self) -> &'static str {
-        match &self.kernel {
-            AdjKernel::Sparse => "sparse",
-            AdjKernel::DensePending | AdjKernel::Dense(_) => "dense",
-            AdjKernel::Implicit(_) => "implicit",
-        }
     }
 
     /// Sets how many worker threads the sharded bitset kernel may use.
@@ -852,17 +803,18 @@ impl BeepNetwork {
     /// differs. The round is computed in [`shard_count`](Self::shard_count)
     /// word-aligned shards, each owning a disjoint word range of the
     /// output and computed independently — serially, or on worker threads
-    /// (see [`set_parallelism`](Self::set_parallelism)). Per shard the
-    /// received OR is built from the beeper set's *set bits only* — each
-    /// beeper scatters its CSR adjacency list (or ORs its precomputed
-    /// adjacency bitmask row, see [`set_dense_adjacency`](Self::set_dense_adjacency)),
-    /// switching to an early-exit neighborhood gather when beepers are
-    /// dense — so a sparse-beeper round is `O(Σ deg(beeper) + n/64)`
-    /// instead of the scalar path's `O(n + m)`. Under [`Noise::Bernoulli`]
-    /// the channel is applied with geometric-skip batch sampling (`O(ε·n)`
-    /// expected RNG draws, each answered by a [`FlipSampler`] table built
-    /// on the first noisy round) from per-shard counter-keyed streams; see
-    /// the type-level determinism contract.
+    /// (see [`set_parallelism`](Self::set_parallelism)). The graph alone
+    /// picks the OR kernel: masked shifts of the beeper words on an
+    /// implicit graph; on a small dense CSR graph each beeper ORs its
+    /// precomputed adjacency bitmask row; on any other CSR graph each
+    /// beeper scatters its adjacency list, switching to an early-exit
+    /// neighborhood gather when beepers are dense — so a sparse-beeper
+    /// round is `O(Σ deg(beeper) + n/64)` instead of the scalar path's
+    /// `O(n + m)`. Under [`Noise::Bernoulli`] the channel is applied with
+    /// geometric-skip batch sampling (`O(ε·n)` expected RNG draws, each
+    /// answered by a [`FlipSampler`] table built on the first noisy round)
+    /// from per-shard counter-keyed streams; see the type-level
+    /// determinism contract.
     ///
     /// ```
     /// use beep_bits::BitVec;
@@ -951,17 +903,12 @@ impl BeepNetwork {
             AdjKernel::Dense(rows) => Some(rows.as_slice()),
             _ => None,
         };
-        let shape = match &self.kernel {
-            AdjKernel::Implicit(shape) => Some(*shape),
-            _ => None,
-        };
-        let gather = rows.is_none()
-            && shape.is_none()
-            && (GATHER_DENSITY_FACTOR * beep_count >= n
-                || !matches!(self.graph.repr(), AdjacencyRepr::Csr));
+        let implicit = matches!(self.kernel, AdjKernel::Implicit);
+        let gather =
+            matches!(self.kernel, AdjKernel::Sparse) && GATHER_DENSITY_FACTOR * beep_count >= n;
         // The implicit kernel reads the beeper words directly; only the
         // dense-row and scatter kernels walk the materialized beeper list.
-        let beeper_list: Vec<usize> = if gather || shape.is_some() {
+        let beeper_list: Vec<usize> = if gather || implicit {
             Vec::new()
         } else {
             beepers.iter_ones().collect()
@@ -969,7 +916,7 @@ impl BeepNetwork {
         let ctx = ShardCtx {
             graph: &self.graph,
             rows,
-            shape,
+            implicit,
             beep_count,
             beepers,
             beeper_list: &beeper_list,
@@ -1614,26 +1561,6 @@ mod tests {
     }
 
     #[test]
-    fn gather_and_scatter_strategies_agree() {
-        // Force both sides of the per-round density heuristic on the same
-        // beeper set by driving the density across the threshold.
-        let g = topology::grid(8, 8).unwrap();
-        let n = 64;
-        for ones in [1, 3, n / 4, n] {
-            let beepers = BitVec::from_fn(n, |v| v % (n / ones).max(1) == 0);
-            let mut sparse = BeepNetwork::new(g.clone(), Noise::Noiseless, 0);
-            sparse.set_dense_adjacency(false);
-            let mut dense = BeepNetwork::new(g.clone(), Noise::Noiseless, 0);
-            dense.set_dense_adjacency(true);
-            let mut scalar = BeepNetwork::new(g.clone(), Noise::Noiseless, 0);
-            let actions: Vec<Action> = (0..n).map(|v| Action::from_bit(beepers.get(v))).collect();
-            let expected: BitVec = BitVec::from_bools(&scalar.run_round(&actions).unwrap());
-            assert_eq!(sparse.run_round_bitset(&beepers).unwrap(), expected);
-            assert_eq!(dense.run_round_bitset(&beepers).unwrap(), expected);
-        }
-    }
-
-    #[test]
     fn run_round_bitset_into_reuses_and_resizes() {
         let mut net = BeepNetwork::new(topology::path(5).unwrap(), Noise::Noiseless, 0);
         let beepers = BitVec::from_indices(5, [2]);
@@ -1693,20 +1620,6 @@ mod tests {
         let received = net.run_round_bitset(&BitVec::zeros(0)).unwrap();
         assert!(received.is_empty());
         assert_eq!(net.stats().rounds, 1);
-    }
-
-    #[test]
-    fn dense_and_sparse_kernels_agree() {
-        let g = topology::grid(4, 4).unwrap();
-        let beepers = BitVec::from_indices(16, [0, 5, 10, 15]);
-        let mut dense = BeepNetwork::new(g.clone(), Noise::Noiseless, 0);
-        dense.set_dense_adjacency(true);
-        let mut sparse = BeepNetwork::new(g, Noise::Noiseless, 0);
-        sparse.set_dense_adjacency(false);
-        assert_eq!(
-            dense.run_round_bitset(&beepers).unwrap(),
-            sparse.run_round_bitset(&beepers).unwrap()
-        );
     }
 
     // Regression: run_protocols keeps driving act()/feedback() on nodes

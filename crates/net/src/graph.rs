@@ -12,9 +12,12 @@
 //!   makes n = 10M–100M fit in RAM: a 100M-node torus stores two `usize`s
 //!   where CSR would store 3.2 GB.
 //!
-//! All read paths below [`Graph::neighbors`] (which is CSR-only and kept
-//! for hot slice-based loops) are representation-generic; the engine
-//! dispatches on [`Graph::repr`].
+//! Every read path is representation-generic: the edge set is the only
+//! contract. [`Graph::neighbors`] borrows the CSR slice or returns the
+//! list an implicit shape computes, and the engine picks its kernel from
+//! the representation, which is private to this crate.
+
+use std::borrow::Cow;
 
 use crate::error::GraphError;
 
@@ -29,8 +32,7 @@ pub type NodeId = usize;
 /// `tests/bitset_oracle.rs`), though `Graph`'s derived `PartialEq` is
 /// representational and will not equate them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum AdjacencyRepr {
+pub(crate) enum AdjacencyRepr {
     /// Materialized compressed sparse row (offsets + neighbor slice).
     Csr,
     /// Implicit complete graph `K_n`; no adjacency storage.
@@ -52,19 +54,6 @@ pub enum AdjacencyRepr {
         /// Number of columns.
         cols: usize,
     },
-}
-
-impl AdjacencyRepr {
-    /// A short stable label for metrics and logs.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            AdjacencyRepr::Csr => "csr",
-            AdjacencyRepr::Complete { .. } => "implicit-complete",
-            AdjacencyRepr::Torus { .. } => "implicit-torus",
-            AdjacencyRepr::Grid { .. } => "implicit-grid",
-        }
-    }
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,8 +78,9 @@ enum Repr {
 /// An undirected simple graph over nodes `0..n`.
 ///
 /// Stored either materialized (CSR) or implicitly (complete/torus/grid
-/// shape parameters only) — see [`AdjacencyRepr`] and the module docs.
-/// `PartialEq` is representational: it compares storage, not edge sets.
+/// shape parameters only) — see the module docs. Every accessor works on
+/// both. `PartialEq` is representational: it compares storage, not edge
+/// sets.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Graph {
     repr: Repr,
@@ -195,7 +185,7 @@ impl Graph {
 
     /// Which adjacency representation this graph uses.
     #[must_use]
-    pub fn repr(&self) -> AdjacencyRepr {
+    pub(crate) fn repr(&self) -> AdjacencyRepr {
         match &self.repr {
             Repr::Csr { .. } => AdjacencyRepr::Csr,
             Repr::Complete { n } => AdjacencyRepr::Complete { n: *n },
@@ -249,28 +239,28 @@ impl Graph {
         }
     }
 
-    /// The neighbors of `v` as a borrowed sorted slice. **CSR only** —
-    /// implicit graphs have no slice to borrow; use
-    /// [`Graph::for_each_neighbor`] or [`Graph::collect_neighbors`] for
-    /// representation-generic access.
+    /// The neighbors of `v`, ascending: the borrowed slice of a CSR graph,
+    /// or the list an implicit shape computes. Works for every
+    /// representation; [`Graph::for_each_neighbor`] visits the same nodes
+    /// without building a list.
     ///
     /// # Panics
     ///
-    /// Panics if `v >= n`, or if the graph is not materialized CSR.
+    /// Panics if `v >= n`.
     #[must_use]
-    pub fn neighbors(&self, v: NodeId) -> &[NodeId] {
+    // Inlined so the engine's per-beeper scatter sees the borrowed arm and
+    // pays no tag check or drop for the `Cow`.
+    #[inline]
+    pub fn neighbors(&self, v: NodeId) -> Cow<'_, [NodeId]> {
         match &self.repr {
-            Repr::Csr { offsets, neighbors } => &neighbors[offsets[v]..offsets[v + 1]],
-            other => panic!(
-                "Graph::neighbors needs materialized CSR, not {:?} — use for_each_neighbor \
-                 or materialize()",
-                match other {
-                    Repr::Complete { .. } => "implicit-complete",
-                    Repr::Torus { .. } => "implicit-torus",
-                    Repr::Grid { .. } => "implicit-grid",
-                    Repr::Csr { .. } => unreachable!(),
-                }
-            ),
+            Repr::Csr { offsets, neighbors } => {
+                Cow::Borrowed(&neighbors[offsets[v]..offsets[v + 1]])
+            }
+            _ => {
+                let mut out = Vec::with_capacity(self.degree(v));
+                self.for_each_neighbor(v, |u| out.push(u));
+                Cow::Owned(out)
+            }
         }
     }
 
@@ -349,19 +339,6 @@ impl Graph {
                 hit
             }
         }
-    }
-
-    /// The neighbors of `v` as an owned sorted vector. Works for every
-    /// representation (unlike the borrowed [`Graph::neighbors`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v >= n`.
-    #[must_use]
-    pub fn collect_neighbors(&self, v: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::with_capacity(self.degree(v));
-        self.for_each_neighbor(v, |u| out.push(u));
-        out
     }
 
     /// The degree of `v`. O(1) in every representation.
@@ -519,7 +496,9 @@ mod tests {
         let g = triangle_plus_tail();
         assert_eq!(g.node_count(), 4);
         assert_eq!(g.edge_count(), 4);
-        assert_eq!(g.neighbors(2), &[0, 1, 3]);
+        assert_eq!(*g.neighbors(2), [0, 1, 3]);
+        // CSR lends its slice: the engine's scatter must not allocate.
+        assert!(matches!(g.neighbors(2), Cow::Borrowed(_)));
         assert_eq!(g.degree(2), 3);
         assert_eq!(g.degree(3), 1);
         assert_eq!(g.max_degree(), 3);
@@ -532,7 +511,7 @@ mod tests {
     fn duplicate_and_reversed_edges_collapse() {
         let g = Graph::from_edges(3, &[(0, 1), (1, 0), (0, 1)]).unwrap();
         assert_eq!(g.edge_count(), 1);
-        assert_eq!(g.neighbors(0), &[1]);
+        assert_eq!(*g.neighbors(0), [1]);
     }
 
     #[test]
@@ -590,7 +569,7 @@ mod tests {
             let mat = imp.materialize();
             assert_eq!(mat.repr(), AdjacencyRepr::Csr);
             for v in 0..n {
-                assert_eq!(imp.collect_neighbors(v), mat.neighbors(v));
+                assert_eq!(imp.neighbors(v), mat.neighbors(v));
                 assert_eq!(imp.degree(v), mat.degree(v));
             }
         }
@@ -605,7 +584,7 @@ mod tests {
             assert_eq!(imp.edge_count(), gen.edge_count());
             assert_eq!(imp.edges(), gen.edges());
             for v in 0..imp.node_count() {
-                assert_eq!(imp.collect_neighbors(v), gen.neighbors(v));
+                assert_eq!(imp.neighbors(v), gen.neighbors(v));
                 assert_eq!(imp.degree(v), 4);
             }
         }
@@ -623,16 +602,9 @@ mod tests {
             assert_eq!(imp.edges(), gen.edges());
             assert_eq!(imp.max_degree(), gen.max_degree());
             for v in 0..imp.node_count() {
-                assert_eq!(imp.collect_neighbors(v), gen.neighbors(v));
+                assert_eq!(imp.neighbors(v), gen.neighbors(v));
                 assert_eq!(imp.degree(v), gen.degree(v));
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "materialized CSR")]
-    fn neighbors_panics_on_implicit() {
-        let g = Graph::implicit_complete(4);
-        let _ = g.neighbors(0);
     }
 }

@@ -76,7 +76,7 @@ pub use faults::{
     AdaptiveAdversary, AdaptivePolicy, AdversaryView, FaultKind, FaultPlan, RoundFaults,
     ADAPTIVE_POLICY_STREAM, FAULT_PLAN_STREAM,
 };
-pub use graph::{AdjacencyRepr, Graph, NodeId};
+pub use graph::{Graph, NodeId};
 pub use node::{Action, BeepProtocol};
 pub use noise::{noise_stream_seed, protocol_coin, FlipSampler, Noise, PROTOCOL_COIN_STREAM};
 pub use trace::{NetStats, Transcript};

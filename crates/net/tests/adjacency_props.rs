@@ -16,7 +16,7 @@ fn edges(g: &Graph) -> Vec<(usize, usize)> {
 
 /// Sorted neighbor list via the repr-generic accessor.
 fn neighbor_set(g: &Graph, v: usize) -> Vec<usize> {
-    let mut ns = g.collect_neighbors(v);
+    let mut ns = g.neighbors(v).into_owned();
     ns.sort_unstable();
     ns
 }

@@ -1,9 +1,16 @@
 //! Differential oracle: the bit-parallel kernel (`run_round_bitset`,
 //! `run_frame`) against the scalar reference `run_round`, bit-exact under
 //! the noiseless channel and every noisy channel model, across **every**
-//! `topology::*` generator, both adjacency kernels, and the sharded
-//! multi-threaded execution path at thread counts {1, 2, 4, 8} — plus the
-//! statistical contract of the geometric-skip noisy channel.
+//! `topology::*` generator — plus the statistical contract of the
+//! geometric-skip noisy channel.
+//!
+//! The generators run at one-word sizes (n ≤ 20), where the engine
+//! clamps a round to one thread and every CSR graph takes dense rows.
+//! Multi-word graphs (n = 200–600) reach the rest: the sharded path on
+//! more than one thread (thread counts {1, 2, 4, 8} × shard counts
+//! {1, 2, 8}), the scatter and gather kernels on sparse CSR, dense rows
+//! over several words, and the implicit shift kernel next to each
+//! implicit graph's materialized twin.
 //!
 //! CI runs this file explicitly (and fails if it vanishes or stops
 //! executing tests): it is the proof that the production kernel and the
@@ -73,8 +80,38 @@ fn all_topologies() -> Vec<(String, Graph)> {
             "preferential_attachment(15,2)".into(),
             topology::preferential_attachment(15, 2, &mut rng).unwrap(),
         ),
+        // Multi-word graphs, one per kernel the engine picks, so the
+        // sharded path runs on more than one thread. Sparse CSR scatters
+        // below `16·beepers = n` and gathers above it (see `DENSITIES`);
+        // `complete(200)` takes dense rows; each implicit graph takes the
+        // shift kernel next to its materialized twin.
+        (
+            "random_regular(600,4)".into(),
+            topology::random_regular(600, 4, &mut rng).unwrap(),
+        ),
+        ("torus(20,30)".into(), topology::torus(20, 30).unwrap()),
+        (
+            "implicit_torus(20,30)".into(),
+            topology::implicit_torus(20, 30).unwrap(),
+        ),
+        ("grid(24,25)".into(), topology::grid(24, 25).unwrap()),
+        (
+            "implicit_grid(24,25)".into(),
+            topology::implicit_grid(24, 25).unwrap(),
+        ),
+        ("complete(200)".into(), topology::complete(200).unwrap()),
+        (
+            "implicit_complete(200)".into(),
+            topology::implicit_complete(200).unwrap(),
+        ),
     ]
 }
+
+/// Per-round beep probabilities: silence, then densities on both sides of
+/// the sparse kernel's gather threshold (`16·beepers ≥ n`) on the
+/// 600-node graphs — ≈ 18 and ≈ 60 expected beepers against a threshold
+/// of 37.5 — then dense and full beeper sets.
+const DENSITIES: [f64; 5] = [0.0, 0.03, 0.1, 0.5, 1.0];
 
 /// [`all_topologies`] plus a graph whose node count is past one 64-node
 /// word and not a multiple of 64, so the frame driver's 64-node groups
@@ -93,8 +130,7 @@ fn frame_topologies() -> Vec<(String, Graph)> {
 /// past two blocks.
 const FRAME_LENS: [usize; 4] = [24, 64, 65, 130];
 
-/// Random beep probability per round, chosen to cover silent, sparse and
-/// dense beeper sets.
+/// Each node beeps independently with probability `density`.
 fn random_actions(n: usize, density: f64, rng: &mut StdRng) -> Vec<Action> {
     (0..n)
         .map(|_| Action::from_bit(rng.random_bool(density)))
@@ -128,45 +164,34 @@ fn bitset_kernel_is_bit_identical_to_scalar_on_every_topology() {
     let mut rng = StdRng::seed_from_u64(7);
     for (name, graph) in all_topologies() {
         let n = graph.node_count();
-        // `None` keeps the auto-selected kernel (the implicit shift kernel
-        // on implicit graphs); the overrides force the generic sparse and
-        // dense-row kernels, so every representation is checked under
-        // every kernel it can run.
-        for mode in [None, Some(false), Some(true)] {
-            let mut scalar = BeepNetwork::new(graph.clone(), Noise::Noiseless, 1);
-            let mut bitset = BeepNetwork::new(graph.clone(), Noise::Noiseless, 1);
-            if let Some(dense) = mode {
-                bitset.set_dense_adjacency(dense);
-            }
-            scalar.record_transcript();
-            bitset.record_transcript();
-            for round in 0..12 {
-                let density = [0.0, 0.05, 0.3, 1.0][round % 4];
-                let actions = random_actions(n, density, &mut rng);
-                let beepers = beeper_bitmap(&actions);
-                let via_scalar = scalar.run_round(&actions).unwrap();
-                let via_bitset = bitset.run_round_bitset(&beepers).unwrap();
-                assert_eq!(
-                    via_scalar,
-                    via_bitset.iter_bits().collect::<Vec<bool>>(),
-                    "{name} (kernel={}) round {round}",
-                    bitset.kernel_label()
-                );
-            }
-            // Bookkeeping must agree too: stats, per-node energy,
-            // transcript.
-            assert_eq!(scalar.stats(), bitset.stats(), "{name} stats");
+        let mut scalar = BeepNetwork::new(graph.clone(), Noise::Noiseless, 1);
+        let mut bitset = BeepNetwork::new(graph.clone(), Noise::Noiseless, 1);
+        scalar.record_transcript();
+        bitset.record_transcript();
+        for round in 0..10 {
+            let density = DENSITIES[round % DENSITIES.len()];
+            let actions = random_actions(n, density, &mut rng);
+            let beepers = beeper_bitmap(&actions);
+            let via_scalar = scalar.run_round(&actions).unwrap();
+            let via_bitset = bitset.run_round_bitset(&beepers).unwrap();
             assert_eq!(
-                scalar.beeps_by_node(),
-                bitset.beeps_by_node(),
-                "{name} energy"
-            );
-            assert_eq!(
-                scalar.transcript(),
-                bitset.transcript(),
-                "{name} transcript"
+                via_scalar,
+                via_bitset.iter_bits().collect::<Vec<bool>>(),
+                "{name} round {round}"
             );
         }
+        // Bookkeeping must agree too: stats, per-node energy, transcript.
+        assert_eq!(scalar.stats(), bitset.stats(), "{name} stats");
+        assert_eq!(
+            scalar.beeps_by_node(),
+            bitset.beeps_by_node(),
+            "{name} energy"
+        );
+        assert_eq!(
+            scalar.transcript(),
+            bitset.transcript(),
+            "{name} transcript"
+        );
     }
 }
 
@@ -224,8 +249,7 @@ fn threaded_kernel_is_bit_identical_to_scalar_on_every_topology() {
                 })
             })
             .collect();
-        for round in 0..8 {
-            let density = [0.0, 0.05, 0.3, 1.0][round % 4];
+        for (round, &density) in DENSITIES.iter().enumerate() {
             let actions = random_actions(n, density, &mut rng);
             let beepers = beeper_bitmap(&actions);
             let expected = scalar.run_round(&actions).unwrap();
@@ -255,11 +279,9 @@ fn noisy_transcripts_are_thread_count_invariant_on_every_topology() {
     let mut rng = StdRng::seed_from_u64(131);
     for (name, graph) in all_topologies() {
         let n = graph.node_count();
-        let beeper_sets: Vec<BitVec> = (0..6)
-            .map(|round| {
-                let density = [0.0, 0.1, 0.5][round % 3];
-                beeper_bitmap(&random_actions(n, density, &mut rng))
-            })
+        let beeper_sets: Vec<BitVec> = DENSITIES
+            .iter()
+            .map(|&density| beeper_bitmap(&random_actions(n, density, &mut rng)))
             .collect();
         let run = |threads: usize| {
             let mut net = BeepNetwork::new(graph.clone(), Noise::bernoulli(0.25), 7);
@@ -418,8 +440,7 @@ fn every_channel_scalar_bitset_threaded_agree_bit_for_bit() {
                         net
                     })
                     .collect();
-                for round in 0..6 {
-                    let density = [0.0, 0.1, 0.5, 1.0][round % 4];
+                for (round, &density) in DENSITIES.iter().enumerate() {
                     let actions = random_actions(n, density, &mut rng);
                     let beepers = beeper_bitmap(&actions);
                     let expected = scalar.run_round(&actions).unwrap();
@@ -655,8 +676,7 @@ fn adaptive_scalar_bitset_threaded_agree_bit_for_bit() {
                             net
                         })
                         .collect();
-                    for round in 0..6 {
-                        let density = [0.0, 0.1, 0.5, 1.0][round % 4];
+                    for (round, &density) in DENSITIES.iter().enumerate() {
                         let actions = random_actions(n, density, &mut rng);
                         let beepers = beeper_bitmap(&actions);
                         let expected = scalar.run_round(&actions).unwrap();
@@ -733,11 +753,9 @@ fn adaptive_noisy_transcripts_are_thread_and_shard_invariant() {
     let mut rng = StdRng::seed_from_u64(0xADA9);
     for (name, graph) in all_topologies() {
         let n = graph.node_count();
-        let beeper_sets: Vec<BitVec> = (0..6)
-            .map(|round| {
-                let density = [0.0, 0.1, 0.5][round % 3];
-                beeper_bitmap(&random_actions(n, density, &mut rng))
-            })
+        let beeper_sets: Vec<BitVec> = DENSITIES
+            .iter()
+            .map(|&density| beeper_bitmap(&random_actions(n, density, &mut rng)))
             .collect();
         for (key, plan) in adaptive_plans(n) {
             for shards in SHARD_COUNTS {
@@ -790,8 +808,7 @@ fn faulted_scalar_bitset_threaded_agree_bit_for_bit() {
                             net
                         })
                         .collect();
-                    for round in 0..6 {
-                        let density = [0.0, 0.1, 0.5, 1.0][round % 4];
+                    for (round, &density) in DENSITIES.iter().enumerate() {
                         let actions = random_actions(n, density, &mut rng);
                         let beepers = beeper_bitmap(&actions);
                         let expected = scalar.run_round(&actions).unwrap();
@@ -858,11 +875,9 @@ fn faulted_noisy_transcripts_are_thread_and_shard_invariant() {
     let mut rng = StdRng::seed_from_u64(0xFA19);
     for (name, graph) in all_topologies() {
         let n = graph.node_count();
-        let beeper_sets: Vec<BitVec> = (0..6)
-            .map(|round| {
-                let density = [0.0, 0.1, 0.5][round % 3];
-                beeper_bitmap(&random_actions(n, density, &mut rng))
-            })
+        let beeper_sets: Vec<BitVec> = DENSITIES
+            .iter()
+            .map(|&density| beeper_bitmap(&random_actions(n, density, &mut rng)))
             .collect();
         for (key, plan) in fault_plans(n) {
             for shards in SHARD_COUNTS {
@@ -912,13 +927,28 @@ fn implicit_reprs_reproduce_materialized_noisy_transcripts() {
             topology::complete(11).unwrap(),
             topology::implicit_complete(11).unwrap(),
         ),
+        (
+            "torus(20,30)".into(),
+            topology::torus(20, 30).unwrap(),
+            topology::implicit_torus(20, 30).unwrap(),
+        ),
+        (
+            "grid(24,25)".into(),
+            topology::grid(24, 25).unwrap(),
+            topology::implicit_grid(24, 25).unwrap(),
+        ),
+        (
+            "complete(200)".into(),
+            topology::complete(200).unwrap(),
+            topology::implicit_complete(200).unwrap(),
+        ),
     ];
     let mut rng = StdRng::seed_from_u64(0x51AB);
     for (name, csr, implicit) in pairs {
         let n = csr.node_count();
         let beeper_sets: Vec<BitVec> = (0..10)
             .map(|round| {
-                let density = [0.0, 0.1, 0.5, 1.0][round % 4];
+                let density = DENSITIES[round % DENSITIES.len()];
                 beeper_bitmap(&random_actions(n, density, &mut rng))
             })
             .collect();
