@@ -82,9 +82,10 @@ fn all_topologies() -> Vec<(String, Graph)> {
         ),
         // Multi-word graphs, one per kernel the engine picks, so the
         // sharded path runs on more than one thread. Sparse CSR scatters
-        // below `16·beepers = n` and gathers above it (see `DENSITIES`);
-        // `complete(200)` takes dense rows; each implicit graph takes the
-        // shift kernel next to its materialized twin.
+        // below `16·beepers = n` and gathers above it: at n = 600 the
+        // densities 0.03 and 0.05 fall below that line and 0.1 and up
+        // above it. `complete(200)` takes dense rows; each implicit graph
+        // takes the shift kernel next to its materialized twin.
         (
             "random_regular(600,4)".into(),
             topology::random_regular(600, 4, &mut rng).unwrap(),
@@ -107,11 +108,15 @@ fn all_topologies() -> Vec<(String, Graph)> {
     ]
 }
 
-/// Per-round beep probabilities: silence, then densities on both sides of
-/// the sparse kernel's gather threshold (`16·beepers ≥ n`) on the
-/// 600-node graphs — ≈ 18 and ≈ 60 expected beepers against a threshold
-/// of 37.5 — then dense and full beeper sets.
-const DENSITIES: [f64; 5] = [0.0, 0.03, 0.1, 0.5, 1.0];
+/// Per-round beep probabilities of the noisy, channel, fault and adaptive
+/// oracles. After a silent round come densities on both sides of the
+/// sparse kernel's gather threshold (`16·beepers ≥ n`) on the 600-node
+/// graphs — ≈ 18 and ≈ 60 expected beepers against a threshold of 37.5 —
+/// then dense and full beeper sets. The tail is a silent round right
+/// after the full one, then a sparse round: a rushing adversary's spam
+/// lingers into the silent round, and that spam must not count as
+/// activity that extends its window into the next one.
+const DENSITIES: [f64; 7] = [0.0, 0.03, 0.1, 0.5, 1.0, 0.0, 0.1];
 
 /// [`all_topologies`] plus a graph whose node count is past one 64-node
 /// word and not a multiple of 64, so the frame driver's 64-node groups
@@ -168,8 +173,8 @@ fn bitset_kernel_is_bit_identical_to_scalar_on_every_topology() {
         let mut bitset = BeepNetwork::new(graph.clone(), Noise::Noiseless, 1);
         scalar.record_transcript();
         bitset.record_transcript();
-        for round in 0..10 {
-            let density = DENSITIES[round % DENSITIES.len()];
+        for round in 0..12 {
+            let density = [0.0, 0.05, 0.3, 1.0][round % 4];
             let actions = random_actions(n, density, &mut rng);
             let beepers = beeper_bitmap(&actions);
             let via_scalar = scalar.run_round(&actions).unwrap();
@@ -249,7 +254,8 @@ fn threaded_kernel_is_bit_identical_to_scalar_on_every_topology() {
                 })
             })
             .collect();
-        for (round, &density) in DENSITIES.iter().enumerate() {
+        for round in 0..8 {
+            let density = [0.0, 0.05, 0.3, 1.0][round % 4];
             let actions = random_actions(n, density, &mut rng);
             let beepers = beeper_bitmap(&actions);
             let expected = scalar.run_round(&actions).unwrap();
@@ -948,7 +954,7 @@ fn implicit_reprs_reproduce_materialized_noisy_transcripts() {
         let n = csr.node_count();
         let beeper_sets: Vec<BitVec> = (0..10)
             .map(|round| {
-                let density = DENSITIES[round % DENSITIES.len()];
+                let density = [0.0, 0.1, 0.5, 1.0][round % 4];
                 beeper_bitmap(&random_actions(n, density, &mut rng))
             })
             .collect();
