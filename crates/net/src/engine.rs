@@ -3,7 +3,7 @@
 use crate::channel::{apply_channel_sharded, ChannelCtx, ChannelModel, NoiseModel};
 use crate::error::NetError;
 use crate::faults::{AdversaryView, FaultPlan, RoundFaults};
-use crate::graph::{AdjacencyRepr, Graph};
+use crate::graph::{Graph, Repr};
 use crate::node::{Action, BeepProtocol};
 use crate::noise::{FlipSampler, Noise};
 use crate::trace::{NetStats, Transcript};
@@ -61,7 +61,7 @@ impl AdjKernel {
     /// average adjacency list (`2m/n` bit-writes), i.e. roughly when
     /// `128·m ≥ n²`. The rows themselves are built lazily on first use.
     fn auto(graph: &Graph) -> Self {
-        if graph.repr() != AdjacencyRepr::Csr {
+        if !matches!(graph.repr(), Repr::Csr { .. }) {
             return AdjKernel::Implicit;
         }
         let n = graph.node_count();
@@ -289,17 +289,17 @@ impl ShardCtx<'_> {
         let n = self.beepers.len();
         let src = self.beepers.as_words();
         let shape = self.graph.repr();
-        match shape {
-            AdjacencyRepr::Csr => unreachable!("the shift kernel runs on implicit graphs only"),
-            AdjacencyRepr::Complete { .. } => {
+        match *shape {
+            Repr::Csr { .. } => unreachable!("the shift kernel runs on implicit graphs only"),
+            Repr::Complete { .. } => {
                 // Carrier sensing on K_n: any beeper at all is heard by
                 // every node (beeper or not).
                 if self.beep_count > 0 {
                     out.fill(!0);
                 }
             }
-            AdjacencyRepr::Torus { rows, cols } | AdjacencyRepr::Grid { rows, cols } => {
-                let wrap = matches!(shape, AdjacencyRepr::Torus { .. });
+            Repr::Torus { rows, cols } | Repr::Grid { rows, cols } => {
+                let wrap = matches!(shape, Repr::Torus { .. });
                 debug_assert_eq!(rows * cols, n);
                 let c = cols as i64;
                 for (idx, o) in out.iter_mut().enumerate() {

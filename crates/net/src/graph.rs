@@ -24,40 +24,18 @@ use crate::error::GraphError;
 /// Index of a node in a [`Graph`] (`0..n`).
 pub type NodeId = usize;
 
-/// Which adjacency representation a [`Graph`] uses (see [`Graph::repr`]).
+/// How a [`Graph`] stores its edge set: materialized compressed sparse
+/// row (offsets + neighbor slice), or the shape parameters of an implicit
+/// complete graph `K_n`, `rows × cols` torus (both ≥ 3) or `rows × cols`
+/// grid, with no adjacency storage.
 ///
 /// The representation is a storage/performance property only: two graphs
 /// with the same edge set but different representations behave identically
 /// in every kernel (proven by the differential oracle in
 /// `tests/bitset_oracle.rs`), though `Graph`'s derived `PartialEq` is
 /// representational and will not equate them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum AdjacencyRepr {
-    /// Materialized compressed sparse row (offsets + neighbor slice).
-    Csr,
-    /// Implicit complete graph `K_n`; no adjacency storage.
-    Complete {
-        /// Node count.
-        n: usize,
-    },
-    /// Implicit 2-D torus (wrap-around grid), `rows × cols`, both ≥ 3.
-    Torus {
-        /// Number of rows.
-        rows: usize,
-        /// Number of columns.
-        cols: usize,
-    },
-    /// Implicit 2-D grid (no wrap-around), `rows × cols`.
-    Grid {
-        /// Number of rows.
-        rows: usize,
-        /// Number of columns.
-        cols: usize,
-    },
-}
-
 #[derive(Debug, Clone, PartialEq, Eq)]
-enum Repr {
+pub(crate) enum Repr {
     Csr {
         offsets: Vec<usize>,
         neighbors: Vec<NodeId>,
@@ -183,21 +161,10 @@ impl Graph {
         }
     }
 
-    /// Which adjacency representation this graph uses.
-    #[must_use]
-    pub(crate) fn repr(&self) -> AdjacencyRepr {
-        match &self.repr {
-            Repr::Csr { .. } => AdjacencyRepr::Csr,
-            Repr::Complete { n } => AdjacencyRepr::Complete { n: *n },
-            Repr::Torus { rows, cols } => AdjacencyRepr::Torus {
-                rows: *rows,
-                cols: *cols,
-            },
-            Repr::Grid { rows, cols } => AdjacencyRepr::Grid {
-                rows: *rows,
-                cols: *cols,
-            },
-        }
+    /// How this graph stores its edge set; the engine picks its kernel
+    /// from it.
+    pub(crate) fn repr(&self) -> &Repr {
+        &self.repr
     }
 
     /// Bytes of adjacency storage (offsets + neighbor data; zero for
@@ -567,7 +534,7 @@ mod tests {
             assert_eq!(imp.edge_count(), n * n.saturating_sub(1) / 2);
             assert_eq!(imp.max_degree(), n.saturating_sub(1));
             let mat = imp.materialize();
-            assert_eq!(mat.repr(), AdjacencyRepr::Csr);
+            assert!(matches!(mat.repr, Repr::Csr { .. }));
             for v in 0..n {
                 assert_eq!(imp.neighbors(v), mat.neighbors(v));
                 assert_eq!(imp.degree(v), mat.degree(v));
