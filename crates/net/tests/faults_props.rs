@@ -1,8 +1,9 @@
 //! Property tests for the fault layer: `FaultPlan::realize` respects its
 //! fraction budget, is seed-deterministic, and never samples out-of-range
 //! nodes; `try_from_assignments` rejects duplicates regardless of input
-//! order; and `AdaptivePolicy` decisions are deterministic, in-range, and
-//! within budget for every policy.
+//! order; `AdaptivePolicy` decisions are deterministic, in-range, and
+//! within budget for every policy; and `TargetLoudest` picks exactly the
+//! nodes its definition names.
 
 use beep_bits::BitVec;
 use beep_net::{AdaptiveAdversary, AdaptivePolicy, AdversaryView, FaultKind, FaultPlan, NetError};
@@ -24,6 +25,32 @@ fn policy(ix: usize, budget: usize) -> AdaptivePolicy {
     } else {
         AdaptivePolicy::RushingSpam { budget, window: 2 }
     }
+}
+
+/// `TargetLoudest`'s targets by definition: the nodes that have beeped,
+/// ordered by (count descending, id ascending), cut to `budget`, listed by
+/// id.
+fn loudest_by_definition(counts: &[u64], budget: usize) -> Vec<usize> {
+    let mut loud: Vec<usize> = (0..counts.len()).filter(|&v| counts[v] > 0).collect();
+    loud.sort_by(|&a, &b| counts[b].cmp(&counts[a]).then(a.cmp(&b)));
+    loud.truncate(budget);
+    loud.sort_unstable();
+    loud
+}
+
+/// Per-node beep counts and a budget from 1 to `n + 2`. Counts come from
+/// `0..6`, so zeros and ties are common; about one in sixteen is lifted
+/// far above the rest.
+fn counts_and_budget() -> impl Strategy<Value = (Vec<u64>, usize)> {
+    (1usize..300).prop_flat_map(|n| {
+        (
+            prop::collection::vec(
+                (0u64..6, 0usize..16).prop_map(|(c, lift)| if lift == 0 { c + 1000 } else { c }),
+                n,
+            ),
+            1usize..=n + 2,
+        )
+    })
 }
 
 proptest! {
@@ -259,5 +286,31 @@ proptest! {
         }
         prop_assert!(decision.mute().is_empty());
         prop_assert!(decision.deafen().is_empty());
+    }
+
+    #[test]
+    fn target_loudest_jams_exactly_its_definition(
+        (counts, budget) in counts_and_budget(),
+        round in 0u64..16,
+    ) {
+        let n = counts.len();
+        let beepers = BitVec::from_fn(n, |v| counts[v] % 2 == 1);
+        let decision = AdaptivePolicy::TargetLoudest { budget }.decide(&AdversaryView {
+            seed: 7,
+            round,
+            beepers: &beepers,
+            beeps_per_node: &counts,
+            last_activity: None,
+        });
+        let expected = loudest_by_definition(&counts, budget);
+        prop_assert_eq!(
+            decision.mute(),
+            expected.as_slice(),
+            "counts {:?} budget {}",
+            counts,
+            budget
+        );
+        prop_assert_eq!(decision.deafen(), expected.as_slice());
+        prop_assert!(decision.spam().is_empty());
     }
 }

@@ -346,11 +346,18 @@ fn adaptive_transcript(plan: FaultPlan, seed: u64, shards: usize, threads: usize
 
 /// The golden adaptive suite: one actionable parameterization per policy,
 /// plus a static + adaptive composition pinning the overlay order.
+/// `"loudest"` never has more nodes that have beeped than its budget, so
+/// `"loudest-b4"` is the cell whose budget binds: its 14 beepers tie on
+/// count, and the id tie-break picks the targets.
 fn golden_policies() -> Vec<(&'static str, FaultPlan)> {
     vec![
         (
             "loudest",
             FaultPlan::from_policy(AdaptivePolicy::TargetLoudest { budget: 16 }),
+        ),
+        (
+            "loudest-b4",
+            FaultPlan::from_policy(AdaptivePolicy::TargetLoudest { budget: 4 }),
         ),
         (
             "rushing",
@@ -392,6 +399,9 @@ fn golden_adaptive_transcripts_per_policy_seed_shards() {
             0x0289_2B4C_3A86_C3B5,
             0xE659_0AE6_E582_CB27,
             0x4A68_4CEB_30AE_698A,
+            0xEDB3_2B36_C229_C20F,
+            0xBAF0_FFDD_4274_B59D,
+            0xC8BD_0B6C_2280_A3CC,
             0x178B_8F12_DAF8_F319,
             0x183C_D741_910D_3517,
             0x2902_07C4_1E8C_6956,
