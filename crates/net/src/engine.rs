@@ -237,15 +237,31 @@ impl ShardCtx<'_> {
             // handful of masked shifts — no adjacency exists to touch.
             self.implicit_or(w_lo, out);
         } else if self.gather {
-            // Dense beeper set: scan each shard node's neighborhood with
-            // early exit — at ≥ n/16 beepers a hit comes fast.
-            for v in lo..hi {
-                let mask = 1u64 << (v % 64);
-                if out[(v - lo) / 64] & mask != 0 {
-                    continue; // beeped itself: already receives a 1
+            // Dense beeper set: only listeners scan their CSR
+            // neighborhood, with early exit — at ≥ n/16 beepers a hit
+            // comes fast. The listeners are the zero bits of the
+            // self-hearing copy; bits at `hi` and above in the last word
+            // are not this shard's nodes. Neighbor bits are read straight
+            // from the beeper words.
+            let Repr::Csr { offsets, neighbors } = self.graph.repr() else {
+                unreachable!("the sparse kernel runs on CSR graphs only")
+            };
+            let src = self.beepers.as_words();
+            for (i, word) in out.iter_mut().enumerate() {
+                let base = lo + 64 * i;
+                let mut listeners = !*word;
+                if hi - base < 64 {
+                    listeners &= (1u64 << (hi - base)) - 1;
                 }
-                if self.graph.any_neighbor(v, |u| self.beepers.get(u)) {
-                    out[(v - lo) / 64] |= mask;
+                while listeners != 0 {
+                    let v = base + listeners.trailing_zeros() as usize;
+                    listeners &= listeners - 1;
+                    if neighbors[offsets[v]..offsets[v + 1]]
+                        .iter()
+                        .any(|&u| src[u / 64] >> (u % 64) & 1 != 0)
+                    {
+                        *word |= 1 << (v % 64);
+                    }
                 }
             }
         } else {

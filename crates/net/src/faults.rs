@@ -268,16 +268,33 @@ impl AdaptiveAdversary for AdaptivePolicy {
                 if budget == 0 {
                     return RoundFaults::none();
                 }
-                let mut loud: Vec<usize> = (0..view.node_count())
-                    .filter(|&v| view.beeps_per_node[v] > 0)
-                    .collect();
-                loud.sort_by(|&a, &b| {
-                    view.beeps_per_node[b]
-                        .cmp(&view.beeps_per_node[a])
-                        .then(a.cmp(&b))
-                });
-                loud.truncate(budget);
-                RoundFaults::new(Vec::new(), loud.clone(), loud)
+                // `t` is the budget-th largest count (0 when fewer nodes
+                // have beeped): every node above it is a target, and the
+                // lowest ids at exactly `t` fill the rest of the budget.
+                // One ascending pass lists them already sorted.
+                let counts = &view.beeps_per_node[..view.node_count()];
+                let mut positive: Vec<u64> = counts.iter().copied().filter(|&c| c > 0).collect();
+                let (t, mut ties) = match positive.len().checked_sub(budget) {
+                    Some(k) => {
+                        let (_, &mut t, above) = positive.select_nth_unstable(k);
+                        (t, budget - above.iter().filter(|&&c| c > t).count())
+                    }
+                    None => (0, 0),
+                };
+                let mut loud = Vec::with_capacity(budget.min(positive.len()));
+                for (v, &c) in counts.iter().enumerate() {
+                    if c > t {
+                        loud.push(v);
+                    } else if c == t && ties > 0 {
+                        loud.push(v);
+                        ties -= 1;
+                    }
+                }
+                RoundFaults {
+                    spam: Vec::new(),
+                    mute: loud.clone(),
+                    deafen: loud,
+                }
             }
             AdaptivePolicy::RushingSpam { budget, window } => {
                 if budget == 0 {
