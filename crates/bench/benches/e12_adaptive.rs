@@ -8,12 +8,13 @@
 //! what adaptivity adds on top. An adaptive decision runs once per round
 //! *before* the shard fan-out (never inside it — that is what keeps the
 //! transcript thread-invariant): `TargetLoudest` selects the top-budget
-//! cumulative beepers (an `O(n)` scan plus a bounded selection), and
-//! `RushingSpam` draws its spam set from the reserved adaptive stream (a
-//! partial Fisher–Yates, `O(budget)` after the silent-node scan). Both
-//! are `O(n)`-ish per round by design, so the expected overhead at a 1%
-//! budget is a modest constant over the fault-free round, not a scaling
-//! cliff. A zero-budget policy is behaviourally empty and must price at
+//! cumulative beepers in `O(n)` with no sort (a linear-time selection of
+//! the budget-th largest count, then one ascending pass over the nodes),
+//! and `RushingSpam` draws its spam set from the reserved adaptive stream
+//! (a partial Fisher–Yates, `O(budget)` after the silent-node scan). Both
+//! are `O(n)` per round, so the expected overhead at a 1% budget is a
+//! modest constant over the fault-free round, not a scaling cliff. A
+//! zero-budget policy is behaviourally empty and must price at
 //! the fault-free baseline: the engine short-circuits on `is_empty()`.
 //!
 //! Besides the criterion timings, the bench prints one

@@ -227,6 +227,10 @@ pub enum AdaptivePolicy {
     /// slot of the budget) and jams them for the round: they are both
     /// muted and deafened — a per-round targeted outage of whoever
     /// carries the most information.
+    ///
+    /// Each round costs `O(n)` and sorts nothing over `n`: a linear-time
+    /// selection finds the budget-th largest count, and one ascending
+    /// pass over the nodes lists the targets.
     TargetLoudest {
         /// Maximum nodes jammed per round (0 = provable no-op).
         budget: usize,
