@@ -241,8 +241,7 @@ impl ShardCtx<'_> {
             // neighborhood, with early exit — at ≥ n/16 beepers a hit
             // comes fast. The listeners are the zero bits of the
             // self-hearing copy; bits at `hi` and above in the last word
-            // are not this shard's nodes. Neighbor bits are read straight
-            // from the beeper words.
+            // are not this shard's nodes.
             let Repr::Csr { offsets, neighbors } = self.graph.repr() else {
                 unreachable!("the sparse kernel runs on CSR graphs only")
             };
