@@ -48,10 +48,10 @@
 //!   verdict and the defeat test assert exactly this forced-1 outcome,
 //!   which preserves agreement).
 
-use crate::consensus::consensus_slots_per_phase;
+use crate::consensus::{consensus_slots_per_phase, slot_vote};
 use crate::error::AppError;
 use beep_bits::BitVec;
-use beep_net::{protocol_coin, BeepNetwork, ChannelModel, FaultPlan, Graph, NoiseModel};
+use beep_net::{protocol_coin, BeepNetwork, ChannelModel, FaultPlan, Graph};
 
 /// Outcome of one [`beep_ben_or`] run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -109,12 +109,12 @@ pub fn beep_ben_or(
     let mut agreement_phase = None;
     for phase in 0..phases {
         // Value groups 0 and 1, then the coin group for split neighborhoods.
-        let heard0 = run_group(&mut net, &!&value, slots, &mut received)?;
-        let heard1 = run_group(&mut net, &value, slots, &mut received)?;
+        let heard0 = slot_vote(&mut net, &!&value, slots, &mut received)?;
+        let heard1 = slot_vote(&mut net, &value, slots, &mut received)?;
         let flippers = BitVec::from_fn(n, |v| {
             heard0.get(v) && heard1.get(v) && protocol_coin(seed, v, phase as u64)
         });
-        let heard_coin = run_group(&mut net, &flippers, slots, &mut received)?;
+        let heard_coin = slot_vote(&mut net, &flippers, slots, &mut received)?;
         for v in 0..n {
             match (heard0.get(v), heard1.get(v)) {
                 (false, true) => value.set(v, true),
@@ -140,25 +140,6 @@ pub fn beep_ben_or(
         slots_per_phase: slots,
         agreement_phase,
     })
-}
-
-/// Runs one slot group: `beepers` beep in all `slots` slots; returns the
-/// per-node majority verdict (`2·heard ≥ slots`).
-fn run_group(
-    net: &mut BeepNetwork,
-    beepers: &BitVec,
-    slots: usize,
-    received: &mut BitVec,
-) -> Result<BitVec, AppError> {
-    let n = beepers.len();
-    let mut heard = vec![0usize; n];
-    for _ in 0..slots {
-        net.run_round_bitset_into(beepers, received)?;
-        for v in received.iter_ones() {
-            heard[v] += 1;
-        }
-    }
-    Ok(BitVec::from_fn(n, |v| 2 * heard[v] >= slots))
 }
 
 #[cfg(test)]

@@ -155,25 +155,7 @@ pub fn beep_wave_broadcast(
         })
         .collect();
     let budget = MESSAGE_START + 3 * b + n + 4;
-    let mut beepers = BitVec::zeros(n);
-    let mut received = BitVec::zeros(n);
-    let mut rounds = 0;
-    for round in 0..budget {
-        if nodes.iter().all(WaveNode::is_done) {
-            break;
-        }
-        for (v, node) in nodes.iter_mut().enumerate() {
-            beepers.set(v, node.act(round) == Action::Beep);
-        }
-        net.run_round_bitset_into(&beepers, &mut received)?;
-        for (v, node) in nodes.iter_mut().enumerate() {
-            node.feedback(round, received.get(v));
-        }
-        rounds = round + 1;
-    }
-    if !nodes.iter().all(WaveNode::is_done) {
-        return Err(beep_net::NetError::RoundBudgetExhausted { budget }.into());
-    }
+    let rounds = net.run_protocols(&mut nodes, budget)?;
     let received = nodes
         .iter()
         .map(|node| {

@@ -43,7 +43,7 @@
 
 use crate::error::AppError;
 use beep_bits::BitVec;
-use beep_net::{BeepNetwork, ChannelModel, FaultPlan, Graph, NoiseModel};
+use beep_net::{BeepNetwork, ChannelModel, FaultPlan, Graph};
 
 /// Outcome of one [`beep_consensus`] run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,6 +77,26 @@ pub fn consensus_slots_per_phase(n: usize, phases: usize, epsilon: f64) -> usize
     slots.max(1)
 }
 
+/// One slot vote: `beepers` beep in each of `slots` rounds, and the
+/// verdict holds the nodes that heard a majority of them
+/// (`2·heard ≥ slots`). `received` is the round scratch buffer.
+pub(crate) fn slot_vote(
+    net: &mut BeepNetwork,
+    beepers: &BitVec,
+    slots: usize,
+    received: &mut BitVec,
+) -> Result<BitVec, AppError> {
+    let n = beepers.len();
+    let mut heard = vec![0usize; n];
+    for _ in 0..slots {
+        net.run_round_bitset_into(beepers, received)?;
+        for v in received.iter_ones() {
+            heard[v] += 1;
+        }
+    }
+    Ok(BitVec::from_fn(n, |v| 2 * heard[v] >= slots))
+}
+
 /// Runs 1-biased binary consensus over noisy beeps under a [`FaultPlan`].
 ///
 /// `inputs[v]` is node `v`'s initial value; the run is a pure function of
@@ -107,20 +127,9 @@ pub fn beep_consensus(
     let slots = consensus_slots_per_phase(n, phases, channel.calibration_epsilon());
     let mut value = BitVec::from_fn(n, |v| inputs[v]);
     let mut received = BitVec::zeros(n);
-    let mut heard = vec![0usize; n];
     for _ in 0..phases {
-        heard.iter_mut().for_each(|h| *h = 0);
-        for _ in 0..slots {
-            net.run_round_bitset_into(&value, &mut received)?;
-            for v in received.iter_ones() {
-                heard[v] += 1;
-            }
-        }
-        for (v, &h) in heard.iter().enumerate() {
-            if 2 * h >= slots {
-                value.set(v, true);
-            }
-        }
+        let verdict = slot_vote(&mut net, &value, slots, &mut received)?;
+        value.or_assign(&verdict);
     }
     let stats = net.stats();
     Ok(ConsensusReport {

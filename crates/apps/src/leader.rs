@@ -31,19 +31,20 @@ pub struct LeaderReport {
 /// # Errors
 ///
 /// * [`AppError::Net`] on engine errors.
-/// * [`AppError::InvalidOutput`] if nodes disagree (cannot happen with a
-///   correct diameter bound on a connected graph; surfaces misuse).
-///
-/// # Panics
-///
-/// Panics if the graph is empty.
+/// * [`AppError::InvalidOutput`] if the graph is empty, or if nodes
+///   disagree (cannot happen with a correct diameter bound on a connected
+///   graph; surfaces misuse).
 pub fn beep_leader_election(
     graph: &Graph,
     diameter_bound: usize,
     seed: u64,
 ) -> Result<LeaderReport, AppError> {
     let n = graph.node_count();
-    assert!(n > 0, "cannot elect a leader of nothing");
+    if n == 0 {
+        return Err(AppError::InvalidOutput {
+            detail: "cannot elect a leader of nothing".into(),
+        });
+    }
     let id_bits = (usize::BITS - (n - 1).leading_zeros()).max(1) as usize;
     let window = diameter_bound + 1;
     let mut net = BeepNetwork::new(graph.clone(), Noise::Noiseless, seed);

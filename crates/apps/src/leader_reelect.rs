@@ -50,10 +50,10 @@
 //!   (when that id `≥ n`) does not exist (the defeat test asserts exactly
 //!   this stuck state).
 
-use crate::consensus::consensus_slots_per_phase;
+use crate::consensus::{consensus_slots_per_phase, slot_vote};
 use crate::error::AppError;
 use beep_bits::BitVec;
-use beep_net::{BeepNetwork, ChannelModel, FaultPlan, Graph, NoiseModel};
+use beep_net::{BeepNetwork, ChannelModel, FaultPlan, Graph};
 
 /// Outcome of one [`beep_leader_reelect`] run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,7 +84,7 @@ pub struct LeaderReelectReport {
 ///
 /// # Errors
 ///
-/// * [`AppError::InvalidOutput`] if `epochs == 0`.
+/// * [`AppError::InvalidOutput`] if the graph is empty or `epochs == 0`.
 /// * [`AppError::Net`] if the fault plan names a node `≥ n` or the engine
 ///   rejects a round.
 pub fn beep_leader_reelect(
@@ -95,6 +95,11 @@ pub fn beep_leader_reelect(
     epochs: usize,
 ) -> Result<LeaderReelectReport, AppError> {
     let n = graph.node_count();
+    if n == 0 {
+        return Err(AppError::InvalidOutput {
+            detail: "cannot re-elect a leader of nothing".into(),
+        });
+    }
     if epochs == 0 {
         return Err(AppError::InvalidOutput {
             detail: "leader re-election needs at least one epoch".into(),
@@ -170,21 +175,10 @@ fn flood(
     slots: usize,
     received: &mut BitVec,
 ) -> Result<BitVec, AppError> {
-    let n = initiators.len();
     let mut active = initiators.clone();
     for _ in 0..subphases {
-        let mut heard = vec![0usize; n];
-        for _ in 0..slots {
-            net.run_round_bitset_into(&active, received)?;
-            for v in received.iter_ones() {
-                heard[v] += 1;
-            }
-        }
-        for (v, &h) in heard.iter().enumerate() {
-            if 2 * h >= slots {
-                active.set(v, true);
-            }
-        }
+        let verdict = slot_vote(net, &active, slots, received)?;
+        active.or_assign(&verdict);
     }
     Ok(active)
 }

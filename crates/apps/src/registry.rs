@@ -49,7 +49,7 @@ use beep_congest::algorithms::Flood;
 use beep_core::baseline::TdmaSimulator;
 use beep_core::lower_bound::CongestLocalBroadcast;
 use beep_core::{SimReport, SimulatedBroadcastRunner, SimulatedCongestRunner, SimulationParams};
-use beep_net::{ChannelModel, FaultKind, FaultPlan, Graph, Noise, NoiseModel};
+use beep_net::{ChannelModel, FaultKind, FaultPlan, Graph, Noise};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -240,13 +240,13 @@ impl Protocol {
     /// Semantics:
     ///
     /// * a noiseless channel (any model whose
-    ///   [`is_noiseless`](NoiseModel::is_noiseless) holds) is normalized
+    ///   [`is_noiseless`](ChannelModel::is_noiseless) holds) is normalized
     ///   to the exact channel, so every noiseless instance of every model
     ///   reproduces the `ε = 0` run bit-for-bit;
     /// * an iid channel reproduces the [`run`](Self::run) ε sweep
     ///   bit-for-bit; the other models are threaded through the
     ///   simulation pipeline with parameters calibrated to the model's
-    ///   [`calibration_epsilon`](NoiseModel::calibration_epsilon);
+    ///   [`calibration_epsilon`](ChannelModel::calibration_epsilon);
     /// * a noisy channel on a noiseless-only primitive returns
     ///   [`AppError::NoiseUnsupported`] naming the channel, and a
     ///   non-empty plan on a protocol without
@@ -696,6 +696,26 @@ mod tests {
                 .run(&g, 0.05, 7)
                 .unwrap_or_else(|e| panic!("{}: {e}", p.name()));
             assert!(out.rounds > 0, "{}", p.name());
+        }
+    }
+
+    #[test]
+    fn every_protocol_returns_on_an_empty_graph() {
+        // A campaign at size 0 builds an empty graph: every entry must
+        // return, Ok or Err, and never panic or wrap `n - 1`.
+        let g = Graph::from_edges(0, &[]).unwrap();
+        for p in Protocol::ALL {
+            for eps in [0.0, 0.1] {
+                let _ = p.run(&g, eps, 3);
+            }
+        }
+        for p in [Protocol::Leader, Protocol::BeepLeaderReelect] {
+            let out = p.run(&g, 0.0, 3);
+            assert!(
+                matches!(out, Err(AppError::InvalidOutput { .. })),
+                "{}: {out:?}",
+                p.name()
+            );
         }
     }
 

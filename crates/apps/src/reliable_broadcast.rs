@@ -42,10 +42,10 @@
 //!   sent — validity is broken (the defeat test asserts the phantom
 //!   delivery; totality still holds, everyone delivers the phantom).
 
-use crate::consensus::consensus_slots_per_phase;
+use crate::consensus::{consensus_slots_per_phase, slot_vote};
 use crate::error::AppError;
 use beep_bits::BitVec;
-use beep_net::{BeepNetwork, ChannelModel, FaultPlan, Graph, NoiseModel};
+use beep_net::{BeepNetwork, ChannelModel, FaultPlan, Graph};
 
 /// Outcome of one [`beep_reliable_broadcast`] run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,9 +101,9 @@ pub fn beep_reliable_broadcast(
     let mut received = BitVec::zeros(n);
     let init = BitVec::from_indices(n, [source]);
     for phase in 0..phases {
-        let heard_init = run_group(&mut net, &init, slots, &mut received)?;
-        let heard_echo = run_group(&mut net, &accepted, slots, &mut received)?;
-        let heard_ready = run_group(&mut net, &ready, slots, &mut received)?;
+        let heard_init = slot_vote(&mut net, &init, slots, &mut received)?;
+        let heard_echo = slot_vote(&mut net, &accepted, slots, &mut received)?;
+        let heard_ready = slot_vote(&mut net, &ready, slots, &mut received)?;
         // Monotone state advances from this phase's observations; each
         // wave starts beeping in the *next* phase (one hop per phase).
         for (v, slot) in delivery_phase.iter_mut().enumerate() {
@@ -128,25 +128,6 @@ pub fn beep_reliable_broadcast(
         phases,
         slots_per_phase: slots,
     })
-}
-
-/// Runs one slot group: `beepers` beep in all `slots` slots; returns the
-/// per-node majority verdict (`2·heard ≥ slots`).
-fn run_group(
-    net: &mut BeepNetwork,
-    beepers: &BitVec,
-    slots: usize,
-    received: &mut BitVec,
-) -> Result<BitVec, AppError> {
-    let n = beepers.len();
-    let mut heard = vec![0usize; n];
-    for _ in 0..slots {
-        net.run_round_bitset_into(beepers, received)?;
-        for v in received.iter_ones() {
-            heard[v] += 1;
-        }
-    }
-    Ok(BitVec::from_fn(n, |v| 2 * heard[v] >= slots))
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@ use crate::error::AppError;
 use beep_congest::algorithms::{LubyMis, MaximalMatching, RandomColoring};
 use beep_congest::validate;
 use beep_core::{SimReport, SimulatedBroadcastRunner, SimulationParams};
-use beep_net::{ChannelModel, FaultPlan, Graph, NodeId, Noise, NoiseModel};
+use beep_net::{ChannelModel, FaultPlan, Graph, NodeId, Noise};
 
 /// A solved task together with its cost accounting.
 #[derive(Debug, Clone)]
@@ -55,7 +55,7 @@ pub fn maximal_matching(
 
 /// [`maximal_matching`] under an arbitrary [`ChannelModel`]: the
 /// simulation parameters are calibrated to the channel's
-/// [`calibration_epsilon`](NoiseModel::calibration_epsilon) (its
+/// [`calibration_epsilon`](ChannelModel::calibration_epsilon) (its
 /// worst-case iid-equivalent rate), and the run is deterministic in
 /// `(graph, channel, seed)`.
 ///

@@ -1,6 +1,6 @@
-//! E10: the pluggable channel models on the bitset round kernel — per-round
-//! cost of every `NoiseModel` family at n = 100k, against the noiseless
-//! baseline.
+//! E10: the channel models on the bitset round kernel — per-round cost of
+//! every variant of the closed `ChannelModel` enum at n = 100k, against the
+//! noiseless baseline.
 //!
 //! The workload mirrors `e9_parallel`: a random-regular graph with one
 //! beeper per 16 nodes, so the kernel runs its realistic sparse-gather

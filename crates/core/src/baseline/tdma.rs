@@ -129,7 +129,7 @@ impl TdmaSimulator {
                 actual: outgoing.len(),
             });
         }
-        let net_eps = net.noise().epsilon();
+        let net_eps = net.channel().calibration_epsilon();
         if (net_eps - self.epsilon).abs() > 1e-9 {
             return Err(SimError::NoiseMismatch {
                 params_epsilon: self.epsilon,

@@ -118,7 +118,7 @@ impl BroadcastSimulator {
                 actual: outgoing.len(),
             });
         }
-        let net_eps = net.noise().epsilon();
+        let net_eps = net.channel().calibration_epsilon();
         if (net_eps - self.params.epsilon).abs() > 1e-9 {
             return Err(SimError::NoiseMismatch {
                 params_epsilon: self.params.epsilon,

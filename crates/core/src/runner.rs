@@ -50,8 +50,7 @@ impl<'g> SimulatedBroadcastRunner<'g> {
     /// anything convertible into a [`ChannelModel`] — a plain
     /// [`beep_net::Noise`] as always, or any `beep_net::channel` model —
     /// and `params.epsilon` must match the channel's calibration rate
-    /// (`noise.epsilon()` for iid,
-    /// [`beep_net::NoiseModel::calibration_epsilon`] otherwise).
+    /// ([`ChannelModel::calibration_epsilon`]: `noise.epsilon()` for iid).
     #[must_use]
     pub fn new(
         graph: &'g Graph,

@@ -1,10 +1,11 @@
-//! Pluggable channel models beyond uniform iid Bernoulli noise.
+//! The channel: the closed [`ChannelModel`] enum of the models the engine
+//! runs.
 //!
 //! The paper's channel flips every received bit independently with one
 //! global rate `ε` ([`Noise`]). Real deployments are messier: links fade
 //! in bursts, nodes differ in radio quality, and a worst-case analysis
-//! wants an adversary, not a coin. This module generalizes the engine's
-//! channel into the [`NoiseModel`] trait with four implementations:
+//! wants an adversary, not a coin. [`ChannelModel`] holds one of four
+//! models:
 //!
 //! * [`Noise`] — the iid Bernoulli channel (the default, and the
 //!   back-compat type every existing API keeps accepting);
@@ -25,6 +26,10 @@
 //! `(graph, channel, seed, actions, shard_count)` — bit-identical at
 //! every thread count, exactly like the iid channel since PR 2. The
 //! [`AdversarialErasure`] model draws zero random bytes at all.
+//!
+//! The shards are word-aligned: with `S` shards over `w` words, shard `s`
+//! owns words `[s·⌈w/S⌉, (s+1)·⌈w/S⌉)`. One function in this module
+//! computes that layout, and every kernel walks it.
 //!
 //! | model | per-shard stream `(seed, r, s)` | round-state stream `(seed, r, ROUND_STATE_STREAM)` |
 //! |---|---|---|
@@ -56,115 +61,35 @@ pub const ROUND_STATE_STREAM: u64 = u64::MAX;
 /// Everything a counter-keyed model may depend on is here — and nothing
 /// else: no thread ids, no sequential RNG, no mutable engine state.
 #[derive(Debug, Clone, Copy)]
-pub struct ChannelCtx<'a> {
+pub(crate) struct ChannelCtx<'a> {
     /// The network graph (e.g. for degree-aware adversaries).
-    pub graph: &'a Graph,
+    pub(crate) graph: &'a Graph,
     /// The network's base seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// The round counter (the engine's cumulative round count).
-    pub round: u64,
+    pub(crate) round: u64,
     /// This shard's index in `0..shard_count`.
-    pub shard: u64,
+    pub(crate) shard: u64,
     /// Total shard count `S` of this round's layout.
-    pub shard_count: usize,
+    pub(crate) shard_count: usize,
     /// The model's own per-round state, as returned by
-    /// [`NoiseModel::round_state`] for `(seed, round)` — computed once
+    /// [`ChannelModel::round_state`] for `(seed, round)` — computed once
     /// per round and passed to every shard, so shards never recompute
     /// (or lock) shared state.
-    pub round_state: u64,
+    pub(crate) round_state: u64,
     /// Bits that must not be corrupted (the beeper set when self-hearing
     /// is configured noise-free), indexed by global bit position.
-    pub protect: Option<&'a BitVec>,
-    /// The model's [`FlipSampler`]s, one per rate it flips bits at:
-    /// `[ε]` for the iid channel, `[ε_good, ε_bad]` for Gilbert–Elliott.
-    /// The engine builds them once per network; empty means the model
-    /// builds a sampler per call, with the same flips.
-    pub samplers: &'a [FlipSampler],
+    pub(crate) protect: Option<&'a BitVec>,
+    /// The model's [`FlipSampler`]s, one per rate it flips bits at, as
+    /// [`ChannelModel::flip_samplers`] builds them: `[ε]` for the iid
+    /// channel, `[ε_good, ε_bad]` for Gilbert–Elliott.
+    pub(crate) samplers: &'a [FlipSampler],
 }
 
 impl ChannelCtx<'_> {
     /// Whether global bit position `v` is protected from corruption.
-    #[must_use]
-    pub fn is_protected(&self, v: usize) -> bool {
+    fn is_protected(&self, v: usize) -> bool {
         self.protect.is_some_and(|p| p.get(v))
-    }
-}
-
-/// A channel model: how the bits nodes receive get corrupted.
-///
-/// Implementations MUST be counter-keyed (see the [module
-/// docs](self)): all randomness for shard `s` of round `r` comes from
-/// `StdRng::seed_from_u64(`[`noise_stream_seed`]`(ctx.seed, ctx.round,
-/// ctx.shard))`, and per-round global state from
-/// [`round_state`](Self::round_state) via the reserved
-/// [`ROUND_STATE_STREAM`]. A model that draws from anywhere else breaks
-/// the engine's thread-count invariance.
-///
-/// ```
-/// use beep_bits::BitVec;
-/// use beep_net::{topology, BeepNetwork, GilbertElliott, NoiseModel};
-///
-/// let ge = GilbertElliott::try_new(0.01, 0.4, 0.1, 0.5).unwrap();
-/// assert!(!ge.is_noiseless());
-/// // Any NoiseModel drops into BeepNetwork where a Noise used to go.
-/// let mut net = BeepNetwork::new(topology::cycle(64).unwrap(), ge, 7);
-/// let received = net.run_round_bitset(&BitVec::zeros(64)).unwrap();
-/// assert_eq!(received.len(), 64);
-/// ```
-pub trait NoiseModel: std::fmt::Debug + Send + Sync {
-    /// A short, stable, human-readable label (used in reports and ids).
-    fn label(&self) -> String;
-
-    /// The iid rate the surrounding machinery should calibrate against:
-    /// the `ε` fed to `SimulationParams::calibrated` and checked by the
-    /// simulators' noise-mismatch guards. For the iid channel this is
-    /// `ε` itself; heterogeneous models report their worst-case rate.
-    fn calibration_epsilon(&self) -> f64;
-
-    /// Whether the model never corrupts any bit — lets the engine skip
-    /// the per-shard channel pass entirely.
-    fn is_noiseless(&self) -> bool;
-
-    /// The model's global state for `round`, derived deterministically
-    /// from `(seed, round)` only — typically via the reserved
-    /// [`ROUND_STATE_STREAM`]. The engine calls this once per round and
-    /// hands the value to every shard in [`ChannelCtx::round_state`].
-    /// Stateless models keep the default `0`.
-    fn round_state(&self, _seed: u64, _round: u64) -> u64 {
-        0
-    }
-
-    /// Corrupts the received bits at global positions `lo..hi` (with
-    /// `lo` word-aligned) inside `words`, whose first word holds bits
-    /// `lo..lo + 64`. Must touch only `[lo, hi)`, must respect
-    /// `ctx.protect`, and must draw randomness only as the trait docs
-    /// prescribe.
-    fn apply_to_shard(&self, words: &mut [u64], lo: usize, hi: usize, ctx: &ChannelCtx<'_>);
-}
-
-/// The iid Bernoulli channel is the back-compat [`NoiseModel`]: the
-/// per-shard geometric-skip pass the engine has always run, byte-for-byte
-/// (the golden transcript pins prove it), through the sampler in
-/// `ctx.samplers[0]`.
-impl NoiseModel for Noise {
-    fn label(&self) -> String {
-        format!("eps{}", self.epsilon())
-    }
-
-    fn calibration_epsilon(&self) -> f64 {
-        self.epsilon()
-    }
-
-    fn is_noiseless(&self) -> bool {
-        matches!(self, Noise::Noiseless)
-    }
-
-    fn apply_to_shard(&self, words: &mut [u64], lo: usize, hi: usize, ctx: &ChannelCtx<'_>) {
-        let mut rng = StdRng::seed_from_u64(noise_stream_seed(ctx.seed, ctx.round, ctx.shard));
-        match ctx.samplers.first() {
-            Some(sampler) => sampler.apply(words, lo, hi, ctx.protect, &mut rng),
-            None => self.apply_to_words(words, lo, hi, ctx.protect, &mut rng),
-        }
     }
 }
 
@@ -325,43 +250,6 @@ impl PartialEq for GilbertElliott {
     }
 }
 
-impl NoiseModel for GilbertElliott {
-    fn label(&self) -> String {
-        format!(
-            "ge-g{}-b{}-pgb{}-pbg{}",
-            self.eps_good, self.eps_bad, self.p_good_to_bad, self.p_bad_to_good
-        )
-    }
-
-    fn calibration_epsilon(&self) -> f64 {
-        self.eps_good.max(self.eps_bad)
-    }
-
-    fn is_noiseless(&self) -> bool {
-        self.eps_good == 0.0 && self.eps_bad == 0.0
-    }
-
-    fn round_state(&self, seed: u64, round: u64) -> u64 {
-        u64::from(self.in_bad_state(seed, round))
-    }
-
-    fn apply_to_shard(&self, words: &mut [u64], lo: usize, hi: usize, ctx: &ChannelCtx<'_>) {
-        let bad = ctx.round_state == 1;
-        let eps = if bad { self.eps_bad } else { self.eps_good };
-        if eps == 0.0 {
-            return;
-        }
-        // The per-shard flips reuse the iid geometric-skip pass at the
-        // active state's rate (sampler 0 good, 1 bad), on the normal
-        // (seed, round, shard) stream.
-        let mut rng = StdRng::seed_from_u64(noise_stream_seed(ctx.seed, ctx.round, ctx.shard));
-        match ctx.samplers.get(usize::from(bad)) {
-            Some(sampler) => sampler.apply(words, lo, hi, ctx.protect, &mut rng),
-            None => Noise::Bernoulli(eps).apply_to_words(words, lo, hi, ctx.protect, &mut rng),
-        }
-    }
-}
-
 /// A heterogeneous channel: node `v`'s received bit flips with its own
 /// rate `eps[v mod len]` (the vector is applied cyclically, so one
 /// pattern serves every network size — e.g. "every fourth node has a
@@ -374,12 +262,13 @@ impl NoiseModel for GilbertElliott {
 ///
 /// ```
 /// use beep_bits::BitVec;
-/// use beep_net::{topology, BeepNetwork, NoiseModel, PerNodeEps};
+/// use beep_net::{topology, BeepNetwork, ChannelModel, PerNodeEps};
 ///
 /// // Nodes 0, 3, 6, … are clean; the rest flip at 20%.
 /// let ch = PerNodeEps::try_new(vec![0.0, 0.2, 0.2]).unwrap();
 /// assert_eq!(ch.epsilon_of(0), 0.0);
 /// assert_eq!(ch.epsilon_of(4), 0.2);
+/// let ch = ChannelModel::from(ch);
 /// assert_eq!(ch.calibration_epsilon(), 0.2);
 /// let mut net = BeepNetwork::new(topology::cycle(30).unwrap(), ch, 3);
 /// for _ in 0..50 {
@@ -429,33 +318,6 @@ impl PerNodeEps {
     }
 }
 
-impl NoiseModel for PerNodeEps {
-    fn label(&self) -> String {
-        let rates: Vec<String> = self.eps.iter().map(ToString::to_string).collect();
-        format!("pernode-{}", rates.join("-"))
-    }
-
-    fn calibration_epsilon(&self) -> f64 {
-        self.eps.iter().copied().fold(0.0, f64::max)
-    }
-
-    fn is_noiseless(&self) -> bool {
-        self.eps.iter().all(|&e| e == 0.0)
-    }
-
-    fn apply_to_shard(&self, words: &mut [u64], lo: usize, hi: usize, ctx: &ChannelCtx<'_>) {
-        let mut rng = StdRng::seed_from_u64(noise_stream_seed(ctx.seed, ctx.round, ctx.shard));
-        for v in lo..hi {
-            // One draw per owned node unconditionally: the stream must
-            // not depend on the protect set or the rates.
-            let u: f64 = rng.random();
-            if u < self.epsilon_of(v) && !ctx.is_protected(v) {
-                words[(v - lo) / 64] ^= 1u64 << (v % 64);
-            }
-        }
-    }
-}
-
 /// A budgeted adversary: each round it may erase (1 → 0) up to `budget`
 /// received beep bits, and greedily picks the highest-impact targets —
 /// the set bits of the highest-degree nodes (ties broken toward lower
@@ -470,7 +332,7 @@ impl NoiseModel for PerNodeEps {
 /// determinism tuple exactly as for the stochastic models.
 ///
 /// `design_epsilon` is the iid rate the surrounding machinery calibrates
-/// against ([`NoiseModel::calibration_epsilon`]): the adversary is *not*
+/// against ([`ChannelModel::calibration_epsilon`]): the adversary is *not*
 /// an iid channel, so the caller states explicitly which ε-calibrated
 /// protocol parameters the adversary should be attacking.
 #[derive(Debug, Clone, PartialEq)]
@@ -512,56 +374,30 @@ impl AdversarialErasure {
     }
 }
 
-impl NoiseModel for AdversarialErasure {
-    fn label(&self) -> String {
-        format!("adv-b{}-e{}", self.budget, self.design_epsilon)
-    }
-
-    fn calibration_epsilon(&self) -> f64 {
-        self.design_epsilon
-    }
-
-    fn is_noiseless(&self) -> bool {
-        self.budget == 0
-    }
-
-    fn apply_to_shard(&self, words: &mut [u64], lo: usize, hi: usize, ctx: &ChannelCtx<'_>) {
-        let shards = ctx.shard_count.max(1);
-        let shard = usize::try_from(ctx.shard).expect("shard index fits usize");
-        let share = self.budget / shards + usize::from(shard < self.budget % shards);
-        if share == 0 {
-            return;
-        }
-        // Candidates: every unprotected received 1 this shard owns.
-        let mut candidates: Vec<usize> = Vec::new();
-        for (w, &word) in words.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let v = lo + w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                if v >= hi {
-                    break;
-                }
-                if !ctx.is_protected(v) {
-                    candidates.push(v);
-                }
-            }
-        }
-        // Greedy: highest degree first (a hub losing its bit hurts the
-        // most listeners downstream), node id as the deterministic
-        // tie-break.
-        candidates.sort_by_key(|&v| (std::cmp::Reverse(ctx.graph.degree(v)), v));
-        for &v in candidates.iter().take(share) {
-            words[(v - lo) / 64] &= !(1u64 << (v % 64));
-        }
-    }
-}
-
 /// The closed set of channel models the engine ships, as one value type —
 /// what [`crate::BeepNetwork`] stores. Every concrete model (and
 /// [`Noise`] itself) converts in via `From`, so existing
 /// `BeepNetwork::new(graph, Noise::…, seed)` call sites compile
 /// unchanged.
+///
+/// Every model is counter-keyed (see the [module docs](self)): all
+/// randomness for shard `s` of round `r` comes from that cell's
+/// [`noise_stream_seed`] stream, and per-round global state from the
+/// reserved [`ROUND_STATE_STREAM`], so a transcript never depends on the
+/// thread count.
+///
+/// ```
+/// use beep_bits::BitVec;
+/// use beep_net::{topology, BeepNetwork, ChannelModel, GilbertElliott};
+///
+/// let ge = GilbertElliott::try_new(0.01, 0.4, 0.1, 0.5).unwrap();
+/// let channel = ChannelModel::from(ge);
+/// assert!(!channel.is_noiseless());
+/// // Any ChannelModel drops into BeepNetwork where a Noise used to go.
+/// let mut net = BeepNetwork::new(topology::cycle(64).unwrap(), channel, 7);
+/// let received = net.run_round_bitset(&BitVec::zeros(64)).unwrap();
+/// assert_eq!(received.len(), 64);
+/// ```
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum ChannelModel {
@@ -575,54 +411,66 @@ pub enum ChannelModel {
     AdversarialErasure(AdversarialErasure),
 }
 
-impl NoiseModel for ChannelModel {
-    fn label(&self) -> String {
-        match self {
-            ChannelModel::Iid(m) => m.label(),
-            ChannelModel::GilbertElliott(m) => m.label(),
-            ChannelModel::PerNodeEps(m) => m.label(),
-            ChannelModel::AdversarialErasure(m) => m.label(),
-        }
-    }
-
-    fn calibration_epsilon(&self) -> f64 {
-        match self {
-            ChannelModel::Iid(m) => m.calibration_epsilon(),
-            ChannelModel::GilbertElliott(m) => m.calibration_epsilon(),
-            ChannelModel::PerNodeEps(m) => m.calibration_epsilon(),
-            ChannelModel::AdversarialErasure(m) => m.calibration_epsilon(),
-        }
-    }
-
-    fn is_noiseless(&self) -> bool {
-        match self {
-            ChannelModel::Iid(m) => m.is_noiseless(),
-            ChannelModel::GilbertElliott(m) => m.is_noiseless(),
-            ChannelModel::PerNodeEps(m) => m.is_noiseless(),
-            ChannelModel::AdversarialErasure(m) => m.is_noiseless(),
-        }
-    }
-
-    fn round_state(&self, seed: u64, round: u64) -> u64 {
-        match self {
-            ChannelModel::Iid(m) => m.round_state(seed, round),
-            ChannelModel::GilbertElliott(m) => m.round_state(seed, round),
-            ChannelModel::PerNodeEps(m) => m.round_state(seed, round),
-            ChannelModel::AdversarialErasure(m) => m.round_state(seed, round),
-        }
-    }
-
-    fn apply_to_shard(&self, words: &mut [u64], lo: usize, hi: usize, ctx: &ChannelCtx<'_>) {
-        match self {
-            ChannelModel::Iid(m) => m.apply_to_shard(words, lo, hi, ctx),
-            ChannelModel::GilbertElliott(m) => m.apply_to_shard(words, lo, hi, ctx),
-            ChannelModel::PerNodeEps(m) => m.apply_to_shard(words, lo, hi, ctx),
-            ChannelModel::AdversarialErasure(m) => m.apply_to_shard(words, lo, hi, ctx),
-        }
-    }
-}
-
 impl ChannelModel {
+    /// A short, stable, human-readable label (used in reports and ids).
+    #[must_use]
+    pub fn label(&self) -> String {
+        match self {
+            ChannelModel::Iid(m) => format!("eps{}", m.epsilon()),
+            ChannelModel::GilbertElliott(m) => format!(
+                "ge-g{}-b{}-pgb{}-pbg{}",
+                m.eps_good, m.eps_bad, m.p_good_to_bad, m.p_bad_to_good
+            ),
+            ChannelModel::PerNodeEps(m) => {
+                let rates: Vec<String> = m.eps.iter().map(ToString::to_string).collect();
+                format!("pernode-{}", rates.join("-"))
+            }
+            ChannelModel::AdversarialErasure(m) => {
+                format!("adv-b{}-e{}", m.budget, m.design_epsilon)
+            }
+        }
+    }
+
+    /// The iid rate the surrounding machinery should calibrate against:
+    /// the `ε` fed to `SimulationParams::calibrated` and checked by the
+    /// simulators' noise-mismatch guards. For the iid channel this is
+    /// `ε` itself; heterogeneous models report their worst-case rate, and
+    /// the adversary its declared design rate.
+    #[must_use]
+    pub fn calibration_epsilon(&self) -> f64 {
+        match self {
+            ChannelModel::Iid(m) => m.epsilon(),
+            ChannelModel::GilbertElliott(m) => m.eps_good.max(m.eps_bad),
+            ChannelModel::PerNodeEps(m) => m.eps.iter().copied().fold(0.0, f64::max),
+            ChannelModel::AdversarialErasure(m) => m.design_epsilon,
+        }
+    }
+
+    /// Whether the model never corrupts any bit — lets the engine skip
+    /// the per-shard channel pass entirely.
+    #[must_use]
+    pub fn is_noiseless(&self) -> bool {
+        match self {
+            ChannelModel::Iid(m) => matches!(m, Noise::Noiseless),
+            ChannelModel::GilbertElliott(m) => m.eps_good == 0.0 && m.eps_bad == 0.0,
+            ChannelModel::PerNodeEps(m) => m.eps.iter().all(|&e| e == 0.0),
+            ChannelModel::AdversarialErasure(m) => m.budget == 0,
+        }
+    }
+
+    /// The model's global state for `round`, derived deterministically
+    /// from `(seed, round)` only, via the reserved
+    /// [`ROUND_STATE_STREAM`]: whether Gilbert–Elliott is in its bad
+    /// state, and `0` for the stateless models. The engine calls this
+    /// once per round and hands the value to every shard in
+    /// [`ChannelCtx::round_state`].
+    pub(crate) fn round_state(&self, seed: u64, round: u64) -> u64 {
+        match self {
+            ChannelModel::GilbertElliott(m) => u64::from(m.in_bad_state(seed, round)),
+            _ => 0,
+        }
+    }
+
     /// One [`FlipSampler`] per rate the model draws geometric skips at,
     /// for shards of up to `width` bits, in the order
     /// [`ChannelCtx::samplers`] documents; none for the other models.
@@ -634,6 +482,85 @@ impl ChannelModel {
                 FlipSampler::new(m.eps_bad, width),
             ],
             _ => Vec::new(),
+        }
+    }
+
+    /// Corrupts the received bits at global positions `lo..hi` (with
+    /// `lo` word-aligned) inside `words`, whose first word holds bits
+    /// `lo..lo + 64`. Touches only `[lo, hi)`, never a bit set in
+    /// `ctx.protect`, and draws randomness only as the [module
+    /// docs](self) prescribe. Callers skip it when the model
+    /// [`is_noiseless`](Self::is_noiseless).
+    pub(crate) fn apply_to_shard(
+        &self,
+        words: &mut [u64],
+        lo: usize,
+        hi: usize,
+        ctx: &ChannelCtx<'_>,
+    ) {
+        match self {
+            // The iid channel: one geometric-skip pass through the rate's
+            // sampler, byte-for-byte the stream the golden pins hold.
+            ChannelModel::Iid(_) => {
+                let mut rng =
+                    StdRng::seed_from_u64(noise_stream_seed(ctx.seed, ctx.round, ctx.shard));
+                ctx.samplers[0].apply(words, lo, hi, ctx.protect, &mut rng);
+            }
+            ChannelModel::GilbertElliott(m) => {
+                let bad = ctx.round_state == 1;
+                let eps = if bad { m.eps_bad } else { m.eps_good };
+                if eps == 0.0 {
+                    return;
+                }
+                // The per-shard flips reuse the iid geometric-skip pass at
+                // the active state's rate (sampler 0 good, 1 bad), on the
+                // normal (seed, round, shard) stream.
+                let mut rng =
+                    StdRng::seed_from_u64(noise_stream_seed(ctx.seed, ctx.round, ctx.shard));
+                ctx.samplers[usize::from(bad)].apply(words, lo, hi, ctx.protect, &mut rng);
+            }
+            ChannelModel::PerNodeEps(m) => {
+                let mut rng =
+                    StdRng::seed_from_u64(noise_stream_seed(ctx.seed, ctx.round, ctx.shard));
+                for v in lo..hi {
+                    // One draw per owned node unconditionally: the stream
+                    // must not depend on the protect set or the rates.
+                    let u: f64 = rng.random();
+                    if u < m.epsilon_of(v) && !ctx.is_protected(v) {
+                        words[(v - lo) / 64] ^= 1u64 << (v % 64);
+                    }
+                }
+            }
+            ChannelModel::AdversarialErasure(m) => {
+                let shards = ctx.shard_count.max(1);
+                let shard = usize::try_from(ctx.shard).expect("shard index fits usize");
+                let share = m.budget / shards + usize::from(shard < m.budget % shards);
+                if share == 0 {
+                    return;
+                }
+                // Candidates: every unprotected received 1 this shard owns.
+                let mut candidates: Vec<usize> = Vec::new();
+                for (w, &word) in words.iter().enumerate() {
+                    let mut bits = word;
+                    while bits != 0 {
+                        let v = lo + w * 64 + bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        if v >= hi {
+                            break;
+                        }
+                        if !ctx.is_protected(v) {
+                            candidates.push(v);
+                        }
+                    }
+                }
+                // Greedy: highest degree first (a hub losing its bit hurts
+                // the most listeners downstream), node id as the
+                // deterministic tie-break.
+                candidates.sort_by_key(|&v| (std::cmp::Reverse(ctx.graph.degree(v)), v));
+                for &v in candidates.iter().take(share) {
+                    words[(v - lo) / 64] &= !(1u64 << (v % 64));
+                }
+            }
         }
     }
 }
@@ -662,12 +589,33 @@ impl From<AdversarialErasure> for ChannelModel {
     }
 }
 
-/// Applies `channel` to a whole received frame using the *exact* shard
-/// layout of the bitset kernel (`per = ⌈words/S⌉` words per shard, with
-/// `S = round.shard_count`), so callers outside the kernel — the scalar
-/// oracle path — produce bit-identical corruption for every
-/// counter-keyed model. `round` carries everything but the shard index,
-/// which each shard's context sets to its own.
+/// Words per shard of the word-aligned shard layout over `words` words:
+/// `⌈words/S⌉`, at least 1. Shard `s` owns words `[s·per, (s+1)·per)`.
+/// The layout is a pure function of `(words, S)`, never of the thread
+/// count, and every channel keys its streams by it.
+pub(crate) fn shard_words(words: usize, shard_count: usize) -> usize {
+    words.div_ceil(shard_count).max(1)
+}
+
+/// The shards of an `n`-bit frame held in `words`, in order, as
+/// `(shard, lo, hi, words)`: the shard index, its first and
+/// one-past-last bit, and its words (the first holds bits `lo..lo + 64`).
+pub(crate) fn shards(
+    words: &mut [u64],
+    n: usize,
+    shard_count: usize,
+) -> impl ExactSizeIterator<Item = (usize, usize, usize, &mut [u64])> {
+    let per = shard_words(words.len(), shard_count);
+    words.chunks_mut(per).enumerate().map(move |(s, chunk)| {
+        let lo = s * per * 64;
+        (s, lo, (lo + chunk.len() * 64).min(n), chunk)
+    })
+}
+
+/// Applies `channel` to a whole received frame, shard by shard over the
+/// [`shards`] layout with `S = round.shard_count`. `round` carries
+/// everything but the shard index, which each shard's context sets to
+/// its own.
 pub(crate) fn apply_channel_sharded(
     channel: &ChannelModel,
     round: &ChannelCtx<'_>,
@@ -677,16 +625,12 @@ pub(crate) fn apply_channel_sharded(
         return;
     }
     let n = frame.len();
-    let words = frame.as_words_mut();
-    let per = words.len().div_ceil(round.shard_count).max(1);
-    for (s, chunk) in words.chunks_mut(per).enumerate() {
-        let lo = s * per * 64;
-        let hi = (lo + chunk.len() * 64).min(n);
+    for (s, lo, hi, words) in shards(frame.as_words_mut(), n, round.shard_count) {
         let ctx = ChannelCtx {
             shard: s as u64,
             ..*round
         };
-        channel.apply_to_shard(chunk, lo, hi, &ctx);
+        channel.apply_to_shard(words, lo, hi, &ctx);
     }
 }
 
@@ -737,13 +681,12 @@ mod tests {
 
     #[test]
     fn iid_model_mirrors_noise() {
-        let m = Noise::bernoulli(0.25);
-        assert_eq!(m.calibration_epsilon(), 0.25);
-        assert!(!m.is_noiseless());
-        assert!(Noise::Noiseless.is_noiseless());
-        assert_eq!(m.round_state(1, 2), 0);
-        let channel: ChannelModel = m.into();
+        let channel = ChannelModel::from(Noise::bernoulli(0.25));
         assert_eq!(channel, ChannelModel::Iid(Noise::Bernoulli(0.25)));
+        assert_eq!(channel.calibration_epsilon(), 0.25);
+        assert!(!channel.is_noiseless());
+        assert!(ChannelModel::from(Noise::Noiseless).is_noiseless());
+        assert_eq!(channel.round_state(1, 2), 0);
         assert_eq!(channel.label(), "eps0.25");
     }
 
@@ -778,13 +721,15 @@ mod tests {
     #[test]
     fn ge_good_state_with_zero_rate_is_clean() {
         // Never leaves the good state; eps_good = 0 ⇒ no flips ever.
-        let ge = GilbertElliott::try_new(0.0, 0.4, 0.0, 1.0).unwrap();
+        let ge = ChannelModel::from(GilbertElliott::try_new(0.0, 0.4, 0.0, 1.0).unwrap());
         let g = topology::cycle(128).unwrap();
+        let samplers = ge.flip_samplers(128);
         let mut words = [0u64; 2];
         for round in 0..20 {
             let c = ChannelCtx {
                 round,
                 round_state: ge.round_state(7, round),
+                samplers: &samplers,
                 ..ctx(&g, 0, None)
             };
             ge.apply_to_shard(&mut words, 0, 128, &c);
@@ -795,9 +740,10 @@ mod tests {
 
     #[test]
     fn per_node_zero_rate_nodes_never_flip_and_pattern_cycles() {
-        let ch = PerNodeEps::try_new(vec![0.0, 0.45]).unwrap();
-        assert_eq!(ch.epsilon_of(0), 0.0);
-        assert_eq!(ch.epsilon_of(7), 0.45);
+        let pattern = PerNodeEps::try_new(vec![0.0, 0.45]).unwrap();
+        assert_eq!(pattern.epsilon_of(0), 0.0);
+        assert_eq!(pattern.epsilon_of(7), 0.45);
+        let ch = ChannelModel::from(pattern);
         assert_eq!(ch.calibration_epsilon(), 0.45);
         let g = topology::cycle(128).unwrap();
         let mut flipped = [0usize; 128];
@@ -828,7 +774,7 @@ mod tests {
     fn per_node_respects_protect_but_keeps_the_stream() {
         // Same stream with and without protection: unprotected positions
         // flip identically, protected ones never do.
-        let ch = PerNodeEps::try_new(vec![0.4]).unwrap();
+        let ch = ChannelModel::from(PerNodeEps::try_new(vec![0.4]).unwrap());
         let g = topology::cycle(64).unwrap();
         let protect = BitVec::from_fn(64, |v| v % 3 == 0);
         let mut bare = [0u64; 1];
@@ -843,7 +789,7 @@ mod tests {
     fn adversary_erases_highest_degree_first_within_budget() {
         // Star: the hub (node 0) has degree n−1, leaves degree 1.
         let g = topology::star(10).unwrap();
-        let ch = AdversarialErasure::try_new(2, 0.1).unwrap();
+        let ch = ChannelModel::from(AdversarialErasure::try_new(2, 0.1).unwrap());
         let mut words = [0b111u64]; // hub and leaves 1, 2 received a 1
         let c = ChannelCtx {
             shard_count: 1,
@@ -858,7 +804,7 @@ mod tests {
     #[test]
     fn adversary_splits_budget_across_shards_and_never_sets_bits() {
         let g = topology::cycle(128).unwrap();
-        let ch = AdversarialErasure::try_new(3, 0.1).unwrap();
+        let ch = ChannelModel::from(AdversarialErasure::try_new(3, 0.1).unwrap());
         // Shard 0 gets ⌈3/2⌉ = 2, shard 1 gets 1.
         let mut words = [u64::MAX, u64::MAX];
         for shard in 0..2u64 {
@@ -879,7 +825,7 @@ mod tests {
     #[test]
     fn adversary_respects_protection() {
         let g = topology::star(4).unwrap();
-        let ch = AdversarialErasure::try_new(4, 0.1).unwrap();
+        let ch = ChannelModel::from(AdversarialErasure::try_new(4, 0.1).unwrap());
         let protect = BitVec::from_indices(4, [0]);
         let mut words = [0b1111u64];
         let c = ChannelCtx {

@@ -1,11 +1,11 @@
 //! The synchronous round engine.
 
-use crate::channel::{apply_channel_sharded, ChannelCtx, ChannelModel, NoiseModel};
+use crate::channel::{apply_channel_sharded, shard_words, shards, ChannelCtx, ChannelModel};
 use crate::error::NetError;
 use crate::faults::{AdversaryView, FaultPlan, RoundFaults};
 use crate::graph::{Graph, Repr};
 use crate::node::{Action, BeepProtocol};
-use crate::noise::{FlipSampler, Noise};
+use crate::noise::FlipSampler;
 use crate::trace::{NetStats, Transcript};
 use beep_bits::{transpose64, BitVec};
 
@@ -190,19 +190,10 @@ struct ShardCtx<'a> {
     /// re-scanning the whole bitmap S times would dominate sparse rounds.
     /// Left empty in gather mode, which never iterates beepers.
     beeper_list: &'a [usize],
-    /// Bits that must not be flipped by noise (the beeper set when
-    /// self-hearing is configured noise-free).
-    protect: Option<&'a BitVec>,
     channel: &'a ChannelModel,
-    /// The channel's flip samplers, built once per network.
-    samplers: &'a [FlipSampler],
-    seed: u64,
-    round: u64,
-    /// The round's shard layout size `S` — part of the channel streams.
-    shard_count: usize,
-    /// The channel's per-round state ([`NoiseModel::round_state`]),
-    /// computed once before the shards fan out.
-    round_state: u64,
+    /// The round's channel context, built once before the shards fan
+    /// out; each shard sets only its own index.
+    noise: ChannelCtx<'a>,
     /// Sparse-kernel strategy for this round: destination-side gather
     /// (dense beeper sets) vs source-side scatter (sparse beeper sets).
     gather: bool,
@@ -364,14 +355,8 @@ impl ShardCtx<'_> {
             return;
         }
         let ctx = ChannelCtx {
-            graph: self.graph,
-            seed: self.seed,
-            round: self.round,
             shard: shard as u64,
-            shard_count: self.shard_count,
-            round_state: self.round_state,
-            protect: self.protect,
-            samplers: self.samplers,
+            ..self.noise
         };
         self.channel.apply_to_shard(out, lo, hi, &ctx);
     }
@@ -384,8 +369,8 @@ impl ShardCtx<'_> {
 /// 1. every node submits an [`Action`] for the round;
 /// 2. a node receives `1` iff it beeped itself or at least one neighbor
 ///    beeped (Section 1.5's "receives" convention);
-/// 3. under [`Noise::Bernoulli`], each node's received bit is then flipped
-///    independently with probability `ε`.
+/// 3. under [`Noise::Bernoulli`](crate::Noise::Bernoulli), each node's
+///    received bit is then flipped independently with probability `ε`.
 ///
 /// Per the paper's footnote 2, a beeping node's own `1` is flipped too by
 /// default, so the engine matches the analysis verbatim; call
@@ -483,9 +468,9 @@ impl BeepNetwork {
     /// plus, for noisy rounds, the [`shard_count`](Self::shard_count).
     ///
     /// The channel is anything convertible into a [`ChannelModel`]: a
-    /// plain [`Noise`] (the paper's iid channel — every pre-existing call
-    /// site), or one of the [`crate::channel`] models such as
-    /// [`crate::GilbertElliott`].
+    /// plain [`Noise`](crate::Noise) (the paper's iid channel — every
+    /// pre-existing call site), or one of the [`crate::channel`] models
+    /// such as [`crate::GilbertElliott`].
     #[must_use]
     pub fn new(graph: Graph, channel: impl Into<ChannelModel>, seed: u64) -> Self {
         let channel = channel.into();
@@ -518,33 +503,6 @@ impl BeepNetwork {
     #[must_use]
     pub fn channel(&self) -> &ChannelModel {
         &self.channel
-    }
-
-    /// The channel as an iid [`Noise`] summary: the exact stored value
-    /// for an iid channel, and the [`NoiseModel::calibration_epsilon`]
-    /// rate for every other model (so ε-calibration checks in the
-    /// simulators keep working unchanged).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a channel model reports a `calibration_epsilon` outside
-    /// `[0, ½)` — impossible for models built through their validating
-    /// `try_new` constructors, which make the rate an invariant.
-    #[must_use]
-    pub fn noise(&self) -> Noise {
-        match &self.channel {
-            ChannelModel::Iid(noise) => *noise,
-            other => {
-                let eps = other.calibration_epsilon();
-                if eps == 0.0 {
-                    Noise::Noiseless
-                } else {
-                    Noise::try_bernoulli(eps).expect(
-                        "calibration_epsilon is a validated invariant of every channel model",
-                    )
-                }
-            }
-        }
     }
 
     /// Installs a [`FaultPlan`]: from the next round on, faulty nodes'
@@ -641,10 +599,11 @@ impl BeepNetwork {
     /// Sets the shard count `S` of the sharded bitset kernel.
     ///
     /// Unlike the thread count, `S` **is** part of the determinism tuple:
-    /// under [`Noise::Bernoulli`] each shard draws its flips from its own
-    /// `(seed, round, shard)`-keyed stream, so changing `S` changes the
-    /// noisy transcript (noiseless results never change). Keep the default
-    /// when reproducing recorded experiments.
+    /// under [`Noise::Bernoulli`](crate::Noise::Bernoulli) each shard
+    /// draws its flips from its own `(seed, round, shard)`-keyed stream,
+    /// so changing `S` changes the noisy transcript (noiseless results
+    /// never change). Keep the default when reproducing recorded
+    /// experiments.
     ///
     /// # Panics
     ///
@@ -681,13 +640,28 @@ impl BeepNetwork {
     }
 
     /// Builds the channel's flip samplers on the first noisy round, for
-    /// shards of the layout's widest width, `⌈words/S⌉·64` bits. A
-    /// noiseless channel never reaches a sampler and gets none.
+    /// shards of the layout's widest width. A noiseless channel never
+    /// reaches a sampler and gets none.
     fn prepare_samplers(&mut self) {
         if self.samplers.is_none() && !self.channel.is_noiseless() {
-            let words = self.graph.node_count().div_ceil(64);
-            let widest = words.div_ceil(self.shard_count).max(1) * 64;
+            let widest = shard_words(self.graph.node_count().div_ceil(64), self.shard_count) * 64;
             self.samplers = Some(self.channel.flip_samplers(widest));
+        }
+    }
+
+    /// The channel context of `round`, at shard 0 (each shard sets its
+    /// own index). `beepers` is protected from the channel when
+    /// self-hearing is noise-free.
+    fn channel_ctx<'a>(&'a self, round: u64, beepers: &'a BitVec) -> ChannelCtx<'a> {
+        ChannelCtx {
+            graph: &self.graph,
+            seed: self.seed,
+            round,
+            shard: 0,
+            shard_count: self.shard_count,
+            round_state: self.channel.round_state(self.seed, round),
+            protect: (!self.self_hearing_noisy).then_some(beepers),
+            samplers: self.samplers.as_deref().unwrap_or_default(),
         }
     }
 
@@ -769,17 +743,11 @@ impl BeepNetwork {
         // differential tests meaningful.
         let mut frame = BitVec::from_fn(n, clean_bit);
         let beepers = BitVec::from_fn(n, |v| actions[v] == Action::Beep);
-        let ctx = ChannelCtx {
-            graph,
-            seed: self.seed,
-            round,
-            shard: 0,
-            shard_count: self.shard_count,
-            round_state: self.channel.round_state(self.seed, round),
-            protect: (!self.self_hearing_noisy).then_some(&beepers),
-            samplers: self.samplers.as_deref().unwrap_or_default(),
-        };
-        apply_channel_sharded(&self.channel, &ctx, &mut frame);
+        apply_channel_sharded(
+            &self.channel,
+            &self.channel_ctx(round, &beepers),
+            &mut frame,
+        );
         let mut received: Vec<bool> = frame.iter_bits().collect();
         // Fault overlay, step 2: crashed nodes are deaf — their received
         // bit is forced to 0 *after* the channel, so feedback sees silence.
@@ -825,11 +793,11 @@ impl BeepNetwork {
     /// beeper scatters its adjacency list, switching to an early-exit
     /// neighborhood gather when beepers are dense — so a sparse-beeper
     /// round is `O(Σ deg(beeper) + n/64)` instead of the scalar path's
-    /// `O(n + m)`. Under [`Noise::Bernoulli`] the channel is applied with
-    /// geometric-skip batch sampling (`O(ε·n)` expected RNG draws, each
-    /// answered by a [`FlipSampler`] table built on the first noisy round)
-    /// from per-shard counter-keyed streams; see the type-level
-    /// determinism contract.
+    /// `O(n + m)`. Under [`Noise::Bernoulli`](crate::Noise::Bernoulli)
+    /// the channel is applied with geometric-skip batch sampling
+    /// (`O(ε·n)` expected RNG draws, each answered by a [`FlipSampler`]
+    /// table built on the first noisy round) from per-shard counter-keyed
+    /// streams; see the type-level determinism contract.
     ///
     /// ```
     /// use beep_bits::BitVec;
@@ -935,50 +903,34 @@ impl BeepNetwork {
             beep_count,
             beepers,
             beeper_list: &beeper_list,
-            protect: (!self.self_hearing_noisy).then_some(beepers),
             channel: &self.channel,
-            samplers: self.samplers.as_deref().unwrap_or_default(),
-            seed: self.seed,
-            round,
-            shard_count: self.shard_count,
-            round_state: self.channel.round_state(self.seed, round),
+            noise: self.channel_ctx(round, beepers),
             gather,
         };
-        // Word-aligned shard layout: shard `s` owns global words
-        // `[s·per, (s+1)·per)`, i.e. bits `[s·per·64, …)`. The layout is a
-        // pure function of `(n, shard_count)`, never of the thread count.
-        let words = received.as_words_mut();
-        let per = words.len().div_ceil(self.shard_count).max(1);
-        // A thread per populated shard at most: spare threads would only
-        // spawn, find an empty queue, and join.
-        let threads = self
-            .effective_threads()
-            .min(words.len().div_ceil(per).max(1));
+        let threads = self.effective_threads();
         if threads <= 1 {
-            // Serial fast path: the OR is shard-agnostic (a pure function
-            // of graph and beepers), so run it in one unsharded pass —
-            // no per-shard adjacency re-walks — and only the noise, which
-            // the determinism contract keys per (round, shard), is applied
-            // shard by shard. Noiseless rounds skip that loop's body
-            // entirely.
-            ctx.or_into(0, n, words);
-            for (s, chunk) in words.chunks_mut(per).enumerate() {
-                let lo = s * per * 64;
-                ctx.noise_into(s, lo, (lo + chunk.len() * 64).min(n), chunk);
-            }
+            // Serial path: the OR is shard-agnostic (a pure function of
+            // graph and beepers), so run it in one unsharded pass — no
+            // per-shard adjacency re-walks — and then the channel, which
+            // the determinism contract keys per (round, shard), shard by
+            // shard, as the scalar oracle does.
+            ctx.or_into(0, n, received.as_words_mut());
+            apply_channel_sharded(ctx.channel, &ctx.noise, received);
         } else {
-            // Deal shards round-robin onto `threads` workers; the last
-            // queue runs on the calling thread so a scope spawns T−1.
-            let mut queues: Vec<Vec<(usize, &mut [u64])>> =
-                (0..threads).map(|_| Vec::new()).collect();
-            for (s, chunk) in words.chunks_mut(per).enumerate() {
-                queues[s % threads].push((s, chunk));
+            // Deal shards round-robin onto at most one worker per shard
+            // (a spare thread would only spawn, find an empty queue, and
+            // join); the last queue runs on the calling thread so a scope
+            // spawns T−1.
+            let layout = shards(received.as_words_mut(), n, self.shard_count);
+            let threads = threads.min(layout.len()).max(1);
+            let mut queues: Vec<Vec<_>> = (0..threads).map(|_| Vec::new()).collect();
+            for shard in layout {
+                queues[shard.0 % threads].push(shard);
             }
-            let own = queues.pop().expect("threads >= 2 queues");
-            let run_queue = |queue: Vec<(usize, &mut [u64])>| {
-                for (s, chunk) in queue {
-                    let lo = s * per * 64;
-                    ctx.compute(s, lo, (lo + chunk.len() * 64).min(n), chunk);
+            let own = queues.pop().expect("at least one queue");
+            let run_queue = |queue: Vec<(usize, usize, usize, &mut [u64])>| {
+                for (s, lo, hi, words) in queue {
+                    ctx.compute(s, lo, hi, words);
                 }
             };
             std::thread::scope(|scope| {
@@ -1198,9 +1150,9 @@ impl BeepNetwork {
     ///   node count.
     /// * [`NetError::RoundBudgetExhausted`] if some protocol never
     ///   finishes.
-    pub fn run_protocols(
+    pub fn run_protocols<P: BeepProtocol>(
         &mut self,
-        protocols: &mut [Box<dyn BeepProtocol>],
+        protocols: &mut [P],
         max_rounds: usize,
     ) -> Result<usize, NetError> {
         let n = self.graph.node_count();
@@ -1235,7 +1187,7 @@ impl BeepNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology;
+    use crate::{topology, Noise};
 
     fn all_listen(n: usize) -> Vec<Action> {
         vec![Action::Listen; n]
@@ -1436,13 +1388,11 @@ mod tests {
     fn run_protocols_drives_until_done() {
         let g = topology::path(3).unwrap();
         let mut net = BeepNetwork::new(g, Noise::Noiseless, 0);
-        let mut protos: Vec<Box<dyn BeepProtocol>> = (0..3)
-            .map(|id| {
-                Box::new(OneShot {
-                    id,
-                    heard: Vec::new(),
-                    done_after: 3,
-                }) as Box<dyn BeepProtocol>
+        let mut protos: Vec<OneShot> = (0..3)
+            .map(|id| OneShot {
+                id,
+                heard: Vec::new(),
+                done_after: 3,
             })
             .collect();
         let rounds = net.run_protocols(&mut protos, 100).unwrap();
@@ -1639,8 +1589,8 @@ mod tests {
 
     // Regression: run_protocols keeps driving act()/feedback() on nodes
     // whose is_done() already returns true, until *all* nodes are done
-    // (the documented contract). Counters are shared out through Rc so the
-    // boxed trait objects can be inspected after the run.
+    // (the documented contract). Counters are shared out through Rc so
+    // they can be inspected after the run.
     struct DoneButCounting {
         rounds_to_run: usize,
         feedbacks: std::rc::Rc<std::cell::Cell<usize>>,
@@ -1669,16 +1619,16 @@ mod tests {
         // be asked to act (and given feedback) in rounds 1..4.
         type Counters = (Rc<Cell<usize>>, Rc<Cell<usize>>);
         let counters: Vec<Counters> = (0..2).map(|_| Default::default()).collect();
-        let mut protos: Vec<Box<dyn BeepProtocol>> = counters
+        let mut protos: Vec<DoneButCounting> = counters
             .iter()
             .zip([1usize, 5])
-            .map(|((feedbacks, acts_while_done), rounds_to_run)| {
-                Box::new(DoneButCounting {
+            .map(
+                |((feedbacks, acts_while_done), rounds_to_run)| DoneButCounting {
                     rounds_to_run,
                     feedbacks: Rc::clone(feedbacks),
                     acts_while_done: Rc::clone(acts_while_done),
-                }) as Box<dyn BeepProtocol>
-            })
+                },
+            )
             .collect();
         let g = topology::path(2).unwrap();
         let mut net = BeepNetwork::new(g, Noise::Noiseless, 0);
@@ -1773,14 +1723,12 @@ mod tests {
             }
         }
         let heard: Vec<Rc<RefCell<Vec<bool>>>> = (0..3).map(|_| Rc::default()).collect();
-        let mut protos: Vec<Box<dyn BeepProtocol>> = heard
+        let mut protos: Vec<Recorder> = heard
             .iter()
             .enumerate()
-            .map(|(id, h)| {
-                Box::new(Recorder {
-                    id,
-                    heard: Rc::clone(h),
-                }) as Box<dyn BeepProtocol>
+            .map(|(id, h)| Recorder {
+                id,
+                heard: Rc::clone(h),
             })
             .collect();
         let mut net = BeepNetwork::new(topology::complete(3).unwrap(), Noise::Noiseless, 0);
@@ -1838,13 +1786,11 @@ mod tests {
     fn run_protocols_budget_error() {
         let g = topology::path(2).unwrap();
         let mut net = BeepNetwork::new(g, Noise::Noiseless, 0);
-        let mut protos: Vec<Box<dyn BeepProtocol>> = (0..2)
-            .map(|id| {
-                Box::new(OneShot {
-                    id,
-                    heard: Vec::new(),
-                    done_after: usize::MAX,
-                }) as Box<dyn BeepProtocol>
+        let mut protos: Vec<OneShot> = (0..2)
+            .map(|id| OneShot {
+                id,
+                heard: Vec::new(),
+                done_after: usize::MAX,
             })
             .collect();
         assert_eq!(

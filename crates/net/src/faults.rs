@@ -200,26 +200,8 @@ impl RoundFaults {
     }
 }
 
-/// An adversary that chooses faults from the observed execution rather
-/// than a static plan. [`AdaptivePolicy`] is the closed enum of shipped
-/// implementations (mirroring how [`crate::NoiseModel`] relates to
-/// [`crate::ChannelModel`]).
-pub trait AdaptiveAdversary {
-    /// Stable id string, used in reports and campaign cell ids.
-    fn label(&self) -> String;
-
-    /// `true` iff [`decide`](Self::decide) provably returns the empty
-    /// decision in every round — such a policy must be a byte-identical
-    /// no-op on the transcript (pinned by the golden suite).
-    fn is_noop(&self) -> bool;
-
-    /// Chooses this round's faults from the observed prefix. Must be a
-    /// pure function of `view` (randomness only via the reserved
-    /// [`ADAPTIVE_POLICY_STREAM`] keyed by `(view.seed, view.round)`).
-    fn decide(&self, view: &AdversaryView<'_>) -> RoundFaults;
-}
-
-/// The closed set of adaptive adversaries the engine ships.
+/// The closed set of adaptive adversaries the engine ships: each chooses
+/// faults from the observed execution rather than a static plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdaptivePolicy {
     /// Targets the `budget` nodes with the highest cumulative beep count
@@ -249,8 +231,10 @@ pub enum AdaptivePolicy {
     },
 }
 
-impl AdaptiveAdversary for AdaptivePolicy {
-    fn label(&self) -> String {
+impl AdaptivePolicy {
+    /// Stable id string, used in reports and campaign cell ids.
+    #[must_use]
+    pub fn label(&self) -> String {
         match *self {
             AdaptivePolicy::TargetLoudest { budget } => format!("loudest-b{budget}"),
             AdaptivePolicy::RushingSpam { budget, window } => {
@@ -259,14 +243,22 @@ impl AdaptiveAdversary for AdaptivePolicy {
         }
     }
 
-    fn is_noop(&self) -> bool {
+    /// `true` iff [`decide`](Self::decide) provably returns the empty
+    /// decision in every round — such a policy must be a byte-identical
+    /// no-op on the transcript (pinned by the golden suite).
+    #[must_use]
+    pub fn is_noop(&self) -> bool {
         match *self {
             AdaptivePolicy::TargetLoudest { budget }
             | AdaptivePolicy::RushingSpam { budget, .. } => budget == 0,
         }
     }
 
-    fn decide(&self, view: &AdversaryView<'_>) -> RoundFaults {
+    /// Chooses this round's faults from the observed prefix: a pure
+    /// function of `view` (randomness only via the reserved
+    /// [`ADAPTIVE_POLICY_STREAM`] keyed by `(view.seed, view.round)`).
+    #[must_use]
+    pub fn decide(&self, view: &AdversaryView<'_>) -> RoundFaults {
         match *self {
             AdaptivePolicy::TargetLoudest { budget } => {
                 if budget == 0 {
@@ -721,7 +713,6 @@ mod tests {
 
     #[test]
     fn policy_labels_are_stable() {
-        use crate::faults::AdaptiveAdversary;
         assert_eq!(
             AdaptivePolicy::TargetLoudest { budget: 2 }.label(),
             "loudest-b2"
@@ -738,7 +729,6 @@ mod tests {
 
     #[test]
     fn zero_budget_policies_are_noops_and_keep_plans_empty() {
-        use crate::faults::AdaptiveAdversary;
         for p in [
             AdaptivePolicy::TargetLoudest { budget: 0 },
             AdaptivePolicy::RushingSpam {

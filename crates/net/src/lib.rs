@@ -15,11 +15,10 @@
 //! * in the **noisy** model the bit each node receives is flipped
 //!   independently with probability `ε ∈ (0, ½)` ([`Noise`]).
 //!
-//! Beyond the paper's iid channel, the [`channel`] module generalizes
-//! corruption into pluggable [`NoiseModel`]s — bursty
-//! ([`GilbertElliott`]), heterogeneous ([`PerNodeEps`]) and adversarial
-//! ([`AdversarialErasure`]) — all under the same counter-keyed
-//! determinism contract. The [`faults`] module drops the assumption that
+//! Beyond the paper's iid channel, the [`channel`] module's closed
+//! [`ChannelModel`] enum adds bursty ([`GilbertElliott`]), heterogeneous
+//! ([`PerNodeEps`]) and adversarial ([`AdversarialErasure`]) channels,
+//! all under the same counter-keyed determinism contract. The [`faults`] module drops the assumption that
 //! every node behaves: a deterministic [`FaultPlan`] (crash / Byzantine
 //! spam / Byzantine mute) overrides faulty nodes' actions between
 //! submission and the channel, in every kernel.
@@ -67,14 +66,13 @@ pub mod topology;
 mod trace;
 
 pub use channel::{
-    AdversarialErasure, ChannelCtx, ChannelModel, GilbertElliott, NoiseModel, PerNodeEps,
-    ROUND_STATE_STREAM,
+    AdversarialErasure, ChannelModel, GilbertElliott, PerNodeEps, ROUND_STATE_STREAM,
 };
 pub use engine::BeepNetwork;
 pub use error::{GraphError, NetError};
 pub use faults::{
-    AdaptiveAdversary, AdaptivePolicy, AdversaryView, FaultKind, FaultPlan, RoundFaults,
-    ADAPTIVE_POLICY_STREAM, FAULT_PLAN_STREAM,
+    AdaptivePolicy, AdversaryView, FaultKind, FaultPlan, RoundFaults, ADAPTIVE_POLICY_STREAM,
+    FAULT_PLAN_STREAM,
 };
 pub use graph::{Graph, NodeId};
 pub use node::{Action, BeepProtocol};

@@ -56,7 +56,7 @@ pub fn protocol_coin(seed: u64, node: usize, phase: u64) -> bool {
 /// The channel model applied to every bit a node receives.
 ///
 /// ```
-/// use beep_net::Noise;
+/// use beep_net::{FlipSampler, Noise};
 /// use rand::rngs::StdRng;
 /// use rand::SeedableRng;
 ///
@@ -65,11 +65,12 @@ pub fn protocol_coin(seed: u64, node: usize, phase: u64) -> bool {
 /// let noisy = Noise::bernoulli(0.25);
 /// assert_eq!(noisy.epsilon(), 0.25);
 /// let mut words = vec![0u64; 160];
-/// noisy.apply_to_words(&mut words, 0, 10_240, None, &mut rng);
+/// FlipSampler::new(noisy.epsilon(), 10_240).apply(&mut words, 0, 10_240, None, &mut rng);
 /// let flips: u32 = words.iter().map(|w| w.count_ones()).sum();
 /// assert!((2_000..3_000).contains(&flips));
-/// // The noiseless channel is the identity.
-/// Noise::Noiseless.apply_to_words(&mut words, 0, 10_240, None, &mut rng);
+/// // The noiseless channel's rate flips nothing.
+/// let clean = FlipSampler::new(Noise::Noiseless.epsilon(), 10_240);
+/// clean.apply(&mut words, 0, 10_240, None, &mut rng);
 /// assert_eq!(words.iter().map(|w| w.count_ones()).sum::<u32>(), flips);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -122,43 +123,6 @@ impl Noise {
         match *self {
             Noise::Noiseless => 0.0,
             Noise::Bernoulli(e) => e,
-        }
-    }
-
-    /// Passes the received bits at *global* positions `lo..hi` (with `lo`
-    /// word-aligned) through the channel: each bit inside `words`, whose
-    /// first word holds bits `lo..lo + 64`, is flipped independently with
-    /// probability `ε`, except at positions set in `protect` (indexed by
-    /// global position; the engine passes the beeper set there when
-    /// self-hearing is configured noise-free).
-    ///
-    /// Instead of one Bernoulli draw per bit, flip positions are generated
-    /// by geometric gap sampling (inversion of the geometric CDF), so `n`
-    /// bits cost `O(ε·n + 1)` RNG draws — the batching that makes the
-    /// noisy channel as cheap as the noiseless one at simulation scale.
-    /// The per-bit marginal is exactly `Bernoulli(ε)` and flips stay
-    /// i.i.d. The gaps come from a [`FlipSampler`] built for this call.
-    ///
-    /// The sharded round engine runs the same pass through samplers it
-    /// builds once per rate and network: each shard owns a disjoint word
-    /// range of the received frame and passes it with its own
-    /// counter-keyed RNG stream (see [`noise_stream_seed`]), so channel
-    /// noise is identical no matter how many threads ran the round.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo` is not a multiple of 64, or if `hi - lo` exceeds the
-    /// bit capacity of `words`.
-    pub fn apply_to_words<R: Rng + ?Sized>(
-        &self,
-        words: &mut [u64],
-        lo: usize,
-        hi: usize,
-        protect: Option<&BitVec>,
-        rng: &mut R,
-    ) {
-        if let Noise::Bernoulli(e) = *self {
-            FlipSampler::new(e, hi.saturating_sub(lo)).apply(words, lo, hi, protect, rng);
         }
     }
 }
@@ -311,9 +275,18 @@ impl FlipSampler {
         k.min(room)
     }
 
-    /// Passes bits `lo..hi` (with `lo` word-aligned) through the channel,
-    /// exactly as [`Noise::apply_to_words`] documents: flips from `rng`,
-    /// none at positions set in `protect`.
+    /// Passes the received bits at *global* positions `lo..hi` (with `lo`
+    /// word-aligned) through the channel: each bit inside `words`, whose
+    /// first word holds bits `lo..lo + 64`, flips independently with
+    /// probability `ε`, drawn from `rng`, except at positions set in
+    /// `protect` (indexed by global position; the engine passes the
+    /// beeper set there when self-hearing is configured noise-free).
+    ///
+    /// Flip positions come from geometric gaps, so `n` bits cost
+    /// `O(ε·n + 1)` draws. The sharded round engine runs this pass once
+    /// per shard, each with its own counter-keyed stream (see
+    /// [`noise_stream_seed`]), so channel noise is identical no matter
+    /// how many threads ran the round.
     ///
     /// # Panics
     ///
@@ -471,10 +444,10 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// Passes a whole bit string through the channel.
+    /// Passes a whole bit string through the channel at `noise`'s rate.
     fn apply_all(noise: Noise, bits: &mut BitVec, protect: Option<&BitVec>, rng: &mut StdRng) {
         let hi = bits.len();
-        noise.apply_to_words(bits.as_words_mut(), 0, hi, protect, rng);
+        FlipSampler::new(noise.epsilon(), hi).apply(bits.as_words_mut(), 0, hi, protect, rng);
     }
 
     #[test]
@@ -616,15 +589,15 @@ mod tests {
     }
 
     #[test]
-    fn apply_to_words_stays_inside_its_range() {
+    fn flip_pass_stays_inside_its_range() {
         // Flips land only in [lo, hi) even though the slice has headroom.
-        let noise = Noise::bernoulli(0.45);
+        let sampler = FlipSampler::new(0.45, 76);
         let mut rng = StdRng::seed_from_u64(8);
         for _ in 0..200 {
             let mut bits = BitVec::zeros(256);
             let (lo, hi) = (64, 140);
             let words = &mut bits.as_words_mut()[lo / 64..];
-            noise.apply_to_words(words, lo, hi, None, &mut rng);
+            sampler.apply(words, lo, hi, None, &mut rng);
             for i in bits.iter_ones() {
                 assert!((lo..hi).contains(&i), "flip at {i} escaped {lo}..{hi}");
             }
@@ -633,9 +606,9 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "not word-aligned")]
-    fn apply_to_words_rejects_unaligned_start() {
+    fn flip_pass_rejects_unaligned_start() {
         let mut words = [0u64; 2];
         let mut rng = StdRng::seed_from_u64(10);
-        Noise::bernoulli(0.1).apply_to_words(&mut words, 3, 64, None, &mut rng);
+        FlipSampler::new(0.1, 61).apply(&mut words, 3, 64, None, &mut rng);
     }
 }

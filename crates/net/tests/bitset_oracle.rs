@@ -18,8 +18,8 @@
 
 use beep_bits::BitVec;
 use beep_net::{
-    topology, Action, AdaptiveAdversary, AdaptivePolicy, AdversarialErasure, BeepNetwork,
-    ChannelModel, FaultKind, FaultPlan, GilbertElliott, Graph, Noise, PerNodeEps,
+    topology, Action, AdaptivePolicy, AdversarialErasure, BeepNetwork, ChannelModel, FaultKind,
+    FaultPlan, GilbertElliott, Graph, Noise, PerNodeEps,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};

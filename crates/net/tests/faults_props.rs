@@ -6,7 +6,7 @@
 //! nodes its definition names.
 
 use beep_bits::BitVec;
-use beep_net::{AdaptiveAdversary, AdaptivePolicy, AdversaryView, FaultKind, FaultPlan, NetError};
+use beep_net::{AdaptivePolicy, AdversaryView, FaultKind, FaultPlan, NetError};
 use proptest::prelude::*;
 
 /// The three fault kinds, indexed for the integer-only proptest shim.

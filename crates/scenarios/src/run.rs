@@ -337,6 +337,12 @@ fn topology_seed(cell: &CellSpec) -> u64 {
 #[cfg(test)]
 const PANICKING_BUILD_N: usize = 0x0BAD_BEEF;
 
+/// The sweep seed the test-only run hook panics on — the same seam for a
+/// panicking protocol (every shipped protocol returns its errors, so no
+/// organic input unwinds there either).
+#[cfg(test)]
+const PANICKING_RUN_SEED: u64 = 0x0BAD_5EED;
+
 /// Renders a caught panic payload (`&str` / `String` are the common
 /// shapes; anything else gets a placeholder).
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -440,6 +446,11 @@ fn run_cell(cell: &CellSpec, built: &BuiltInstance) -> CellResult {
                 // poison the worker pool: it becomes a failed cell like
                 // any other error.
                 (Ok(channel), Ok(plan)) => catch_unwind(AssertUnwindSafe(|| {
+                    #[cfg(test)]
+                    assert_ne!(
+                        cell.sweep_seed, PANICKING_RUN_SEED,
+                        "injected protocol panic"
+                    );
                     cell.protocol
                         .run_with_faults(graph, &channel, &plan, cell.cell_seed)
                 }))
@@ -614,29 +625,36 @@ mod tests {
 
     #[test]
     fn panicking_protocol_becomes_a_failed_cell() {
-        // grid at size 0 builds a 0-node graph; leader election asserts
-        // on it. The campaign must record a failed cell, not abort —
-        // including on the threaded path.
+        // The protocol panic is injected through the test-only sweep
+        // seed. The campaign must record failed cells, not abort —
+        // including on the threaded path — and run the other seed's
+        // cells. Grid at size 0 builds a 0-node graph, on which leader
+        // election reports an error rather than panicking.
         let spec = CampaignSpec {
             name: "panic".into(),
             topologies: vec![TopologySpec {
                 family: TopologyFamily::Grid,
-                sizes: vec![0],
+                sizes: vec![0, 9],
             }],
             epsilons: vec![0.0],
             channels: vec![],
             faults: vec![],
             protocols: vec![Protocol::Leader, Protocol::Wave],
-            seeds: vec![1],
+            seeds: vec![1, PANICKING_RUN_SEED],
         };
         let report = run_campaign(&spec, &threads(2)).unwrap();
-        let leader = report
-            .cells
-            .iter()
-            .find(|c| c.protocol == "leader")
-            .unwrap();
-        assert_eq!(leader.status, CellStatus::Failed);
-        assert!(leader.detail.contains("panicked"), "{}", leader.detail);
+        assert_eq!(report.cells.len(), 8);
+        for cell in &report.cells {
+            if cell.seed == PANICKING_RUN_SEED {
+                assert_eq!(cell.status, CellStatus::Failed, "{}", cell.id);
+                assert!(cell.detail.contains("protocol panicked"), "{}", cell.detail);
+            } else if cell.n == 0 && cell.protocol == "leader" {
+                assert_eq!(cell.status, CellStatus::Failed, "{}", cell.id);
+                assert!(cell.detail.contains("leader of nothing"), "{}", cell.detail);
+            } else {
+                assert_eq!(cell.status, CellStatus::Ok, "{}: {}", cell.id, cell.detail);
+            }
+        }
     }
 
     #[test]
