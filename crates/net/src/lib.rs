@@ -18,10 +18,11 @@
 //! Beyond the paper's iid channel, the [`channel`] module's closed
 //! [`ChannelModel`] enum adds bursty ([`GilbertElliott`]), heterogeneous
 //! ([`PerNodeEps`]) and adversarial ([`AdversarialErasure`]) channels,
-//! all under the same counter-keyed determinism contract. The [`faults`] module drops the assumption that
-//! every node behaves: a deterministic [`FaultPlan`] (crash / Byzantine
-//! spam / Byzantine mute) overrides faulty nodes' actions between
-//! submission and the channel, in every kernel.
+//! all under the same counter-keyed determinism contract. The [`faults`]
+//! module drops the assumption that every node behaves: a deterministic
+//! [`FaultPlan`] (crash / Byzantine spam / Byzantine mute) overrides
+//! faulty nodes' actions between submission and the channel, in every
+//! kernel.
 //!
 //! Following the paper's Section 1.5 convention, a node that beeps
 //! "receives" a 1 in that round (and, per the paper's footnote 2, that bit
