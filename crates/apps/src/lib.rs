@@ -22,6 +22,8 @@
 //! | Reliable broadcast | [`beep_reliable_broadcast`] | noisy beeps **+ faults** | `O(D · log(n·D)/(½−ε)²)` |
 //! | Leader re-election | [`beep_leader_reelect`] | noisy beeps **+ faults** | `O(E·D·log n · log(n·D)/(½−ε)²)` |
 //!
+//! The three simulated tasks take the paper's iid channel by its rate `ε`
+//! or, through their `*_with_channel` twins, any [`beep_net::ChannelModel`].
 //! Every task (plus the round-simulation, TDMA-baseline, and
 //! local-broadcast pipelines from `beep-core`) is also addressable *by
 //! name* through the [`Protocol`] registry — the uniform entry point the
@@ -48,7 +50,6 @@ pub use multicast::{multi_source_broadcast, MulticastReport};
 pub use registry::{Protocol, ProtocolOutcome};
 pub use reliable_broadcast::{beep_reliable_broadcast, ReliableBroadcastReport};
 pub use tasks::{
-    coloring, coloring_with_channel, coloring_with_faults, maximal_independent_set,
-    maximal_independent_set_with_channel, maximal_independent_set_with_faults, maximal_matching,
-    maximal_matching_with_channel, maximal_matching_with_faults, TaskReport,
+    coloring, coloring_with_channel, maximal_independent_set, maximal_independent_set_with_channel,
+    maximal_matching, maximal_matching_with_channel, TaskReport,
 };

@@ -32,23 +32,22 @@
 //! consensus to 1, fabricating a delivery, or installing a phantom
 //! leader is the expected outcome there, not a failure.
 //!
-//! All three entry points funnel into one dispatcher,
-//! [`Protocol::run_with_faults`]: [`Protocol::run`] is `run_channel` on
-//! the iid channel at `ε`, and [`Protocol::run_channel`] is
-//! `run_with_faults` with the empty plan.
+//! [`Protocol::run_with_faults`] is the one dispatcher; [`Protocol::run`]
+//! calls it on the iid channel at `ε` with the empty plan.
 
 use crate::consensus::beep_consensus;
 use crate::error::AppError;
+use crate::tasks::{iid_channel, solve};
 use crate::{
     beep_ben_or, beep_leader_election, beep_leader_reelect, beep_reliable_broadcast,
-    beep_wave_broadcast, coloring_with_faults, maximal_independent_set_with_faults,
-    maximal_matching_with_faults, multi_source_broadcast,
+    beep_wave_broadcast, coloring_with_channel, maximal_independent_set_with_channel,
+    maximal_matching_with_channel, multi_source_broadcast,
 };
 use beep_bits::BitVec;
 use beep_congest::algorithms::Flood;
 use beep_core::baseline::TdmaSimulator;
 use beep_core::lower_bound::CongestLocalBroadcast;
-use beep_core::{SimReport, SimulatedBroadcastRunner, SimulatedCongestRunner, SimulationParams};
+use beep_core::{SimReport, SimulatedCongestRunner, SimulationParams};
 use beep_net::{ChannelModel, FaultKind, FaultPlan, Graph, Noise};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -213,29 +212,12 @@ impl Protocol {
     /// * [`AppError::InvalidOutput`] if the w.h.p. guarantee failed this
     ///   run.
     pub fn run(&self, graph: &Graph, epsilon: f64, seed: u64) -> Result<ProtocolOutcome, AppError> {
-        self.run_channel(graph, &ChannelModel::from(noise_for(epsilon)?), seed)
+        self.run_with_faults(graph, &iid_channel(epsilon)?, &FaultPlan::none(), seed)
     }
 
-    /// Runs the protocol on `graph` under an arbitrary [`ChannelModel`]
-    /// — the channel-sweep entry point the campaign layer drives.
-    /// Exactly [`run_with_faults`](Self::run_with_faults) with the empty
-    /// [`FaultPlan`].
-    ///
-    /// # Errors
-    ///
-    /// As [`run_with_faults`](Self::run_with_faults).
-    pub fn run_channel(
-        &self,
-        graph: &Graph,
-        channel: &ChannelModel,
-        seed: u64,
-    ) -> Result<ProtocolOutcome, AppError> {
-        self.run_with_faults(graph, channel, &FaultPlan::none(), seed)
-    }
-
-    /// The single dispatcher every registry entry point funnels into:
-    /// runs the protocol on `graph` under an arbitrary [`ChannelModel`]
-    /// and [`FaultPlan`].
+    /// The dispatcher: runs the protocol on `graph` under an arbitrary
+    /// [`ChannelModel`] and [`FaultPlan`] — the entry point the campaign
+    /// layer drives.
     ///
     /// Semantics:
     ///
@@ -293,15 +275,15 @@ impl Protocol {
             Protocol::Leader => run_leader(graph, seed),
             Protocol::Multicast => run_multicast(graph, seed),
             Protocol::Matching => {
-                let r = maximal_matching_with_faults(graph, channel, faults, seed)?;
+                let r = maximal_matching_with_channel(graph, channel, seed)?;
                 Ok(outcome_from_sim(&r.report))
             }
             Protocol::Mis => {
-                let r = maximal_independent_set_with_faults(graph, channel, faults, seed)?;
+                let r = maximal_independent_set_with_channel(graph, channel, seed)?;
                 Ok(outcome_from_sim(&r.report))
             }
             Protocol::Coloring => {
-                let r = coloring_with_faults(graph, channel, faults, seed)?;
+                let r = coloring_with_channel(graph, channel, seed)?;
                 Ok(outcome_from_sim(&r.report))
             }
             Protocol::RoundSim => run_flood_simulated_channel(graph, channel, seed),
@@ -314,15 +296,6 @@ impl Protocol {
             }
             Protocol::BeepLeaderReelect => run_beep_leader_reelect(graph, channel, faults, seed),
         }
-    }
-}
-
-/// ε → channel through the fallible constructor (0 = noiseless model).
-fn noise_for(epsilon: f64) -> Result<Noise, AppError> {
-    if epsilon == 0.0 {
-        Ok(Noise::Noiseless)
-    } else {
-        Ok(Noise::try_bernoulli(epsilon)?)
     }
 }
 
@@ -408,17 +381,18 @@ fn run_flood_simulated_channel(
     channel: &ChannelModel,
     seed: u64,
 ) -> Result<ProtocolOutcome, AppError> {
-    let n = graph.node_count();
     let value = seed & 0xFFFF;
-    let params = SimulationParams::calibrated(channel.calibration_epsilon());
-    let runner = SimulatedBroadcastRunner::new(graph, PAYLOAD_BITS, seed, params, channel.clone());
-    let mut algos: Vec<Box<Flood>> = (0..n)
-        .map(|_| Box::new(Flood::new(0, value, PAYLOAD_BITS)))
-        .collect();
-    let report = runner.run_to_completion(&mut algos, n + 1)?;
-    let success = algos.iter().all(|a| a.output() == Some(value));
-    let mut outcome = outcome_from_sim(&report);
-    outcome.success = success;
+    let solved = solve(
+        graph,
+        channel,
+        seed,
+        PAYLOAD_BITS,
+        graph.node_count() + 1,
+        || Flood::new(0, value, PAYLOAD_BITS),
+        Flood::output,
+    )?;
+    let mut outcome = outcome_from_sim(&solved.report);
+    outcome.success = solved.output.iter().all(|&o| o == Some(value));
     Ok(outcome)
 }
 
@@ -748,12 +722,12 @@ mod tests {
     }
 
     #[test]
-    fn run_channel_matches_run_for_iid_and_noiseless_channels() {
+    fn run_with_faults_matches_run_for_iid_and_noiseless_channels() {
         let g = topology::cycle(6).unwrap();
         let iid: ChannelModel = Noise::bernoulli(0.05).into();
         for p in [Protocol::Matching, Protocol::RoundSim, Protocol::Tdma] {
             assert_eq!(
-                p.run_channel(&g, &iid, 7).unwrap(),
+                p.run_with_faults(&g, &iid, &FaultPlan::none(), 7).unwrap(),
                 p.run(&g, 0.05, 7).unwrap(),
                 "{}",
                 p.name()
@@ -761,7 +735,9 @@ mod tests {
         }
         let clean: ChannelModel = Noise::Noiseless.into();
         assert_eq!(
-            Protocol::Wave.run_channel(&g, &clean, 5).unwrap(),
+            Protocol::Wave
+                .run_with_faults(&g, &clean, &FaultPlan::none(), 5)
+                .unwrap(),
             Protocol::Wave.run(&g, 0.0, 5).unwrap()
         );
     }
@@ -777,7 +753,7 @@ mod tests {
         for ch in &channels {
             for p in Protocol::ALL.iter().filter(|p| p.supports_noise()) {
                 let out = p
-                    .run_channel(&g, ch, 7)
+                    .run_with_faults(&g, ch, &FaultPlan::none(), 7)
                     .unwrap_or_else(|e| panic!("{} under {}: {e}", p.name(), ch.label()));
                 assert!(out.rounds > 0, "{} under {}", p.name(), ch.label());
             }
@@ -796,7 +772,7 @@ mod tests {
             .into();
         let g = topology::cycle(6).unwrap();
         for p in Protocol::ALL.iter().filter(|p| p.supports_noise()) {
-            match p.run_channel(&g, &ch, 7) {
+            match p.run_with_faults(&g, &ch, &FaultPlan::none(), 7) {
                 Ok(out) => assert!(out.rounds > 0, "{}", p.name()),
                 Err(AppError::InvalidOutput { .. } | AppError::Sim(_)) => {}
                 Err(e) => panic!("{} under {}: unexpected {e}", p.name(), ch.label()),
@@ -811,7 +787,9 @@ mod tests {
             .unwrap()
             .into();
         for p in [Protocol::Wave, Protocol::Leader, Protocol::Multicast] {
-            let err = p.run_channel(&g, &ge, 1).unwrap_err();
+            let err = p
+                .run_with_faults(&g, &ge, &FaultPlan::none(), 1)
+                .unwrap_err();
             assert!(matches!(err, AppError::NoiseUnsupported { .. }), "{err}");
             assert!(err.to_string().contains("ge-"), "{err}");
         }
@@ -819,7 +797,9 @@ mod tests {
         let clean: ChannelModel = beep_net::AdversarialErasure::try_new(0, 0.1)
             .unwrap()
             .into();
-        assert!(Protocol::Wave.run_channel(&g, &clean, 1).is_ok());
+        assert!(Protocol::Wave
+            .run_with_faults(&g, &clean, &FaultPlan::none(), 1)
+            .is_ok());
     }
 
     #[test]
@@ -861,25 +841,6 @@ mod tests {
                     .unwrap_or_else(|e| panic!("{} under {kind:?}: {e}", p.name()));
                 assert!(out.success, "{} under {kind:?}", p.name());
             }
-        }
-    }
-
-    #[test]
-    fn empty_fault_plan_reproduces_run_channel_exactly() {
-        use beep_net::FaultPlan;
-        let g = topology::cycle(6).unwrap();
-        let ch: ChannelModel = Noise::bernoulli(0.05).into();
-        for p in [
-            Protocol::Matching,
-            Protocol::RoundSim,
-            Protocol::BeepConsensus,
-        ] {
-            assert_eq!(
-                p.run_with_faults(&g, &ch, &FaultPlan::none(), 7).unwrap(),
-                p.run_channel(&g, &ch, 7).unwrap(),
-                "{}",
-                p.name()
-            );
         }
     }
 

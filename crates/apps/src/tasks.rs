@@ -3,9 +3,10 @@
 
 use crate::error::AppError;
 use beep_congest::algorithms::{LubyMis, MaximalMatching, RandomColoring};
-use beep_congest::validate;
+use beep_congest::{validate, BroadcastAlgorithm};
 use beep_core::{SimReport, SimulatedBroadcastRunner, SimulationParams};
-use beep_net::{ChannelModel, FaultPlan, Graph, NodeId, Noise};
+use beep_net::{ChannelModel, Graph, NodeId, Noise};
+use std::fmt::Debug;
 
 /// A solved task together with its cost accounting.
 #[derive(Debug, Clone)]
@@ -16,22 +17,51 @@ pub struct TaskReport<T> {
     pub report: SimReport,
 }
 
-/// Maps a caller-supplied noise rate to a channel through the fallible
-/// constructor: `ε = 0` is the noiseless model, anything else must lie in
-/// the paper's open interval `(0, ½)` or the task returns
-/// [`AppError::Net`] instead of panicking deep inside the engine.
-fn noise_for(epsilon: f64) -> Result<Noise, AppError> {
-    if epsilon == 0.0 {
-        Ok(Noise::Noiseless)
-    } else {
-        Ok(Noise::try_bernoulli(epsilon)?)
+impl<T> TaskReport<T> {
+    /// `self` if the validator found no `violations`, else
+    /// [`AppError::InvalidOutput`] listing them.
+    fn validated<V: Debug>(self, violations: Vec<V>) -> Result<Self, AppError> {
+        if violations.is_empty() {
+            Ok(self)
+        } else {
+            Err(AppError::InvalidOutput {
+                detail: format!("{violations:?}"),
+            })
+        }
     }
 }
 
-/// The `ε`-based task entry points run on the paper's iid channel; this
-/// builds it as a [`ChannelModel`] for the `*_with_channel` cores.
-fn iid_channel(epsilon: f64) -> Result<ChannelModel, AppError> {
-    Ok(ChannelModel::from(noise_for(epsilon)?))
+/// The paper's iid channel at rate `epsilon`, built through the fallible
+/// constructor: `ε = 0` is the noiseless model, anything else must lie in
+/// the paper's open interval `(0, ½)` or the caller gets [`AppError::Net`]
+/// instead of a panic deep inside the engine.
+pub(crate) fn iid_channel(epsilon: f64) -> Result<ChannelModel, AppError> {
+    let noise = if epsilon == 0.0 {
+        Noise::Noiseless
+    } else {
+        Noise::try_bernoulli(epsilon)?
+    };
+    Ok(noise.into())
+}
+
+/// Runs one `make()` per node of `graph` under Algorithm 1 on `channel`,
+/// calibrated as [`maximal_matching_with_channel`] describes, and collects
+/// each node's `output`.
+pub(crate) fn solve<A: BroadcastAlgorithm, T>(
+    graph: &Graph,
+    channel: &ChannelModel,
+    seed: u64,
+    message_bits: usize,
+    max_rounds: usize,
+    make: impl Fn() -> A,
+    output: impl Fn(&A) -> T,
+) -> Result<TaskReport<T>, AppError> {
+    let params = SimulationParams::calibrated(channel.calibration_epsilon());
+    let runner = SimulatedBroadcastRunner::new(graph, message_bits, seed, params, channel.clone());
+    let mut algos: Vec<Box<A>> = (0..graph.node_count()).map(|_| Box::new(make())).collect();
+    let report = runner.run_to_completion(&mut algos, max_rounds)?;
+    let output = algos.iter().map(|a| output(a)).collect();
+    Ok(TaskReport { output, report })
 }
 
 /// Maximal matching in the noisy beeping model (Theorem 21):
@@ -42,6 +72,7 @@ fn iid_channel(epsilon: f64) -> Result<ChannelModel, AppError> {
 ///
 /// # Errors
 ///
+/// * [`AppError::Net`] if `epsilon` is outside `{0} ∪ (0, ½)`.
 /// * [`AppError::Sim`] on simulation failures (budget, widths, …).
 /// * [`AppError::InvalidOutput`] if the (with-high-probability) guarantee
 ///   failed this run — possible under noise, rerun with another seed.
@@ -67,51 +98,19 @@ pub fn maximal_matching_with_channel(
     channel: &ChannelModel,
     seed: u64,
 ) -> Result<TaskReport<Option<NodeId>>, AppError> {
-    maximal_matching_with_faults(graph, channel, &FaultPlan::none(), seed)
-}
-
-/// [`maximal_matching_with_channel`] under a [`FaultPlan`]: the plan is
-/// installed on the underlying beep network, so faulty nodes' beeps are
-/// overridden exactly as in [`beep_net::BeepNetwork::set_fault_plan`].
-///
-/// The output validation still covers *all* nodes — this protocol has no
-/// fault-tolerance story ([`crate::Protocol::supports_faults`] is false
-/// for it), so a non-empty plan typically ends in
-/// [`AppError::InvalidOutput`]; the variant exists so the fault plumbing
-/// lands in one place and overlay costs can be measured on the same code
-/// path.
-///
-/// # Errors
-///
-/// As [`maximal_matching`], plus [`AppError::Net`] if the plan names a
-/// node `≥ n`.
-pub fn maximal_matching_with_faults(
-    graph: &Graph,
-    channel: &ChannelModel,
-    faults: &FaultPlan,
-    seed: u64,
-) -> Result<TaskReport<Option<NodeId>>, AppError> {
     let n = graph.node_count();
-    let bits = MaximalMatching::required_message_bits(n);
     let iters = MaximalMatching::suggested_iterations(n);
-    let params = SimulationParams::calibrated(channel.calibration_epsilon());
-    let runner = SimulatedBroadcastRunner::new(graph, bits, seed, params, channel.clone())
-        .with_fault_plan(faults.clone());
-    let mut algos: Vec<Box<MaximalMatching>> = (0..n)
-        .map(|_| Box::new(MaximalMatching::new(iters)))
-        .collect();
-    let report = runner.run_to_completion(&mut algos, MaximalMatching::rounds_for(iters))?;
-    let output: Vec<Option<NodeId>> = algos
-        .iter()
-        .map(|a| a.output().expect("runner completed"))
-        .collect();
-    let violations = validate::check_matching(graph, &output);
-    if !violations.is_empty() {
-        return Err(AppError::InvalidOutput {
-            detail: format!("{violations:?}"),
-        });
-    }
-    Ok(TaskReport { output, report })
+    let solved = solve(
+        graph,
+        channel,
+        seed,
+        MaximalMatching::required_message_bits(n),
+        MaximalMatching::rounds_for(iters),
+        || MaximalMatching::new(iters),
+        |a| a.output().expect("runner completed"),
+    )?;
+    let violations = validate::check_matching(graph, &solved.output);
+    solved.validated(violations)
 }
 
 /// Maximal independent set over noisy beeps (Luby's algorithm under the
@@ -139,41 +138,19 @@ pub fn maximal_independent_set_with_channel(
     channel: &ChannelModel,
     seed: u64,
 ) -> Result<TaskReport<bool>, AppError> {
-    maximal_independent_set_with_faults(graph, channel, &FaultPlan::none(), seed)
-}
-
-/// [`maximal_independent_set_with_channel`] under a [`FaultPlan`] (see
-/// [`maximal_matching_with_faults`] for the caveats — validation still
-/// covers all nodes).
-///
-/// # Errors
-///
-/// As [`maximal_matching_with_faults`].
-pub fn maximal_independent_set_with_faults(
-    graph: &Graph,
-    channel: &ChannelModel,
-    faults: &FaultPlan,
-    seed: u64,
-) -> Result<TaskReport<bool>, AppError> {
     let n = graph.node_count();
-    let bits = LubyMis::required_message_bits(n);
     let iters = LubyMis::suggested_iterations(n);
-    let params = SimulationParams::calibrated(channel.calibration_epsilon());
-    let runner = SimulatedBroadcastRunner::new(graph, bits, seed, params, channel.clone())
-        .with_fault_plan(faults.clone());
-    let mut algos: Vec<Box<LubyMis>> = (0..n).map(|_| Box::new(LubyMis::new(iters))).collect();
-    let report = runner.run_to_completion(&mut algos, LubyMis::rounds_for(iters))?;
-    let output: Vec<bool> = algos
-        .iter()
-        .map(|a| a.output().expect("completed"))
-        .collect();
-    let violations = validate::check_mis(graph, &output);
-    if !violations.is_empty() {
-        return Err(AppError::InvalidOutput {
-            detail: format!("{violations:?}"),
-        });
-    }
-    Ok(TaskReport { output, report })
+    let solved = solve(
+        graph,
+        channel,
+        seed,
+        LubyMis::required_message_bits(n),
+        LubyMis::rounds_for(iters),
+        || LubyMis::new(iters),
+        |a| a.output().expect("completed"),
+    )?;
+    let violations = validate::check_mis(graph, &solved.output);
+    solved.validated(violations)
 }
 
 /// (Δ+1)-coloring over noisy beeps. `output[v]` is `v`'s color in
@@ -197,44 +174,27 @@ pub fn coloring_with_channel(
     channel: &ChannelModel,
     seed: u64,
 ) -> Result<TaskReport<u64>, AppError> {
-    coloring_with_faults(graph, channel, &FaultPlan::none(), seed)
-}
-
-/// [`coloring_with_channel`] under a [`FaultPlan`] (see
-/// [`maximal_matching_with_faults`] for the caveats — validation still
-/// covers all nodes).
-///
-/// # Errors
-///
-/// As [`maximal_matching_with_faults`].
-pub fn coloring_with_faults(
-    graph: &Graph,
-    channel: &ChannelModel,
-    faults: &FaultPlan,
-    seed: u64,
-) -> Result<TaskReport<u64>, AppError> {
     let n = graph.node_count();
-    let bits = RandomColoring::required_message_bits(n);
     let iters = RandomColoring::suggested_iterations(n);
-    let params = SimulationParams::calibrated(channel.calibration_epsilon());
-    let runner = SimulatedBroadcastRunner::new(graph, bits, seed, params, channel.clone())
-        .with_fault_plan(faults.clone());
-    let mut algos: Vec<Box<RandomColoring>> = (0..n)
-        .map(|_| Box::new(RandomColoring::new(iters)))
-        .collect();
-    let report = runner.run_to_completion(&mut algos, RandomColoring::rounds_for(iters))?;
-    let maybe: Vec<Option<u64>> = algos.iter().map(|a| a.output()).collect();
-    let violations = validate::check_coloring(graph, &maybe);
-    if !violations.is_empty() {
-        return Err(AppError::InvalidOutput {
-            detail: format!("{violations:?}"),
-        });
-    }
-    let output = maybe
-        .into_iter()
-        .map(|c| c.expect("validated total"))
-        .collect();
-    Ok(TaskReport { output, report })
+    let solved = solve(
+        graph,
+        channel,
+        seed,
+        RandomColoring::required_message_bits(n),
+        RandomColoring::rounds_for(iters),
+        || RandomColoring::new(iters),
+        RandomColoring::output,
+    )?;
+    let violations = validate::check_coloring(graph, &solved.output);
+    let solved = solved.validated(violations)?;
+    Ok(TaskReport {
+        output: solved
+            .output
+            .into_iter()
+            .map(|c| c.expect("validated total"))
+            .collect(),
+        report: solved.report,
+    })
 }
 
 #[cfg(test)]
@@ -290,30 +250,6 @@ mod tests {
                 matches!(err, AppError::Net(beep_net::NetError::InvalidNoise { .. })),
                 "ε = {bad}: {err}"
             );
-        }
-    }
-
-    #[test]
-    fn fault_variant_with_empty_plan_matches_channel_variant() {
-        let g = topology::cycle(6).unwrap();
-        let ch: ChannelModel = Noise::try_bernoulli(0.05).unwrap().into();
-        let a = maximal_matching_with_channel(&g, &ch, 5).unwrap();
-        let b = maximal_matching_with_faults(&g, &ch, &FaultPlan::none(), 5).unwrap();
-        assert_eq!(a.output, b.output);
-        assert_eq!(a.report, b.report);
-    }
-
-    #[test]
-    fn muting_every_node_defeats_matching_detectably() {
-        // These tasks have no fault-tolerance story: with all nodes muted
-        // nothing is ever decoded and the validated guarantee must fail
-        // as a reportable error, not silently pass or panic.
-        let g = topology::cycle(6).unwrap();
-        let ch: ChannelModel = Noise::Noiseless.into();
-        let plan = FaultPlan::realize(6, 1.0, beep_net::FaultKind::ByzantineMute, 1).unwrap();
-        match maximal_matching_with_faults(&g, &ch, &plan, 5) {
-            Err(AppError::InvalidOutput { .. } | AppError::Sim(_)) => {}
-            other => panic!("expected a detectable failure, got {other:?}"),
         }
     }
 

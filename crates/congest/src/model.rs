@@ -1,7 +1,7 @@
 //! The algorithm-facing model traits.
 
 use crate::message::Message;
-use beep_net::NodeId;
+use beep_net::{Graph, NodeId};
 
 /// Per-node static context handed to an algorithm at initialization.
 ///
@@ -18,12 +18,27 @@ pub struct NodeCtx {
     pub degree: usize,
     /// The run's fixed message width in bits (the paper's `γ·log n`).
     pub message_bits: usize,
-    /// Seed for this node's private randomness (already node-separated by
-    /// the runner).
+    /// Seed for this node's private randomness (node-separated by
+    /// [`NodeCtx::for_node`]).
     pub seed: u64,
 }
 
 impl NodeCtx {
+    /// The context every runner hands node `v` of `graph`: its degree, the
+    /// run's message width, and the run seed separated per node. Native
+    /// and simulated runs derive it here, so the same algorithm values
+    /// draw the same randomness under either.
+    #[must_use]
+    pub fn for_node(graph: &Graph, v: NodeId, message_bits: usize, seed: u64) -> Self {
+        NodeCtx {
+            node: v,
+            n: graph.node_count(),
+            degree: graph.degree(v),
+            message_bits,
+            seed: seed ^ (v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        }
+    }
+
     /// Bits needed to address any node id in `[n]` (`⌈log₂ n⌉`, min 1).
     #[must_use]
     pub fn id_bits(&self) -> usize {

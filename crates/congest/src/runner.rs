@@ -29,8 +29,8 @@ pub struct BroadcastRunner<'g> {
 
 impl<'g> BroadcastRunner<'g> {
     /// Creates a runner over `graph` with the given exact message width and
-    /// randomness seed (node `v`'s algorithm receives seed `seed ⊕ mix(v)`
-    /// via its [`NodeCtx`]).
+    /// randomness seed (node `v`'s algorithm receives
+    /// [`NodeCtx::for_node`]`(graph, v, message_bits, seed)`).
     #[must_use]
     pub fn new(graph: &'g Graph, message_bits: usize, seed: u64) -> Self {
         BroadcastRunner {
@@ -63,21 +63,14 @@ impl<'g> BroadcastRunner<'g> {
             });
         }
         for (v, algo) in algorithms.iter_mut().enumerate() {
-            algo.init(&self.node_ctx(v));
+            algo.init(&NodeCtx::for_node(
+                self.graph,
+                v,
+                self.message_bits,
+                self.seed,
+            ));
         }
         Ok(())
-    }
-
-    /// The context the runner hands node `v`.
-    #[must_use]
-    pub fn node_ctx(&self, v: usize) -> NodeCtx {
-        NodeCtx {
-            node: v,
-            n: self.graph.node_count(),
-            degree: self.graph.degree(v),
-            message_bits: self.message_bits,
-            seed: self.seed ^ (v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        }
     }
 
     /// Runs one communication round: collect, validate, deliver.
@@ -180,18 +173,6 @@ impl<'g> CongestRunner<'g> {
         }
     }
 
-    /// The context the runner hands node `v`.
-    #[must_use]
-    pub fn node_ctx(&self, v: usize) -> NodeCtx {
-        NodeCtx {
-            node: v,
-            n: self.graph.node_count(),
-            degree: self.graph.degree(v),
-            message_bits: self.message_bits,
-            seed: self.seed ^ (v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        }
-    }
-
     /// Initializes and runs until every node is done or the budget is hit.
     ///
     /// # Errors
@@ -212,7 +193,12 @@ impl<'g> CongestRunner<'g> {
             });
         }
         for (v, algo) in algorithms.iter_mut().enumerate() {
-            algo.init(&self.node_ctx(v));
+            algo.init(&NodeCtx::for_node(
+                self.graph,
+                v,
+                self.message_bits,
+                self.seed,
+            ));
         }
         let mut deliveries = 0u64;
         for round in 0..max_rounds {

@@ -2,10 +2,11 @@
 //! al. \[7\] and Ashkenazi–Gelles–Leshem \[4\]).
 
 use crate::error::SimError;
-use crate::round_sim::RoundOutcome;
+use crate::round_sim::{check_round_inputs, RoundOutcome};
+use crate::runner::{run_simulated, SimReport};
 use crate::stats::RoundStats;
 use beep_bits::BitVec;
-use beep_congest::{BroadcastAlgorithm, CongestError, Message, NodeCtx};
+use beep_congest::{BroadcastAlgorithm, Message};
 use beep_net::{BeepNetwork, ChannelModel, Graph};
 
 use super::g2_coloring::{distance2_coloring, num_colors};
@@ -122,32 +123,8 @@ impl TdmaSimulator {
         net: &mut BeepNetwork,
         outgoing: &[Option<Message>],
     ) -> Result<RoundOutcome, SimError> {
-        let n = net.graph().node_count();
-        if outgoing.len() != n {
-            return Err(SimError::OutgoingCount {
-                expected: n,
-                actual: outgoing.len(),
-            });
-        }
-        let net_eps = net.channel().calibration_epsilon();
-        if (net_eps - self.epsilon).abs() > 1e-9 {
-            return Err(SimError::NoiseMismatch {
-                params_epsilon: self.epsilon,
-                network_epsilon: net_eps,
-            });
-        }
-        for (v, msg) in outgoing.iter().enumerate() {
-            if let Some(m) = msg {
-                if m.len() != self.message_bits {
-                    return Err(CongestError::MessageWidth {
-                        expected: self.message_bits,
-                        actual: m.len(),
-                        node: v,
-                    }
-                    .into());
-                }
-            }
-        }
+        check_round_inputs(net, outgoing, self.epsilon, self.message_bits)?;
+        let n = outgoing.len();
         // Build per-node frames: slot for its color, presence + bits.
         let slot_len = (self.message_bits + 1) * self.repetition;
         let total = self.colors * slot_len;
@@ -237,53 +214,19 @@ impl TdmaSimulator {
         seed: u64,
         algorithms: &mut [Box<A>],
         max_rounds: usize,
-    ) -> Result<crate::SimReport, SimError> {
-        let n = graph.node_count();
-        if algorithms.len() != n {
-            return Err(CongestError::NodeCount {
-                expected: n,
-                actual: algorithms.len(),
-            }
-            .into());
-        }
-        let mut net = BeepNetwork::new(graph.clone(), channel, seed ^ 0x7D7A);
-        for (v, algo) in algorithms.iter_mut().enumerate() {
-            algo.init(&NodeCtx {
-                node: v,
-                n,
-                degree: graph.degree(v),
-                message_bits: self.message_bits,
-                seed: seed ^ (v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            });
-        }
-        let mut stats = RoundStats::default();
-        let mut congest_rounds = 0;
-        for round in 0..max_rounds {
-            if algorithms.iter().all(|a| a.is_done()) {
-                break;
-            }
-            let outgoing: Vec<Option<Message>> = algorithms
-                .iter_mut()
-                .map(|a| a.round_message(round))
-                .collect();
-            let outcome = self.simulate_round(&mut net, &outgoing)?;
-            for (v, algo) in algorithms.iter_mut().enumerate() {
-                algo.on_receive(round, &outcome.delivered[v]);
-            }
-            stats.merge(&outcome.stats);
-            congest_rounds += 1;
-        }
-        if !algorithms.iter().all(|a| a.is_done()) {
-            return Err(CongestError::RoundBudgetExhausted { budget: max_rounds }.into());
-        }
-        let net_stats = net.stats();
-        Ok(crate::SimReport {
-            congest_rounds,
-            beep_rounds: net_stats.rounds,
-            beep_rounds_per_congest_round: self.rounds_per_congest_round(),
-            beeps: net_stats.beeps,
-            stats,
-        })
+    ) -> Result<SimReport, SimError> {
+        let net = BeepNetwork::new(graph.clone(), channel, seed ^ 0x7D7A);
+        let simulate_round = |net: &mut BeepNetwork, outgoing: &[Option<Message>]| {
+            self.simulate_round(net, outgoing)
+        };
+        run_simulated(
+            net,
+            self.message_bits,
+            seed,
+            algorithms,
+            max_rounds,
+            Ok((self.rounds_per_congest_round(), simulate_round)),
+        )
     }
 }
 

@@ -29,6 +29,44 @@ fn sample_avoiding(a_bits: usize, avoid: &HashSet<BitVec>, rng: &mut StdRng) -> 
     r
 }
 
+/// The checks both round simulators make before a round, in this order:
+/// one outgoing slot per node, the network's calibration rate equal to the
+/// simulator's `epsilon`, and every message exactly `message_bits` wide.
+pub(crate) fn check_round_inputs(
+    net: &BeepNetwork,
+    outgoing: &[Option<Message>],
+    epsilon: f64,
+    message_bits: usize,
+) -> Result<(), SimError> {
+    let n = net.graph().node_count();
+    if outgoing.len() != n {
+        return Err(SimError::OutgoingCount {
+            expected: n,
+            actual: outgoing.len(),
+        });
+    }
+    let net_eps = net.channel().calibration_epsilon();
+    if (net_eps - epsilon).abs() > 1e-9 {
+        return Err(SimError::NoiseMismatch {
+            params_epsilon: epsilon,
+            network_epsilon: net_eps,
+        });
+    }
+    for (v, msg) in outgoing.iter().enumerate() {
+        if let Some(m) = msg {
+            if m.len() != message_bits {
+                return Err(CongestError::MessageWidth {
+                    expected: message_bits,
+                    actual: m.len(),
+                    node: v,
+                }
+                .into());
+            }
+        }
+    }
+    Ok(())
+}
+
 /// The Algorithm 1 round simulator: holds the shared public codes and
 /// executes one Broadcast CONGEST communication round on a
 /// [`BeepNetwork`].
@@ -111,32 +149,8 @@ impl BroadcastSimulator {
         outgoing: &[Option<Message>],
         rng: &mut StdRng,
     ) -> Result<RoundOutcome, SimError> {
-        let n = net.graph().node_count();
-        if outgoing.len() != n {
-            return Err(SimError::OutgoingCount {
-                expected: n,
-                actual: outgoing.len(),
-            });
-        }
-        let net_eps = net.channel().calibration_epsilon();
-        if (net_eps - self.params.epsilon).abs() > 1e-9 {
-            return Err(SimError::NoiseMismatch {
-                params_epsilon: self.params.epsilon,
-                network_epsilon: net_eps,
-            });
-        }
-        for (v, msg) in outgoing.iter().enumerate() {
-            if let Some(m) = msg {
-                if m.len() != self.message_bits {
-                    return Err(CongestError::MessageWidth {
-                        expected: self.message_bits,
-                        actual: m.len(),
-                        node: v,
-                    }
-                    .into());
-                }
-            }
-        }
+        check_round_inputs(net, outgoing, self.params.epsilon, self.message_bits)?;
+        let n = outgoing.len();
 
         // --- Transmit side: draw r_v, build both frames. Colliding r_v
         // draws would make two transmitters share a carrier codeword and

@@ -4,10 +4,10 @@
 use crate::congest_wrap::CongestAdapter;
 use crate::error::SimError;
 use crate::params::SimulationParams;
-use crate::round_sim::BroadcastSimulator;
+use crate::round_sim::{BroadcastSimulator, RoundOutcome};
 use crate::stats::RoundStats;
 use beep_congest::{BroadcastAlgorithm, CongestAlgorithm, CongestError, Message, NodeCtx};
-use beep_net::{BeepNetwork, ChannelModel, FaultPlan, Graph};
+use beep_net::{BeepNetwork, ChannelModel, Graph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -41,7 +41,6 @@ pub struct SimulatedBroadcastRunner<'g> {
     seed: u64,
     params: SimulationParams,
     channel: ChannelModel,
-    faults: FaultPlan,
 }
 
 impl<'g> SimulatedBroadcastRunner<'g> {
@@ -65,35 +64,13 @@ impl<'g> SimulatedBroadcastRunner<'g> {
             seed,
             params,
             channel: channel.into(),
-            faults: FaultPlan::none(),
-        }
-    }
-
-    /// Installs a [`FaultPlan`] on the underlying beep network: faulty
-    /// nodes' beep/listen actions are overridden round by round and crashed
-    /// nodes go deaf, exactly as in [`BeepNetwork::set_fault_plan`]. The
-    /// default is the empty plan (every node correct).
-    #[must_use]
-    pub fn with_fault_plan(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// The context node `v` receives — identical to the native runner's, so
-    /// algorithms behave identically under both.
-    #[must_use]
-    pub fn node_ctx(&self, v: usize) -> NodeCtx {
-        NodeCtx {
-            node: v,
-            n: self.graph.node_count(),
-            degree: self.graph.degree(v),
-            message_bits: self.message_bits,
-            seed: self.seed ^ (v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
         }
     }
 
     /// Initializes and runs until every node is done or the budget (in
-    /// *Broadcast CONGEST rounds*) is exhausted.
+    /// *Broadcast CONGEST rounds*) is exhausted. Node `v` receives
+    /// [`NodeCtx::for_node`], as under the native runner, so algorithms
+    /// behave identically under both.
     ///
     /// # Errors
     ///
@@ -103,53 +80,90 @@ impl<'g> SimulatedBroadcastRunner<'g> {
         algorithms: &mut [Box<A>],
         max_rounds: usize,
     ) -> Result<SimReport, SimError> {
-        let n = self.graph.node_count();
-        if algorithms.len() != n {
-            return Err(CongestError::NodeCount {
-                expected: n,
-                actual: algorithms.len(),
-            }
-            .into());
-        }
         let simulator =
-            BroadcastSimulator::new(self.params, self.message_bits, self.graph.max_degree())?;
-        let mut net =
-            BeepNetwork::new(self.graph.clone(), self.channel.clone(), self.seed ^ 0xBEE9);
-        net.set_fault_plan(self.faults.clone())
-            .map_err(SimError::Net)?;
+            BroadcastSimulator::new(self.params, self.message_bits, self.graph.max_degree());
+        let net = BeepNetwork::new(self.graph.clone(), self.channel.clone(), self.seed ^ 0xBEE9);
         let mut sim_rng = StdRng::seed_from_u64(self.seed ^ 0xC0DE);
-        for (v, algo) in algorithms.iter_mut().enumerate() {
-            algo.init(&self.node_ctx(v));
-        }
-        let mut stats = RoundStats::default();
-        let mut congest_rounds = 0;
-        for round in 0..max_rounds {
-            if algorithms.iter().all(|a| a.is_done()) {
-                break;
-            }
-            let outgoing: Vec<Option<Message>> = algorithms
-                .iter_mut()
-                .map(|a| a.round_message(round))
-                .collect();
-            let outcome = simulator.simulate_round(&mut net, &outgoing, &mut sim_rng)?;
-            for (v, algo) in algorithms.iter_mut().enumerate() {
-                algo.on_receive(round, &outcome.delivered[v]);
-            }
-            stats.merge(&outcome.stats);
-            congest_rounds += 1;
-        }
-        if !algorithms.iter().all(|a| a.is_done()) {
-            return Err(CongestError::RoundBudgetExhausted { budget: max_rounds }.into());
-        }
-        let net_stats = net.stats();
-        Ok(SimReport {
-            congest_rounds,
-            beep_rounds: net_stats.rounds,
-            beep_rounds_per_congest_round: simulator.rounds_per_congest_round(),
-            beeps: net_stats.beeps,
-            stats,
-        })
+        let simulator = simulator.map(|sim| {
+            (
+                sim.rounds_per_congest_round(),
+                move |net: &mut BeepNetwork, outgoing: &[Option<Message>]| {
+                    sim.simulate_round(net, outgoing, &mut sim_rng)
+                },
+            )
+        });
+        run_simulated(
+            net,
+            self.message_bits,
+            self.seed,
+            algorithms,
+            max_rounds,
+            simulator,
+        )
     }
+}
+
+/// The round loop of every simulated run, Algorithm 1's and the TDMA
+/// baseline's: checks the node count, initializes node `v` with
+/// [`NodeCtx::for_node`]`(graph, v, message_bits, seed)`, then simulates one
+/// Broadcast CONGEST round per call of the round closure on `net` until
+/// every node is done or `max_rounds` is spent.
+///
+/// `simulator` is the beep rounds one simulated round costs and the round
+/// closure, or the error building them; that error is reported after the
+/// node-count check.
+pub(crate) fn run_simulated<A, F>(
+    mut net: BeepNetwork,
+    message_bits: usize,
+    seed: u64,
+    algorithms: &mut [Box<A>],
+    max_rounds: usize,
+    simulator: Result<(usize, F), SimError>,
+) -> Result<SimReport, SimError>
+where
+    A: BroadcastAlgorithm + ?Sized,
+    F: FnMut(&mut BeepNetwork, &[Option<Message>]) -> Result<RoundOutcome, SimError>,
+{
+    let n = net.graph().node_count();
+    if algorithms.len() != n {
+        return Err(CongestError::NodeCount {
+            expected: n,
+            actual: algorithms.len(),
+        }
+        .into());
+    }
+    let (beep_rounds_per_congest_round, mut simulate_round) = simulator?;
+    for (v, algo) in algorithms.iter_mut().enumerate() {
+        algo.init(&NodeCtx::for_node(net.graph(), v, message_bits, seed));
+    }
+    let mut stats = RoundStats::default();
+    let mut congest_rounds = 0;
+    for round in 0..max_rounds {
+        if algorithms.iter().all(|a| a.is_done()) {
+            break;
+        }
+        let outgoing: Vec<Option<Message>> = algorithms
+            .iter_mut()
+            .map(|a| a.round_message(round))
+            .collect();
+        let outcome = simulate_round(&mut net, &outgoing)?;
+        for (v, algo) in algorithms.iter_mut().enumerate() {
+            algo.on_receive(round, &outcome.delivered[v]);
+        }
+        stats.merge(&outcome.stats);
+        congest_rounds += 1;
+    }
+    if !algorithms.iter().all(|a| a.is_done()) {
+        return Err(CongestError::RoundBudgetExhausted { budget: max_rounds }.into());
+    }
+    let net_stats = net.stats();
+    Ok(SimReport {
+        congest_rounds,
+        beep_rounds: net_stats.rounds,
+        beep_rounds_per_congest_round,
+        beeps: net_stats.beeps,
+        stats,
+    })
 }
 
 /// Runs [`CongestAlgorithm`]s over a noisy beeping network (Corollary 12):
@@ -163,7 +177,6 @@ pub struct SimulatedCongestRunner<'g> {
     seed: u64,
     params: SimulationParams,
     channel: ChannelModel,
-    faults: FaultPlan,
 }
 
 impl<'g> SimulatedCongestRunner<'g> {
@@ -185,16 +198,7 @@ impl<'g> SimulatedCongestRunner<'g> {
             seed,
             params,
             channel: channel.into(),
-            faults: FaultPlan::none(),
         }
-    }
-
-    /// Installs a [`FaultPlan`] on the underlying simulated broadcast
-    /// runner (see [`SimulatedBroadcastRunner::with_fault_plan`]).
-    #[must_use]
-    pub fn with_fault_plan(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
-        self
     }
 
     /// Initializes and runs until every node is done or the budget (in
@@ -221,8 +225,7 @@ impl<'g> SimulatedCongestRunner<'g> {
             self.seed,
             self.params,
             self.channel.clone(),
-        )
-        .with_fault_plan(self.faults.clone());
+        );
         let broadcast_budget = CongestAdapter::<A>::broadcast_rounds_for(max_rounds, delta);
         let report = runner.run_to_completion(&mut adapters, broadcast_budget)?;
         let inner = adapters.into_iter().map(|b| b.into_inner()).collect();

@@ -211,12 +211,16 @@ impl Json {
     ///
     /// Returns a position-annotated message on malformed input.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let bytes = text.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
-        if p.pos != bytes.len() {
+        if p.pos != p.bytes.len() {
             return Err(p.err("trailing content after the JSON value"));
         }
         Ok(value)
@@ -264,9 +268,18 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// How deep arrays and objects may nest. The parser recurses once per
+/// level, so a bound keeps hostile input an error instead of a stack
+/// overflow; the files it reads (reports, journals, `BENCH_*.json`) nest a
+/// handful of levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -311,8 +324,19 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nested deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
@@ -411,11 +435,12 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().expect("non-empty by peek");
+                    // Consume one character: `pos` only ever advances past
+                    // whole characters, so it is a boundary of `text`.
+                    let c = self.text[self.pos..]
+                        .chars()
+                        .next()
+                        .expect("non-empty by peek");
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -528,6 +553,7 @@ mod tests {
             ("empty_arr", Json::Arr(vec![])),
             ("empty_obj", Json::Obj(vec![])),
             ("quote", Json::Str("a \"b\" \n c".into())),
+            ("utf8", Json::Str("ε ∈ (0, ½) — 🐝".into())),
         ]);
         let parsed = Json::parse(&v.to_pretty()).unwrap();
         assert_eq!(parsed, v);
@@ -549,6 +575,17 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\" 1}", "nul", "01x", "\"abc", "{}{}"] {
             assert!(Json::parse(bad).is_err(), "{bad:?}");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(100_000) + &"]".repeat(100_000);
+        let err = Json::parse(&deep).unwrap_err();
+        assert_eq!(err.pos, MAX_DEPTH, "{err}");
+        let objects = "{\"a\":".repeat(100_000);
+        assert!(Json::parse(&objects).is_err());
+        let ok = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(Json::parse(&ok).is_ok());
     }
 
     #[test]

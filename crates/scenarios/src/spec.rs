@@ -1173,6 +1173,9 @@ fn parse_value(text: &str, line_no: usize) -> Result<Json, ScenarioError> {
         let mut items = Vec::new();
         for part in split_top_level(inner) {
             let part = part.trim();
+            if part.starts_with('[') {
+                return Err(spec_err("nested arrays are not supported".into()));
+            }
             if !part.is_empty() {
                 items.push(parse_value(part, line_no)?);
             }
@@ -1566,6 +1569,15 @@ mod tests {
             p_bad_to_good: 0.5,
         };
         assert_eq!(ge.build(4).unwrap(), ge.build(4096).unwrap());
+    }
+
+    #[test]
+    fn deeply_nested_array_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(100_000) + &"]".repeat(100_000);
+        let text =
+            format!("protocols = [\"mis\"]\n[[topology]]\nfamily = \"path\"\nsizes = {deep}");
+        let err = CampaignSpec::parse(&text).unwrap_err().to_string();
+        assert!(err.contains("nested arrays"), "{err}");
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! The reproduction's central integration property (Theorem 11): a
 //! Broadcast CONGEST algorithm run natively and run over the beeping
 //! simulation must produce identical outputs — because every simulated
-//! communication round delivers exactly the same message multisets.
+//! communication round delivers exactly the same message multisets. The
+//! TDMA baseline, run noiselessly, must reproduce them too.
 
 use noisy_beeps::congest::algorithms::{BfsTree, Flood, LeaderElection, LubyMis, MaximalMatching};
 use noisy_beeps::congest::BroadcastRunner;
+use noisy_beeps::core::baseline::TdmaSimulator;
 use noisy_beeps::core::{SimulatedBroadcastRunner, SimulationParams};
 use noisy_beeps::net::{topology, Graph, Noise};
 
@@ -18,7 +20,8 @@ fn graphs() -> Vec<(&'static str, Graph)> {
     ]
 }
 
-/// Runs the same algorithm constructor both ways and compares outputs.
+/// Runs the same algorithm constructor natively, under Algorithm 1 and
+/// under the TDMA baseline, and compares outputs.
 fn assert_equivalent<A, F, O>(
     graph: &Graph,
     bits: usize,
@@ -51,11 +54,27 @@ fn assert_equivalent<A, F, O>(
         report.stats
     );
 
+    let tdma = TdmaSimulator::new(graph, bits, 0.0);
+    let mut baseline: Vec<Box<A>> = (0..n).map(|_| Box::new(make())).collect();
+    let tdma_report = tdma
+        .run_to_completion(graph, Noise::Noiseless, seed, &mut baseline, budget)
+        .expect("TDMA run");
+    assert!(
+        tdma_report.stats.all_perfect(),
+        "noiseless TDMA must be perfect: {:?}",
+        tdma_report.stats
+    );
+
     for v in 0..n {
         assert_eq!(
             output(&native[v]),
             output(&simulated[v]),
             "node {v} diverged"
+        );
+        assert_eq!(
+            output(&native[v]),
+            output(&baseline[v]),
+            "node {v} diverged under TDMA"
         );
     }
 }
@@ -108,9 +127,9 @@ fn leader_election_native_equals_simulated() {
 
 #[test]
 fn mis_native_equals_simulated() {
-    // Randomized algorithm: equivalence holds because node randomness is
-    // seeded identically by both runners (same NodeCtx seeds) and message
-    // delivery is identical.
+    // Randomized algorithm: equivalence holds because every runner seeds
+    // node randomness through `NodeCtx::for_node` and message delivery is
+    // identical.
     for (_name, g) in graphs() {
         let n = g.node_count();
         let bits = LubyMis::required_message_bits(n);

@@ -77,6 +77,25 @@ fn error_paths_are_reported_as_errors() {
         Err(SimError::NoiseMismatch { .. })
     ));
 
+    // A wrong node count is reported before a code-construction failure
+    // (a zero message width), which the right count then surfaces.
+    let unbuildable = SimulatedBroadcastRunner::new(&g, 0, 0, params, Noise::Noiseless);
+    let mut one = vec![Box::new(algorithms::LeaderElection::new(1))];
+    assert!(matches!(
+        unbuildable.run_to_completion(&mut one, 5),
+        Err(SimError::Congest(CongestError::NodeCount {
+            expected: 3,
+            actual: 1
+        }))
+    ));
+    let mut three: Vec<_> = (0..3)
+        .map(|_| Box::new(algorithms::LeaderElection::new(1)))
+        .collect();
+    assert!(matches!(
+        unbuildable.run_to_completion(&mut three, 5),
+        Err(SimError::Code(_))
+    ));
+
     // Round budget exhaustion surfaces as an error with the budget.
     let runner = SimulatedBroadcastRunner::new(&g, 8, 0, params, Noise::Noiseless);
     let mut stuck: Vec<Box<algorithms::LeaderElection>> = (0..3)
