@@ -1,14 +1,11 @@
 //! Runs (or validates) a scenario campaign: the CLI over `beep-scenarios`.
+//! A campaign is always a spec file (the format is documented in
+//! `beep_scenarios::CampaignSpec::parse`); `scenarios/` holds the
+//! checked-in ones.
 //!
 //! ```sh
-//! # From a checked-in spec file:
 //! cargo run --release -p beep-bench --bin campaign -- \
 //!     --spec scenarios/smoke.toml --out campaign_smoke.json
-//!
-//! # Inline, without a spec file:
-//! cargo run --release -p beep-bench --bin campaign -- \
-//!     --topologies cycle,torus,rgg --sizes 16,32 \
-//!     --epsilons 0.0,0.05 --protocols matching,round_sim --seeds 1,2
 //!
 //! # Checkpointed / resumable (re-run the same command to finish an
 //! # interrupted campaign; the journal replays completed cells):
@@ -17,9 +14,7 @@
 //!     --out campaign_smoke.json
 //!
 //! # Validate an existing report against the schema (CI smoke); add
-//! # --schema-version to print and assert the expected version from
-//! # beep-scenarios (the one source of truth — CI uses this instead of
-//! # grepping the report for a hardcoded number):
+//! # --schema-version to print the version it was checked against:
 //! cargo run --release -p beep-bench --bin campaign -- --check report.json --schema-version
 //! ```
 //!
@@ -28,18 +23,18 @@
 //! `--no-timing` strips the wall-clock fields, making the JSON a pure
 //! function of the spec (the golden-fixture form). `--max-cells N`
 //! (requires `--checkpoint`) stops after N cells — the deterministic
-//! "interruption" the CI resume smoke uses.
+//! "interruption" the CI resume smoke uses. A closed stdout (`… | head`)
+//! stops the printing only: the report is still written and the exit
+//! status is unchanged (1 when cells failed, 0 otherwise).
 //!
 //! Conflicting flags are usage errors (exit 2), not silent drops:
 //! `--check` takes no flags other than `--schema-version` (which in turn
-//! requires `--check`), and `--spec` excludes the inline axis flags
-//! (`--name`/`--topologies`/`--sizes`/`--epsilons`/`--protocols`/
-//! `--seeds`).
+//! requires `--check`), and a run needs `--spec`.
 
+use beep_bench::print_stdout;
 use beep_scenarios::json::Json;
 use beep_scenarios::{
     run_campaign, run_campaign_resumable, validate_report, CampaignSpec, RunOptions,
-    TopologyFamily, TopologySpec,
 };
 use std::path::Path;
 
@@ -47,37 +42,22 @@ use std::path::Path;
 #[derive(Debug)]
 enum Mode {
     /// `--check PATH`: schema-validate an existing report. With
-    /// `--schema-version`, also print and assert the expected version
-    /// from `beep-scenarios`.
+    /// `--schema-version`, also print the version it was checked against.
     Check { path: String, schema_version: bool },
-    /// Everything else: run a campaign.
+    /// `--spec PATH`: run a campaign.
     Run(RunConfig),
 }
 
 /// A validated run invocation.
 #[derive(Debug)]
 struct RunConfig {
-    source: SpecSource,
+    spec: String,
     out: Option<String>,
     threads: usize,
     include_timing: bool,
     quiet: bool,
     checkpoint: Option<String>,
     max_cells: Option<usize>,
-}
-
-/// Where the campaign spec comes from.
-#[derive(Debug)]
-enum SpecSource {
-    File(String),
-    Inline {
-        name: Option<String>,
-        topologies: Option<Vec<String>>,
-        sizes: Option<Vec<usize>>,
-        epsilons: Option<Vec<f64>>,
-        protocols: Option<Vec<String>>,
-        seeds: Option<Vec<u64>>,
-    },
 }
 
 fn main() {
@@ -105,12 +85,6 @@ fn parse_args(args: &[String]) -> Result<Mode, String> {
     let mut quiet = false;
     let mut checkpoint: Option<String> = None;
     let mut max_cells: Option<usize> = None;
-    let mut name: Option<String> = None;
-    let mut topologies: Option<Vec<String>> = None;
-    let mut sizes: Option<Vec<usize>> = None;
-    let mut epsilons: Option<Vec<f64>> = None;
-    let mut protocols: Option<Vec<String>> = None;
-    let mut seeds: Option<Vec<u64>> = None;
     let mut schema_version = false;
 
     let mut iter = args.iter();
@@ -125,7 +99,6 @@ fn parse_args(args: &[String]) -> Result<Mode, String> {
             "--check" => check = Some(take("--check")?),
             "--schema-version" => schema_version = true,
             "--out" => out = Some(take("--out")?),
-            "--name" => name = Some(take("--name")?),
             "--threads" => {
                 threads = parse_value(&take("--threads")?, "--threads")?;
                 threads_set = true;
@@ -134,36 +107,10 @@ fn parse_args(args: &[String]) -> Result<Mode, String> {
             "--quiet" => quiet = true,
             "--checkpoint" => checkpoint = Some(take("--checkpoint")?),
             "--max-cells" => max_cells = Some(parse_value(&take("--max-cells")?, "--max-cells")?),
-            "--topologies" => topologies = Some(split_list(&take("--topologies")?)),
-            "--sizes" => {
-                sizes = Some(parse_list(&take("--sizes")?, "--sizes")?);
-            }
-            "--epsilons" => {
-                epsilons = Some(parse_list(&take("--epsilons")?, "--epsilons")?);
-            }
-            "--protocols" => protocols = Some(split_list(&take("--protocols")?)),
-            "--seeds" => {
-                // Parsed as i64 so every seed fits the JSON report's
-                // integer fields (spec files get the same bound).
-                let raw: Vec<i64> = parse_list(&take("--seeds")?, "--seeds")?;
-                let mut list = Vec::with_capacity(raw.len());
-                for v in raw {
-                    list.push(
-                        u64::try_from(v).map_err(|_| format!("seed {v} must be non-negative"))?,
-                    );
-                }
-                seeds = Some(list);
-            }
             other => return Err(format!("unknown flag {other:?} (see the module docs)")),
         }
     }
 
-    let inline_axes = name.is_some()
-        || topologies.is_some()
-        || sizes.is_some()
-        || epsilons.is_some()
-        || protocols.is_some()
-        || seeds.is_some();
     if let Some(path) = check {
         // `--check` validates an existing report; combining it with run
         // flags used to silently drop them — now it's a usage error.
@@ -174,8 +121,7 @@ fn parse_args(args: &[String]) -> Result<Mode, String> {
             || !include_timing
             || quiet
             || checkpoint.is_some()
-            || max_cells.is_some()
-            || inline_axes;
+            || max_cells.is_some();
         if run_flags {
             return Err("--check validates an existing report and takes no flags \
                  other than --schema-version"
@@ -189,31 +135,14 @@ fn parse_args(args: &[String]) -> Result<Mode, String> {
     if schema_version {
         return Err("--schema-version asserts a report's schema and requires --check".into());
     }
-    if spec.is_some() && inline_axes {
-        // A spec file defines the whole matrix; inline axis flags used
-        // to be silently ignored next to it — now it's a usage error.
-        return Err("--spec conflicts with the inline axis flags \
-             (--name/--topologies/--sizes/--epsilons/--protocols/--seeds)"
-            .into());
-    }
     if max_cells.is_some() && checkpoint.is_none() {
         return Err("--max-cells stops a run early and requires --checkpoint \
                     (otherwise the partial progress is lost)"
             .into());
     }
-    let source = match spec {
-        Some(path) => SpecSource::File(path),
-        None => SpecSource::Inline {
-            name,
-            topologies,
-            sizes,
-            epsilons,
-            protocols,
-            seeds,
-        },
-    };
+    let spec = spec.ok_or("a run needs --spec FILE (or --check REPORT to validate one)")?;
     Ok(Mode::Run(RunConfig {
-        source,
+        spec,
         out,
         threads,
         include_timing,
@@ -224,28 +153,10 @@ fn parse_args(args: &[String]) -> Result<Mode, String> {
 }
 
 fn run(config: &RunConfig) {
-    let spec = match &config.source {
-        SpecSource::File(path) => {
-            let text = std::fs::read_to_string(path)
-                .unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
-            CampaignSpec::parse(&text).unwrap_or_else(|e| die(&format!("{path}: {e}")))
-        }
-        SpecSource::Inline {
-            name,
-            topologies,
-            sizes,
-            epsilons,
-            protocols,
-            seeds,
-        } => inline_spec(
-            name.clone(),
-            topologies.clone(),
-            sizes.clone(),
-            epsilons.clone(),
-            protocols.clone(),
-            seeds.clone(),
-        ),
-    };
+    let path = &config.spec;
+    let text =
+        std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
+    let spec = CampaignSpec::parse(&text).unwrap_or_else(|e| die(&format!("{path}: {e}")));
     let options = RunOptions {
         threads: config.threads,
         max_cells: config.max_cells,
@@ -255,10 +166,10 @@ fn run(config: &RunConfig) {
         let outcome = run_campaign_resumable(&spec, &options, Path::new(path))
             .unwrap_or_else(|e| die(&format!("campaign failed: {e}")));
         if !config.quiet {
-            println!(
-                "checkpoint {path}: {} cell(s) replayed, {} executed, {} total",
+            print_stdout(&format!(
+                "checkpoint {path}: {} cell(s) replayed, {} executed, {} total\n",
                 outcome.replayed, outcome.executed, outcome.total
-            );
+            ));
         }
         match outcome.report {
             Some(report) => report,
@@ -266,11 +177,11 @@ fn run(config: &RunConfig) {
                 // A --max-cells cut: the journal holds the progress.
                 // Intentional partial runs exit 0 so the CI resume
                 // smoke can chain them.
-                println!(
-                    "campaign partial: {}/{} cells done; re-run with --checkpoint {path} to finish",
+                print_stdout(&format!(
+                    "campaign partial: {}/{} cells done; re-run with --checkpoint {path} to finish\n",
                     outcome.replayed + outcome.executed,
                     outcome.total
-                );
+                ));
                 return;
             }
         }
@@ -279,13 +190,13 @@ fn run(config: &RunConfig) {
     };
 
     if !config.quiet {
-        print!("{}", report.render_table());
+        print_stdout(&report.render_table());
     }
     if let Some(path) = &config.out {
         let json = report.to_json(config.include_timing).to_pretty();
         std::fs::write(path, json).unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
         if !config.quiet {
-            println!("report written to {path}");
+            print_stdout(&format!("report written to {path}\n"));
         }
     }
     // A campaign where cells *failed* (as opposed to being skipped as
@@ -297,100 +208,27 @@ fn run(config: &RunConfig) {
     }
 }
 
-/// `--check`: parse + schema-validate an existing report, print its
+/// `--check`: parse an existing report against the schema, print its
 /// summary line, and exit 0 (valid) or 2 (invalid/empty). With
-/// `schema_version`, additionally print and assert the expected version
-/// from `beep-scenarios` — CI's replacement for grepping the report for
+/// `schema_version`, also print the version it was checked against, the
+/// one in `beep-scenarios` — CI's replacement for grepping the report for
 /// a hardcoded version number.
 fn check(path: &str, schema_version: bool) {
     let text =
         std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
     let json = Json::parse(&text).unwrap_or_else(|e| die(&format!("{path}: {e}")));
-    validate_report(&json).unwrap_or_else(|e| die(&format!("{path}: {e}")));
-    let cells = json
-        .get("cells")
-        .and_then(Json::as_array)
-        .map_or(0, <[Json]>::len);
-    let campaign = json
-        .get("campaign")
-        .and_then(Json::as_str)
-        .unwrap_or("<unnamed>");
-    println!("{path}: valid {campaign:?} report, {cells} cells");
+    let report = validate_report(&json).unwrap_or_else(|e| die(&format!("{path}: {e}")));
+    print_stdout(&format!(
+        "{path}: valid {:?} report, {} cells\n",
+        report.campaign,
+        report.cells.len()
+    ));
     if schema_version {
-        // validate_report already rejected any mismatch; the explicit
-        // assert + print makes the contract visible in the CI log and
-        // keeps the expected number in exactly one place.
-        let version = json.get("version").and_then(Json::as_i64);
-        assert_eq!(
-            version,
-            Some(beep_scenarios::SCHEMA_VERSION),
-            "validate_report accepted a version it should reject"
-        );
-        println!("{path}: schema version {}", beep_scenarios::SCHEMA_VERSION);
+        print_stdout(&format!(
+            "{path}: schema version {}\n",
+            beep_scenarios::SCHEMA_VERSION
+        ));
     }
-}
-
-fn inline_spec(
-    name: Option<String>,
-    topologies: Option<Vec<String>>,
-    sizes: Option<Vec<usize>>,
-    epsilons: Option<Vec<f64>>,
-    protocols: Option<Vec<String>>,
-    seeds: Option<Vec<u64>>,
-) -> CampaignSpec {
-    let topologies =
-        topologies.unwrap_or_else(|| die("need --spec FILE or --topologies + --protocols"));
-    let sizes = sizes.unwrap_or_else(|| vec![16, 32]);
-    let topologies = topologies
-        .iter()
-        .map(|name| TopologySpec {
-            family: TopologyFamily::from_name(name)
-                .unwrap_or_else(|| die(&format!("unknown topology family {name:?}"))),
-            sizes: sizes.clone(),
-        })
-        .collect();
-    let protocols = protocols
-        .unwrap_or_else(|| die("need --protocols (e.g. matching,round_sim)"))
-        .iter()
-        .map(|name| {
-            beep_apps::Protocol::from_name(name)
-                .unwrap_or_else(|| die(&format!("unknown protocol {name:?}")))
-        })
-        .collect();
-    let epsilons = epsilons.unwrap_or_else(|| vec![0.0]);
-    for &eps in &epsilons {
-        // Same domain check spec files get in CampaignSpec::parse — a
-        // typo'd ε must be a usage error, not an all-skipped green sweep.
-        if !(0.0..0.5).contains(&eps) {
-            die(&format!("epsilon {eps} outside the paper's [0, ½)"));
-        }
-    }
-    CampaignSpec {
-        name: name.unwrap_or_else(|| "cli".into()),
-        topologies,
-        epsilons,
-        // Richer channel families ([[channel]] tables) are a spec-file
-        // feature — inline flags cover only the iid ε sweep.
-        channels: vec![],
-        faults: vec![],
-        protocols,
-        seeds: seeds.unwrap_or_else(|| vec![1]),
-    }
-}
-
-fn split_list(text: &str) -> Vec<String> {
-    text.split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(ToString::to_string)
-        .collect()
-}
-
-fn parse_list<T: std::str::FromStr>(text: &str, what: &str) -> Result<Vec<T>, String> {
-    split_list(text)
-        .iter()
-        .map(|s| parse_value(s, what))
-        .collect()
 }
 
 fn parse_value<T: std::str::FromStr>(text: &str, what: &str) -> Result<T, String> {
@@ -450,7 +288,6 @@ mod tests {
             ["--spec", "s.toml"],
             ["--threads", "2"],
             ["--checkpoint", "ck.jsonl"],
-            ["--topologies", "cycle"],
         ] {
             let mut a = args(&["--check", "report.json"]);
             a.extend(args(&extra));
@@ -461,23 +298,6 @@ mod tests {
         for extra in ["--quiet", "--no-timing"] {
             let err = parse_args(&args(&["--check", "r.json", extra])).unwrap_err();
             assert!(err.contains("--check"), "{extra}: {err}");
-        }
-    }
-
-    #[test]
-    fn spec_rejects_inline_axis_flags() {
-        for extra in [
-            ["--topologies", "cycle"],
-            ["--sizes", "8"],
-            ["--epsilons", "0.05"],
-            ["--protocols", "wave"],
-            ["--seeds", "1"],
-            ["--name", "x"],
-        ] {
-            let mut a = args(&["--spec", "s.toml"]);
-            a.extend(args(&extra));
-            let err = parse_args(&a).unwrap_err();
-            assert!(err.contains("--spec conflicts"), "{extra:?}: {err}");
         }
     }
 
@@ -501,7 +321,7 @@ mod tests {
         let Mode::Run(config) = mode else {
             panic!("expected a run");
         };
-        assert!(matches!(&config.source, SpecSource::File(p) if p == "s.toml"));
+        assert_eq!(config.spec, "s.toml");
         assert_eq!(config.out.as_deref(), Some("r.json"));
         assert_eq!(config.threads, 2);
         assert!(!config.include_timing);
@@ -521,6 +341,9 @@ mod tests {
         assert!(parse_args(&args(&["--bogus"])).is_err());
         assert!(parse_args(&args(&["--spec"])).is_err());
         assert!(parse_args(&args(&["--threads", "many"])).is_err());
-        assert!(parse_args(&args(&["--seeds", "-1", "--topologies", "cycle"])).is_err());
+        // The axes come only from a spec file.
+        assert!(parse_args(&args(&["--topologies", "cycle"])).is_err());
+        let err = parse_args(&args(&["--out", "r.json"])).unwrap_err();
+        assert!(err.contains("--spec"), "{err}");
     }
 }

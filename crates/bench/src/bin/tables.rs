@@ -6,7 +6,7 @@
 //! cargo run --release -p beep-bench --bin tables -- e3 --seed 7
 //! ```
 
-use beep_bench::experiments;
+use beep_bench::{experiments, print_stdout};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -30,7 +30,7 @@ fn main() {
         match experiments::by_name(name, seed) {
             Some(tables) => {
                 for table in tables {
-                    println!("{table}");
+                    print_stdout(&format!("{table}\n"));
                 }
             }
             None => die(&format!(

@@ -29,3 +29,21 @@ mod table;
 pub mod trajectory;
 
 pub use table::Table;
+
+use std::io::{ErrorKind, Write};
+
+/// Writes `text` to standard output: the one print path of the `tables`
+/// and `campaign` binaries. A closed stdout (the reader of `… | head` has
+/// gone) ends nothing: the text is dropped and the program carries on, so
+/// it still writes its files and exits with the status it would have had.
+/// Any other write error exits with status 2.
+pub fn print_stdout(text: &str) {
+    let mut out = std::io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => {
+            eprintln!("cannot write to stdout: {e}");
+            std::process::exit(2);
+        }
+        _ => {}
+    }
+}

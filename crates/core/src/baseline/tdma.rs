@@ -6,7 +6,7 @@ use crate::round_sim::{check_round_inputs, RoundOutcome};
 use crate::runner::{run_simulated, SimReport};
 use crate::stats::RoundStats;
 use beep_bits::BitVec;
-use beep_congest::{BroadcastAlgorithm, Message};
+use beep_congest::{BroadcastAlgorithm, CongestError, Message};
 use beep_net::{BeepNetwork, ChannelModel, Graph};
 
 use super::g2_coloring::{distance2_coloring, num_colors};
@@ -117,7 +117,9 @@ impl TdmaSimulator {
     ///
     /// # Errors
     ///
-    /// Mirrors the Algorithm 1 simulator's errors.
+    /// Mirrors the Algorithm 1 simulator's errors, plus
+    /// [`CongestError::NodeCount`] when the network's node count is not
+    /// the one the coloring was built for.
     pub fn simulate_round(
         &self,
         net: &mut BeepNetwork,
@@ -125,6 +127,13 @@ impl TdmaSimulator {
     ) -> Result<RoundOutcome, SimError> {
         check_round_inputs(net, outgoing, self.epsilon, self.message_bits)?;
         let n = outgoing.len();
+        if n != self.coloring.len() {
+            return Err(CongestError::NodeCount {
+                expected: self.coloring.len(),
+                actual: n,
+            }
+            .into());
+        }
         // Build per-node frames: slot for its color, presence + bits.
         let slot_len = (self.message_bits + 1) * self.repetition;
         let total = self.colors * slot_len;
@@ -206,7 +215,9 @@ impl TdmaSimulator {
     ///
     /// # Errors
     ///
-    /// Mirrors the Algorithm 1 runner's errors.
+    /// Mirrors the Algorithm 1 runner's errors, plus
+    /// [`CongestError::NodeCount`] when `graph` is not the size of the one
+    /// the coloring was built for.
     pub fn run_to_completion<A: BroadcastAlgorithm + ?Sized>(
         &self,
         graph: &Graph,

@@ -349,7 +349,6 @@ impl CampaignReport {
     /// additionally carries per-cell and campaign `wall_ms`.
     #[must_use]
     pub fn to_json(&self, include_timing: bool) -> Json {
-        let s = self.summary();
         let mut pairs = vec![
             ("schema", Json::Str(SCHEMA_NAME.into())),
             ("version", Json::Int(SCHEMA_VERSION)),
@@ -363,19 +362,7 @@ impl CampaignReport {
                         .collect(),
                 ),
             ),
-            (
-                "summary",
-                Json::obj(vec![
-                    ("cells", int(s.cells)),
-                    ("ok", int(s.ok)),
-                    ("failed", int(s.failed)),
-                    ("skipped", int(s.skipped)),
-                    ("successes", int(s.successes)),
-                    ("success_rate", Json::Float(s.success_rate)),
-                    ("total_rounds", int_u64(s.total_rounds)),
-                    ("total_beeps", int_u64(s.total_beeps)),
-                ]),
-            ),
+            ("summary", Json::obj(summary_fields(&self.summary()))),
         ];
         if include_timing {
             pairs.push(("wall_ms", Json::Float(self.wall_ms)));
@@ -456,79 +443,86 @@ impl CampaignReport {
     }
 }
 
-/// Validates a parsed report against the version-4 schema: identifier and
-/// version match, the cell set is non-empty, every cell carries the
-/// required typed fields (including its `channel` and `faults` labels),
-/// and the summary is consistent with the cells.
+/// The summary's fields in report order: what [`CampaignReport::to_json`]
+/// writes and [`validate_report`] compares.
+fn summary_fields(s: &Summary) -> Vec<(&'static str, Json)> {
+    vec![
+        ("cells", int(s.cells)),
+        ("ok", int(s.ok)),
+        ("failed", int(s.failed)),
+        ("skipped", int(s.skipped)),
+        ("successes", int(s.successes)),
+        ("success_rate", Json::Float(s.success_rate)),
+        ("total_rounds", int_u64(s.total_rounds)),
+        ("total_beeps", int_u64(s.total_beeps)),
+    ]
+}
+
+/// Parses a report against the version-4 schema: identifier and version
+/// match, the cell set is non-empty, every cell reads through
+/// [`CellResult::from_json`] (the checkpoint journal's reader), and every
+/// summary field equals the one [`CampaignReport::summary`] computes from
+/// the cells. A missing `wall_ms` reads as `0.0`.
 ///
 /// # Errors
 ///
-/// [`ScenarioError::Report`] naming the first violation.
-pub fn validate_report(json: &Json) -> Result<(), ScenarioError> {
-    let fail = |detail: String| Err(ScenarioError::Report { detail });
+/// [`ScenarioError::Report`] naming the first violation, with the index
+/// of the cell it is in.
+pub fn validate_report(json: &Json) -> Result<CampaignReport, ScenarioError> {
+    let fail = |detail: String| ScenarioError::Report { detail };
     match json.get("schema").and_then(Json::as_str) {
         Some(s) if s == SCHEMA_NAME => {}
-        other => return fail(format!("schema is {other:?}, expected {SCHEMA_NAME:?}")),
+        other => {
+            return Err(fail(format!(
+                "schema is {other:?}, expected {SCHEMA_NAME:?}"
+            )))
+        }
     }
     match json.get("version").and_then(Json::as_i64) {
         Some(v) if v == SCHEMA_VERSION => {}
-        other => return fail(format!("version is {other:?}, expected {SCHEMA_VERSION}")),
+        other => {
+            return Err(fail(format!(
+                "version is {other:?}, expected {SCHEMA_VERSION}"
+            )))
+        }
     }
-    if json.get("campaign").and_then(Json::as_str).is_none() {
-        return fail("missing campaign name".into());
-    }
-    let cells = match json.get("cells").and_then(Json::as_array) {
-        Some(cells) => cells,
-        None => return fail("missing cells array".into()),
-    };
+    let campaign = json
+        .get("campaign")
+        .and_then(Json::as_str)
+        .ok_or_else(|| fail("missing campaign name".into()))?;
+    let cells = json
+        .get("cells")
+        .and_then(Json::as_array)
+        .ok_or_else(|| fail("missing cells array".into()))?;
     if cells.is_empty() {
-        return fail("cell set is empty".into());
+        return Err(fail("cell set is empty".into()));
     }
-    let mut ok = 0usize;
-    for (i, cell) in cells.iter().enumerate() {
-        let ctx = |what: &str| format!("cell {i}: {what}");
-        if cell.get("id").and_then(Json::as_str).is_none() {
-            return fail(ctx("missing id"));
-        }
-        for key in ["n", "edges", "max_degree", "rounds", "beeps", "seed"] {
-            match cell.get(key).and_then(Json::as_i64) {
-                Some(v) if v >= 0 => {}
-                _ => return fail(ctx(&format!("missing or negative {key}"))),
-            }
-        }
-        if cell.get("epsilon").and_then(Json::as_f64).is_none() {
-            return fail(ctx("missing epsilon"));
-        }
-        if cell.get("channel").and_then(Json::as_str).is_none() {
-            return fail(ctx("missing channel"));
-        }
-        if cell.get("faults").and_then(Json::as_str).is_none() {
-            return fail(ctx("missing faults"));
-        }
-        if cell.get("protocol").and_then(Json::as_str).is_none() {
-            return fail(ctx("missing protocol"));
-        }
-        if cell.get("success").and_then(Json::as_bool).is_none() {
-            return fail(ctx("missing success"));
-        }
-        match cell.get("status").and_then(Json::as_str) {
-            Some("ok") => ok += 1,
-            Some("failed" | "skipped") => {}
-            other => return fail(ctx(&format!("bad status {other:?}"))),
+    let cells = cells
+        .iter()
+        .enumerate()
+        .map(|(i, cell)| {
+            CellResult::from_json(cell).map_err(|e| match e {
+                ScenarioError::Report { detail } => fail(format!("cell {i}: {detail}")),
+                other => other,
+            })
+        })
+        .collect::<Result<Vec<CellResult>, _>>()?;
+    let report = CampaignReport {
+        campaign: campaign.to_string(),
+        cells,
+        wall_ms: json.get("wall_ms").and_then(Json::as_f64).unwrap_or(0.0),
+    };
+    let summary = json
+        .get("summary")
+        .ok_or_else(|| fail("missing summary".into()))?;
+    for (key, expected) in summary_fields(&report.summary()) {
+        if summary.get(key) != Some(&expected) {
+            return Err(fail(format!(
+                "summary.{key} disagrees with the cells array"
+            )));
         }
     }
-    let summary = json.get("summary").ok_or(ScenarioError::Report {
-        detail: "missing summary".into(),
-    })?;
-    if summary.get("cells").and_then(Json::as_i64)
-        != Some(i64::try_from(cells.len()).expect("cell count fits"))
-    {
-        return fail("summary.cells disagrees with the cells array".into());
-    }
-    if summary.get("ok").and_then(Json::as_i64) != Some(i64::try_from(ok).expect("fits")) {
-        return fail("summary.ok disagrees with the cells array".into());
-    }
-    Ok(())
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -660,6 +654,42 @@ mod tests {
             ),
             ("\"faults\": \"none\"", "\"fault\": \"none\"", "faults"),
             ("\"ok\": 2", "\"ok\": 3", "summary.ok"),
+        ] {
+            let bad = good.replacen(from, to, 1);
+            assert_ne!(bad, good, "{from} not found");
+            let err = validate_report(&Json::parse(&bad).unwrap()).unwrap_err();
+            assert!(err.to_string().contains(needle), "{needle}: {err}");
+        }
+    }
+
+    #[test]
+    fn validation_returns_the_report_and_checks_every_summary_field() {
+        let report = demo_report();
+        assert_eq!(validate_report(&report.to_json(true)).unwrap(), report);
+        let good = report.to_json(false).to_pretty();
+        for (from, to, needle) in [
+            ("\"failed\": 1", "\"failed\": 0", "summary.failed"),
+            (
+                "\"success_rate\": 0.5",
+                "\"success_rate\": 1.0",
+                "summary.success_rate",
+            ),
+            (
+                "\"total_rounds\": 200",
+                "\"total_rounds\": 201",
+                "summary.total_rounds",
+            ),
+            (
+                "\"total_beeps\": 84",
+                "\"total_beeps\": 85",
+                "summary.total_beeps",
+            ),
+            // Cell errors name the cell's index.
+            (
+                "\"status\": \"skipped\"",
+                "\"status\": \"gone\"",
+                "cell 3: cell record: bad status",
+            ),
         ] {
             let bad = good.replacen(from, to, 1);
             assert_ne!(bad, good, "{from} not found");

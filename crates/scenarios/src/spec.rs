@@ -62,6 +62,12 @@
 //! Supported syntax: `key = value` pairs (strings, numbers, booleans,
 //! flat arrays), `[[topology]]`/`[[channel]]`/`[[faults]]` table arrays,
 //! and `#` comments. Nothing else of TOML is needed or accepted.
+//!
+//! One reader checks every table, the root included. A key the table does
+//! not accept, a missing required key, and a present value of the wrong
+//! type or outside its range are errors that name the table's line (line
+//! 0 for the root). A spec never falls back to a default for a value it
+//! states: `radius = "0.3"` is an error, not the auto radius.
 
 use crate::error::ScenarioError;
 use crate::json::Json;
@@ -204,59 +210,47 @@ impl TopologyFamily {
         Ok((graph, params))
     }
 
-    /// Parses a family from its bare spec name with default parameters
-    /// (degree 4 regular, expected degree 4 G(n,p), m = 2 attachment,
-    /// auto RGG radius) — the CLI entry point; spec files can override
-    /// the parameters per `[[topology]]` table.
-    #[must_use]
-    pub fn from_name(name: &str) -> Option<TopologyFamily> {
-        TopologyFamily::from_spec(name, &Json::Obj(vec![]), 0).ok()
-    }
-
-    /// Parses a family from its spec name plus the table's parameters.
-    fn from_spec(name: &str, table: &Json, line: usize) -> Result<TopologyFamily, ScenarioError> {
-        let f64_param = |key: &str| table.get(key).and_then(Json::as_f64);
-        let usize_param = |key: &str| -> Result<Option<usize>, ScenarioError> {
-            match table.get(key) {
-                None => Ok(None),
-                Some(v) => v
-                    .as_i64()
-                    .filter(|&x| x >= 0)
-                    .map(|x| Some(usize::try_from(x).expect("non-negative")))
-                    .ok_or(ScenarioError::Spec {
-                        line,
-                        detail: format!("{key} must be a non-negative integer"),
-                    }),
+    /// Reads a family from a `[[topology]]` table: its `family` name and
+    /// that family's parameters. Each arm names the keys its table may
+    /// hold; a parameter left out takes the family's default (degree 4,
+    /// expected degree 4, m = 2, the auto radius).
+    fn from_spec(t: &Table) -> Result<TopologyFamily, ScenarioError> {
+        let plain = |family| t.accept(&["family", "sizes"]).map(|()| family);
+        Ok(match t.need::<String>("family")?.as_str() {
+            "cycle" => plain(TopologyFamily::Cycle)?,
+            "path" => plain(TopologyFamily::Path)?,
+            "complete" => plain(TopologyFamily::Complete)?,
+            "star" => plain(TopologyFamily::Star)?,
+            "grid" => plain(TopologyFamily::Grid)?,
+            "torus" => plain(TopologyFamily::Torus)?,
+            "binary_tree" => plain(TopologyFamily::BinaryTree)?,
+            "random_tree" | "tree" => plain(TopologyFamily::RandomTree)?,
+            "complete_bipartite" | "bipartite" => plain(TopologyFamily::CompleteBipartite)?,
+            "random_geometric" | "rgg" => {
+                t.accept(&["family", "sizes", "radius"])?;
+                TopologyFamily::RandomGeometric {
+                    radius: t.get("radius")?,
+                }
             }
-        };
-        Ok(match name {
-            "cycle" => TopologyFamily::Cycle,
-            "path" => TopologyFamily::Path,
-            "complete" => TopologyFamily::Complete,
-            "star" => TopologyFamily::Star,
-            "grid" => TopologyFamily::Grid,
-            "torus" => TopologyFamily::Torus,
-            "binary_tree" => TopologyFamily::BinaryTree,
-            "random_tree" | "tree" => TopologyFamily::RandomTree,
-            "random_geometric" | "rgg" => TopologyFamily::RandomGeometric {
-                radius: f64_param("radius"),
-            },
-            "random_regular" | "regular" => TopologyFamily::RandomRegular {
-                degree: usize_param("degree")?.unwrap_or(4),
-            },
-            "gnp" => TopologyFamily::Gnp {
-                expected_degree: f64_param("expected_degree").unwrap_or(4.0),
-            },
-            "preferential_attachment" | "pa" => TopologyFamily::PreferentialAttachment {
-                m: usize_param("m")?.unwrap_or(2),
-            },
-            "complete_bipartite" | "bipartite" => TopologyFamily::CompleteBipartite,
-            other => {
-                return Err(ScenarioError::Spec {
-                    line,
-                    detail: format!("unknown topology family {other:?}"),
-                })
+            "random_regular" | "regular" => {
+                t.accept(&["family", "sizes", "degree"])?;
+                TopologyFamily::RandomRegular {
+                    degree: t.get("degree")?.unwrap_or(4),
+                }
             }
+            "gnp" => {
+                t.accept(&["family", "sizes", "expected_degree"])?;
+                TopologyFamily::Gnp {
+                    expected_degree: t.get("expected_degree")?.unwrap_or(4.0),
+                }
+            }
+            "preferential_attachment" | "pa" => {
+                t.accept(&["family", "sizes", "m"])?;
+                TopologyFamily::PreferentialAttachment {
+                    m: t.get("m")?.unwrap_or(2),
+                }
+            }
+            other => return Err(t.err(format!("unknown topology family {other:?}"))),
         })
     }
 }
@@ -414,86 +408,51 @@ impl ChannelSpec {
         }
     }
 
-    /// Parses a `[[channel]]` table: a `model` discriminator plus the
+    /// Reads a `[[channel]]` table: a `model` discriminator plus the
     /// model's parameter keys, all required, range-checked here so a bad
     /// spec fails at parse time rather than as a sea of failed cells.
-    fn from_spec(table: &Json, line: usize) -> Result<ChannelSpec, ScenarioError> {
-        let spec_err = |detail: String| ScenarioError::Spec { line, detail };
-        let model = table
-            .get("model")
-            .and_then(Json::as_str)
-            .ok_or_else(|| spec_err("[[channel]] needs model = \"…\"".into()))?;
-        let allowed: &[&str] = match model {
-            "iid" => &["epsilon"],
-            "ge" | "gilbert_elliott" => &["eps_good", "eps_bad", "p_good_to_bad", "p_bad_to_good"],
-            "per_node" | "pernode" => &["pattern"],
-            "adversarial" | "adv" => &["budget_frac", "design_epsilon"],
-            other => return Err(spec_err(format!("unknown channel model {other:?}"))),
-        };
-        // Same rationale as the root/topology key checks: an unknown
-        // parameter must fail loudly, not silently sweep the default.
-        if let Json::Obj(pairs) = table {
-            for (key, _) in pairs {
-                if key != "model" && !allowed.contains(&key.as_str()) {
-                    return Err(spec_err(format!(
-                        "unknown key {key:?} for channel model {model:?} \
-                         (accepted: model, {})",
-                        allowed.join(", ")
-                    )));
+    fn from_spec(t: &Table) -> Result<ChannelSpec, ScenarioError> {
+        Ok(match t.need::<String>("model")?.as_str() {
+            "iid" => {
+                t.accept(&["model", "epsilon"])?;
+                ChannelSpec::Iid {
+                    epsilon: t.rate("epsilon")?,
                 }
             }
-        }
-        let number = |key: &str| {
-            table
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| spec_err(format!("channel model {model:?} needs {key} = <number>")))
-        };
-        let rate = |key: &str| {
-            let v = number(key)?;
-            if !(0.0..0.5).contains(&v) {
-                return Err(spec_err(format!("{key} {v} outside [0, ½)")));
+            "ge" | "gilbert_elliott" => {
+                t.accept(&[
+                    "model",
+                    "eps_good",
+                    "eps_bad",
+                    "p_good_to_bad",
+                    "p_bad_to_good",
+                ])?;
+                ChannelSpec::GilbertElliott {
+                    eps_good: t.rate("eps_good")?,
+                    eps_bad: t.rate("eps_bad")?,
+                    p_good_to_bad: t.unit("p_good_to_bad")?,
+                    p_bad_to_good: t.unit("p_bad_to_good")?,
+                }
             }
-            Ok(v)
-        };
-        let prob = |key: &str| {
-            let v = number(key)?;
-            if !(0.0..=1.0).contains(&v) {
-                return Err(spec_err(format!("{key} {v} outside [0, 1]")));
-            }
-            Ok(v)
-        };
-        Ok(match model {
-            "iid" => ChannelSpec::Iid {
-                epsilon: rate("epsilon")?,
-            },
-            "ge" | "gilbert_elliott" => ChannelSpec::GilbertElliott {
-                eps_good: rate("eps_good")?,
-                eps_bad: rate("eps_bad")?,
-                p_good_to_bad: prob("p_good_to_bad")?,
-                p_bad_to_good: prob("p_bad_to_good")?,
-            },
             "per_node" | "pernode" => {
-                let pattern = f64_array(
-                    table
-                        .get("pattern")
-                        .ok_or_else(|| spec_err("per_node channel needs pattern = […]".into()))?,
-                    "pattern",
-                )?;
+                t.accept(&["model", "pattern"])?;
+                let pattern: Vec<f64> = t.need("pattern")?;
                 if pattern.is_empty() {
-                    return Err(spec_err("pattern must be non-empty".into()));
+                    return Err(t.err("pattern must be non-empty".into()));
                 }
-                for &e in &pattern {
-                    if !(0.0..0.5).contains(&e) {
-                        return Err(spec_err(format!("pattern rate {e} outside [0, ½)")));
-                    }
+                for &rate in &pattern {
+                    t.check_rate("pattern", rate)?;
                 }
                 ChannelSpec::PerNode { pattern }
             }
-            _ => ChannelSpec::Adversarial {
-                budget_frac: prob("budget_frac")?,
-                design_epsilon: rate("design_epsilon")?,
-            },
+            "adversarial" | "adv" => {
+                t.accept(&["model", "budget_frac", "design_epsilon"])?;
+                ChannelSpec::Adversarial {
+                    budget_frac: t.unit("budget_frac")?,
+                    design_epsilon: t.rate("design_epsilon")?,
+                }
+            }
+            other => return Err(t.err(format!("unknown channel model {other:?}"))),
         })
     }
 }
@@ -625,104 +584,66 @@ impl FaultSpec {
         })
     }
 
-    /// Parses a `[[faults]]` table: `kind = "crash"|"spam"|"mute"` with
+    /// Reads a `[[faults]]` table: `kind = "crash"|"spam"|"mute"` with
     /// `fraction ∈ [0, 1]` (plus, crash only, the first dead `round`),
     /// and/or `policy = "target_loudest"|"rushing_spam"` with
     /// `budget_frac ∈ [0, 1]` (plus, rushing only, the post-activity
-    /// `window`). At least one of `kind`/`policy` is required.
-    fn from_spec(table: &Json, line: usize) -> Result<FaultSpec, ScenarioError> {
-        let spec_err = |detail: String| ScenarioError::Spec { line, detail };
-        let kind_name = table.get("kind").and_then(Json::as_str);
-        let policy_name = table.get("policy").and_then(Json::as_str);
+    /// `window`). At least one of `kind`/`policy` is required. Each arm
+    /// adds the keys it reads to the ones the table may hold.
+    fn from_spec(t: &Table) -> Result<FaultSpec, ScenarioError> {
+        let kind_name: Option<String> = t.get("kind")?;
+        let policy_name: Option<String> = t.get("policy")?;
         if kind_name.is_none() && policy_name.is_none() {
-            return Err(spec_err(
+            return Err(t.err(
                 "[[faults]] needs kind = \"crash\"|\"spam\"|\"mute\" \
                  and/or policy = \"target_loudest\"|\"rushing_spam\""
                     .into(),
             ));
         }
-        // Same rationale as the other table arrays: a key the entry does
-        // not accept must fail loudly, not silently sweep a default.
-        let mut allowed: Vec<&str> = vec!["kind", "policy"];
-        match kind_name {
-            None => {}
-            Some("crash") => allowed.extend(["fraction", "round"]),
-            Some("spam" | "mute") => allowed.push("fraction"),
-            Some(other) => return Err(spec_err(format!("unknown fault kind {other:?}"))),
-        }
-        match policy_name {
-            None => {}
-            Some("target_loudest") => allowed.push("budget_frac"),
-            Some("rushing_spam") => allowed.extend(["budget_frac", "window"]),
-            Some(other) => return Err(spec_err(format!("unknown fault policy {other:?}"))),
-        }
-        if let Json::Obj(pairs) = table {
-            for (key, _) in pairs {
-                if !allowed.contains(&key.as_str()) {
-                    return Err(spec_err(format!(
-                        "unknown key {key:?} for fault entry (accepted: {})",
-                        allowed.join(", ")
-                    )));
-                }
-            }
-        }
-        let frac_in_range = |key: &str| -> Result<f64, ScenarioError> {
-            let v = table
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| spec_err(format!("[[faults]] needs {key} = <number>")))?;
-            if !(0.0..=1.0).contains(&v) {
-                return Err(spec_err(format!("{key} {v} outside [0, 1]")));
-            }
-            Ok(v)
-        };
-        let (kind, fraction) = match kind_name {
-            None => (None, 0.0),
-            Some(name) => {
-                let fraction = frac_in_range("fraction")?;
-                let kind = match name {
-                    "crash" => {
-                        let round = table
-                            .get("round")
-                            .and_then(Json::as_i64)
-                            .filter(|&r| r >= 0)
-                            .ok_or_else(|| {
-                                spec_err("crash faults need round = <non-negative integer>".into())
-                            })?;
-                        FaultKind::Crash {
-                            round: u64::try_from(round).expect("non-negative"),
-                        }
-                    }
-                    "spam" => FaultKind::ByzantineSpam,
-                    _ => FaultKind::ByzantineMute,
-                };
-                (Some(kind), fraction)
-            }
-        };
-        let policy = match policy_name {
+        let mut keys = vec!["kind", "policy"];
+        let kind = match kind_name.as_deref() {
             None => None,
-            Some(name) => {
-                let budget_frac = frac_in_range("budget_frac")?;
-                Some(match name {
-                    "target_loudest" => PolicySpec::TargetLoudest { budget_frac },
-                    _ => {
-                        let window = table
-                            .get("window")
-                            .and_then(Json::as_i64)
-                            .filter(|&w| w >= 0)
-                            .ok_or_else(|| {
-                                spec_err(
-                                    "rushing_spam needs window = <non-negative integer>".into(),
-                                )
-                            })?;
-                        PolicySpec::RushingSpam {
-                            budget_frac,
-                            window: u64::try_from(window).expect("non-negative"),
-                        }
-                    }
+            Some("crash") => {
+                keys.extend(["fraction", "round"]);
+                let round = t.need("round").map_err(|_| {
+                    t.err("crash faults need round = <non-negative integer>".into())
+                })?;
+                Some(FaultKind::Crash { round })
+            }
+            Some("spam") => {
+                keys.push("fraction");
+                Some(FaultKind::ByzantineSpam)
+            }
+            Some("mute") => {
+                keys.push("fraction");
+                Some(FaultKind::ByzantineMute)
+            }
+            Some(other) => return Err(t.err(format!("unknown fault kind {other:?}"))),
+        };
+        let fraction = match kind {
+            Some(_) => t.unit("fraction")?,
+            None => 0.0,
+        };
+        let policy = match policy_name.as_deref() {
+            None => None,
+            Some("target_loudest") => {
+                keys.push("budget_frac");
+                Some(PolicySpec::TargetLoudest {
+                    budget_frac: t.unit("budget_frac")?,
                 })
             }
+            Some("rushing_spam") => {
+                keys.extend(["budget_frac", "window"]);
+                Some(PolicySpec::RushingSpam {
+                    budget_frac: t.unit("budget_frac")?,
+                    window: t.need("window").map_err(|_| {
+                        t.err("rushing_spam needs window = <non-negative integer>".into())
+                    })?,
+                })
+            }
+            Some(other) => return Err(t.err(format!("unknown fault policy {other:?}"))),
         };
+        t.accept(&keys)?;
         Ok(FaultSpec {
             kind,
             fraction,
@@ -883,250 +804,253 @@ impl CampaignSpec {
     ///
     /// [`ScenarioError::Spec`] with a line number on malformed input.
     pub fn parse(text: &str) -> Result<CampaignSpec, ScenarioError> {
-        // Accumulate key/value tables: one root table plus one per
-        // [[topology]]/[[channel]]/[[faults]] header, then assemble the
-        // typed spec.
-        #[derive(PartialEq)]
-        enum Kind {
-            Topology,
-            Channel,
-            Fault,
-        }
-        type Table = Vec<(String, Json)>;
-        let mut root: Table = Vec::new();
-        let mut tables: Vec<(usize, Kind, Table)> = Vec::new();
+        // One root table, then one table per [[topology]]/[[channel]]/
+        // [[faults]] header in file order; the typed spec is read from
+        // them.
+        let mut root = Table::new("the root table", 0);
+        let mut tables: Vec<Table> = Vec::new();
         for (idx, raw) in text.lines().enumerate() {
             let line_no = idx + 1;
             let line = strip_comment(raw).trim();
             if line.is_empty() {
                 continue;
             }
-            if line == "[[topology]]" {
-                tables.push((line_no, Kind::Topology, Vec::new()));
-                continue;
-            }
-            if line == "[[channel]]" {
-                tables.push((line_no, Kind::Channel, Vec::new()));
-                continue;
-            }
-            if line == "[[faults]]" {
-                tables.push((line_no, Kind::Fault, Vec::new()));
-                continue;
-            }
             if line.starts_with('[') {
-                return Err(ScenarioError::Spec {
-                    line: line_no,
-                    detail: format!(
-                        "unsupported table header {line:?} \
-                         (only [[topology]], [[channel]], and [[faults]])"
-                    ),
-                });
+                if !["[[topology]]", "[[channel]]", "[[faults]]"].contains(&line) {
+                    return Err(ScenarioError::Spec {
+                        line: line_no,
+                        detail: format!(
+                            "unsupported table header {line:?} \
+                             (only [[topology]], [[channel]], and [[faults]])"
+                        ),
+                    });
+                }
+                tables.push(Table::new(line, line_no));
+                continue;
             }
             let (key, value) = parse_assignment(line, line_no)?;
             // Assignments belong to the most recent table header, or to
             // the root before the first header.
-            let table = tables.last_mut().map_or(&mut root, |(_, _, t)| t);
-            if table.iter().any(|(k, _)| k == &key) {
+            let table = tables.last_mut().unwrap_or(&mut root);
+            if table.pairs.iter().any(|(k, _)| *k == key) {
                 return Err(ScenarioError::Spec {
                     line: line_no,
                     detail: format!("duplicate key {key:?}"),
                 });
             }
-            table.push((key, value));
-        }
-        let mut topo_tables: Vec<(usize, Table)> = Vec::new();
-        let mut channel_tables: Vec<(usize, Table)> = Vec::new();
-        let mut fault_tables: Vec<(usize, Table)> = Vec::new();
-        for (line, kind, table) in tables {
-            match kind {
-                Kind::Topology => topo_tables.push((line, table)),
-                Kind::Channel => channel_tables.push((line, table)),
-                Kind::Fault => fault_tables.push((line, table)),
-            }
+            table.pairs.push((key, value));
         }
 
-        // Unknown keys are errors, not silently-dropped defaults: a
-        // typo'd axis ("epsilon" for "epsilons") must not produce a
-        // green sweep that quietly lost half its cells.
-        for (key, _) in &root {
-            if !["name", "seeds", "epsilons", "protocols"].contains(&key.as_str()) {
-                return Err(ScenarioError::Spec {
-                    line: 0,
-                    detail: format!("unknown key {key:?} (expected name/seeds/epsilons/protocols)"),
-                });
-            }
+        root.accept(&["name", "seeds", "epsilons", "protocols"])?;
+        let epsilons: Vec<f64> = root.get("epsilons")?.unwrap_or_else(|| vec![0.0]);
+        for &epsilon in &epsilons {
+            root.check_rate("epsilons", epsilon)?;
         }
-
-        let root = Json::Obj(root);
-        let name = root
-            .get("name")
-            .map(|v| {
-                v.as_str()
-                    .map(ToString::to_string)
-                    .ok_or(ScenarioError::Spec {
-                        line: 0,
-                        detail: "name must be a string".into(),
-                    })
-            })
-            .transpose()?
-            .unwrap_or_else(|| "campaign".into());
-
-        let epsilons = match root.get("epsilons") {
-            None => vec![0.0],
-            Some(v) => f64_array(v, "epsilons")?,
-        };
-        for &eps in &epsilons {
-            if !(0.0..0.5).contains(&eps) {
-                return Err(ScenarioError::Spec {
-                    line: 0,
-                    detail: format!("epsilon {eps} outside [0, ½)"),
-                });
-            }
-        }
-
-        let seeds = match root.get("seeds") {
-            None => vec![1],
-            Some(v) => {
-                let raw = i64_array(v, "seeds")?;
-                raw.into_iter()
-                    .map(|s| {
-                        u64::try_from(s).map_err(|_| ScenarioError::Spec {
-                            line: 0,
-                            detail: format!("seed {s} must be non-negative"),
-                        })
-                    })
-                    .collect::<Result<Vec<u64>, _>>()?
-            }
-        };
-
-        let protocols = match root.get("protocols") {
-            None => {
-                return Err(ScenarioError::Spec {
-                    line: 0,
-                    detail: "missing protocols = [\"…\"]".into(),
-                })
-            }
-            Some(v) => str_array(v, "protocols")?
-                .into_iter()
-                .map(|name| {
-                    Protocol::from_name(&name).ok_or(ScenarioError::Spec {
-                        line: 0,
-                        detail: format!("unknown protocol {name:?}"),
-                    })
-                })
-                .collect::<Result<Vec<Protocol>, _>>()?,
-        };
-
-        let mut topologies = Vec::new();
-        for (line, table) in topo_tables {
-            let table = Json::Obj(table);
-            let family_name =
-                table
-                    .get("family")
-                    .and_then(Json::as_str)
-                    .ok_or(ScenarioError::Spec {
-                        line,
-                        detail: "[[topology]] needs family = \"…\"".into(),
-                    })?;
-            // Reject keys the named family does not accept (same
-            // rationale as the root-key check: "deg" on a
-            // random_regular table must not silently run degree 4).
-            let allowed: &[&str] = match family_name {
-                "random_geometric" | "rgg" => &["radius"],
-                "random_regular" | "regular" => &["degree"],
-                "gnp" => &["expected_degree"],
-                "preferential_attachment" | "pa" => &["m"],
-                _ => &[],
-            };
-            if let Json::Obj(pairs) = &table {
-                for (key, _) in pairs {
-                    if key != "family" && key != "sizes" && !allowed.contains(&key.as_str()) {
-                        return Err(ScenarioError::Spec {
-                            line,
-                            detail: format!(
-                                "unknown key {key:?} for family {family_name:?} \
-                                 (accepted: family, sizes{}{})",
-                                if allowed.is_empty() { "" } else { ", " },
-                                allowed.join(", ")
-                            ),
-                        });
-                    }
-                }
-            }
-            let family = TopologyFamily::from_spec(family_name, &table, line)?;
-            let sizes = match table.get("sizes") {
-                None => {
-                    return Err(ScenarioError::Spec {
-                        line,
-                        detail: "[[topology]] needs sizes = […]".into(),
-                    })
-                }
-                Some(v) => i64_array(v, "sizes")?
-                    .into_iter()
-                    .map(|s| {
-                        usize::try_from(s).map_err(|_| ScenarioError::Spec {
-                            line,
-                            detail: format!("size {s} must be non-negative"),
-                        })
-                    })
-                    .collect::<Result<Vec<usize>, _>>()?,
-            };
-            topologies.push(TopologySpec { family, sizes });
-        }
-        if topologies.is_empty() {
-            return Err(ScenarioError::Spec {
-                line: 0,
-                detail: "spec has no [[topology]] tables".into(),
-            });
-        }
-
-        let mut channels = Vec::new();
-        let mut labels: Vec<String> = epsilons
+        let protocols = root
+            .need::<Vec<String>>("protocols")?
             .iter()
-            .map(|&epsilon| ChannelSpec::Iid { epsilon }.label())
-            .collect();
-        for (line, table) in channel_tables {
-            let channel = ChannelSpec::from_spec(&Json::Obj(table), line)?;
-            let label = channel.label();
-            // Two identical channel entries (or an iid one shadowing an
-            // epsilons value) would collide on cell ids — and therefore
-            // on cell seeds.
-            if labels.contains(&label) {
-                return Err(ScenarioError::Spec {
-                    line,
-                    detail: format!("duplicate channel {label:?} in the channel axis"),
-                });
-            }
-            labels.push(label);
-            channels.push(channel);
-        }
-
-        let mut faults = Vec::new();
-        let mut fault_labels: Vec<String> = Vec::new();
-        for (line, table) in fault_tables {
-            let fault = FaultSpec::from_spec(&Json::Obj(table), line)?;
-            let label = fault.label();
-            // Same rationale as channel labels: two identical fault
-            // entries would collide on cell ids, and therefore on seeds.
-            if fault_labels.contains(&label) {
-                return Err(ScenarioError::Spec {
-                    line,
-                    detail: format!("duplicate fault {label:?} in the fault axis"),
-                });
-            }
-            fault_labels.push(label);
-            faults.push(fault);
-        }
-
-        Ok(CampaignSpec {
-            name,
-            topologies,
+            .map(|name| {
+                Protocol::from_name(name)
+                    .ok_or_else(|| root.err(format!("unknown protocol {name:?}")))
+            })
+            .collect::<Result<Vec<Protocol>, _>>()?;
+        let mut spec = CampaignSpec {
+            name: root.get("name")?.unwrap_or_else(|| "campaign".into()),
+            topologies: Vec::new(),
             epsilons,
-            channels,
-            faults,
+            channels: Vec::new(),
+            faults: Vec::new(),
             protocols,
-            seeds,
-        })
+            seeds: root.get("seeds")?.unwrap_or_else(|| vec![1]),
+        };
+        let mut channel_labels: Vec<String> =
+            spec.channel_axis().iter().map(ChannelSpec::label).collect();
+        let mut fault_labels: Vec<String> = Vec::new();
+        for t in &tables {
+            match t.header {
+                "[[topology]]" => spec.topologies.push(TopologySpec {
+                    family: TopologyFamily::from_spec(t)?,
+                    sizes: t.need("sizes")?,
+                }),
+                "[[channel]]" => {
+                    let channel = ChannelSpec::from_spec(t)?;
+                    t.claim(&mut channel_labels, channel.label(), "channel")?;
+                    spec.channels.push(channel);
+                }
+                _ => {
+                    let fault = FaultSpec::from_spec(t)?;
+                    t.claim(&mut fault_labels, fault.label(), "fault")?;
+                    spec.faults.push(fault);
+                }
+            }
+        }
+        if spec.topologies.is_empty() {
+            return Err(root.err("spec has no [[topology]] tables".into()));
+        }
+        Ok(spec)
+    }
+}
+
+/// One table of a spec file: the root, or one `[[…]]` entry, with the
+/// line its errors name (0 for the root, which has no header line).
+/// Every key is read through it, so a key, type or range error reads the
+/// same in every table. A key the table does not accept, a required key
+/// that is missing and a present value of the wrong type are all errors:
+/// a spec must fail loudly, not silently sweep a default.
+struct Table<'a> {
+    /// `[[topology]]`, `[[channel]]`, `[[faults]]` or `the root table`.
+    header: &'a str,
+    line: usize,
+    pairs: Vec<(String, Json)>,
+}
+
+impl<'a> Table<'a> {
+    fn new(header: &'a str, line: usize) -> Table<'a> {
+        Table {
+            header,
+            line,
+            pairs: Vec::new(),
+        }
+    }
+
+    fn err(&self, detail: String) -> ScenarioError {
+        ScenarioError::Spec {
+            line: self.line,
+            detail,
+        }
+    }
+
+    /// Rejects the first key outside `accepted`.
+    fn accept(&self, accepted: &[&str]) -> Result<(), ScenarioError> {
+        match self
+            .pairs
+            .iter()
+            .find(|(k, _)| !accepted.contains(&k.as_str()))
+        {
+            Some((key, _)) => Err(self.err(format!(
+                "unknown key {key:?} in {} (accepted: {})",
+                self.header,
+                accepted.join(", ")
+            ))),
+            None => Ok(()),
+        }
+    }
+
+    /// The value of `key`, `None` when the key is absent.
+    fn get<T: SpecValue>(&self, key: &str) -> Result<Option<T>, ScenarioError> {
+        let Some((_, value)) = self.pairs.iter().find(|(k, _)| k == key) else {
+            return Ok(None);
+        };
+        T::read(value)
+            .map(Some)
+            .ok_or_else(|| self.err(format!("{key} must be a {}", T::noun())))
+    }
+
+    /// The value of the required `key`.
+    fn need<T: SpecValue>(&self, key: &str) -> Result<T, ScenarioError> {
+        self.get(key)?
+            .ok_or_else(|| self.err(format!("{} needs {key} = <{}>", self.header, T::noun())))
+    }
+
+    /// The required flip rate `key`.
+    fn rate(&self, key: &str) -> Result<f64, ScenarioError> {
+        self.check_rate(key, self.need(key)?)
+    }
+
+    /// Checks a flip rate read from `key` against `[0, ½)`, the rates the
+    /// paper's channel allows.
+    fn check_rate(&self, key: &str, rate: f64) -> Result<f64, ScenarioError> {
+        if (0.0..0.5).contains(&rate) {
+            Ok(rate)
+        } else {
+            Err(self.err(format!("{key} {rate} outside [0, ½)")))
+        }
+    }
+
+    /// The required probability or fraction of the nodes `key`, in
+    /// `[0, 1]`.
+    fn unit(&self, key: &str) -> Result<f64, ScenarioError> {
+        let value: f64 = self.need(key)?;
+        if (0.0..=1.0).contains(&value) {
+            Ok(value)
+        } else {
+            Err(self.err(format!("{key} {value} outside [0, 1]")))
+        }
+    }
+
+    /// Adds an axis entry's label to `labels`. Two equal entries (or an
+    /// iid channel repeating an `epsilons` value) would collide on cell
+    /// ids, and therefore on cell seeds.
+    fn claim(
+        &self,
+        labels: &mut Vec<String>,
+        label: String,
+        axis: &str,
+    ) -> Result<(), ScenarioError> {
+        if labels.contains(&label) {
+            return Err(self.err(format!("duplicate {axis} {label:?} in the {axis} axis")));
+        }
+        labels.push(label);
+        Ok(())
+    }
+}
+
+/// A type a spec value is read as.
+trait SpecValue: Sized {
+    /// What errors call the type ("number", "string array", …).
+    fn noun() -> String;
+
+    /// The value as this type, or `None` if it has another type.
+    fn read(value: &Json) -> Option<Self>;
+}
+
+impl SpecValue for String {
+    fn noun() -> String {
+        "string".into()
+    }
+
+    fn read(value: &Json) -> Option<String> {
+        value.as_str().map(ToString::to_string)
+    }
+}
+
+impl SpecValue for f64 {
+    fn noun() -> String {
+        "number".into()
+    }
+
+    fn read(value: &Json) -> Option<f64> {
+        value.as_f64()
+    }
+}
+
+impl SpecValue for u64 {
+    fn noun() -> String {
+        "non-negative integer".into()
+    }
+
+    fn read(value: &Json) -> Option<u64> {
+        value.as_i64().and_then(|v| u64::try_from(v).ok())
+    }
+}
+
+impl SpecValue for usize {
+    fn noun() -> String {
+        u64::noun()
+    }
+
+    fn read(value: &Json) -> Option<usize> {
+        value.as_i64().and_then(|v| usize::try_from(v).ok())
+    }
+}
+
+impl<T: SpecValue> SpecValue for Vec<T> {
+    fn noun() -> String {
+        format!("{} array", T::noun())
+    }
+
+    fn read(value: &Json) -> Option<Vec<T>> {
+        value.as_array()?.iter().map(T::read).collect()
     }
 }
 
@@ -1221,41 +1145,6 @@ fn split_top_level(text: &str) -> Vec<&str> {
     }
     parts.push(&text[start..]);
     parts
-}
-
-fn f64_array(v: &Json, key: &str) -> Result<Vec<f64>, ScenarioError> {
-    v.as_array()
-        .map(|items| items.iter().map(Json::as_f64).collect::<Option<Vec<f64>>>())
-        .and_then(|x| x)
-        .ok_or(ScenarioError::Spec {
-            line: 0,
-            detail: format!("{key} must be an array of numbers"),
-        })
-}
-
-fn i64_array(v: &Json, key: &str) -> Result<Vec<i64>, ScenarioError> {
-    v.as_array()
-        .map(|items| items.iter().map(Json::as_i64).collect::<Option<Vec<i64>>>())
-        .and_then(|x| x)
-        .ok_or(ScenarioError::Spec {
-            line: 0,
-            detail: format!("{key} must be an array of integers"),
-        })
-}
-
-fn str_array(v: &Json, key: &str) -> Result<Vec<String>, ScenarioError> {
-    v.as_array()
-        .map(|items| {
-            items
-                .iter()
-                .map(|i| i.as_str().map(ToString::to_string))
-                .collect::<Option<Vec<String>>>()
-        })
-        .and_then(|x| x)
-        .ok_or(ScenarioError::Spec {
-            line: 0,
-            detail: format!("{key} must be an array of strings"),
-        })
 }
 
 #[cfg(test)]
@@ -1700,6 +1589,25 @@ mod tests {
             (
                 "protocols = [\"mis\"]\n[[topology]]\nfamily = \"path\"\nsizes = [4]\n[[faults]]\nfraction = 0.1\npolicy = \"target_loudest\"\nbudget_frac = 0.1",
                 "unknown key \"fraction\"",
+            ),
+            // A present value of the wrong type is an error, not the
+            // default: the auto radius, degree 4, a policy-only entry.
+            (
+                "protocols = [\"mis\"]\n[[topology]]\nfamily = \"rgg\"\nsizes = [4]\nradius = \"0.3\"",
+                "line 2: radius must be a number",
+            ),
+            (
+                "protocols = [\"mis\"]\n[[topology]]\nfamily = \"gnp\"\nsizes = [4]\nexpected_degree = \"6\"",
+                "line 2: expected_degree must be a number",
+            ),
+            (
+                "protocols = [\"mis\"]\n[[topology]]\nfamily = \"path\"\nsizes = [4]\n[[faults]]\nkind = 5\npolicy = \"target_loudest\"\nbudget_frac = 0.1",
+                "line 5: kind must be a string",
+            ),
+            // An array error names its table's line.
+            (
+                "protocols = [\"mis\"]\n[[topology]]\nfamily = \"path\"\nsizes = [4]\n[[channel]]\nmodel = \"per_node\"\npattern = [\"a\"]",
+                "line 5: pattern must be a number array",
             ),
         ] {
             let err = CampaignSpec::parse(bad).unwrap_err().to_string();

@@ -11,45 +11,24 @@
 //! silently shifting the recorded perf trajectory.
 //!
 //! If you change the format or the underlying streams *deliberately*,
-//! regenerate the fixture (and bump `SCHEMA_VERSION` for structural
-//! changes; document either break in CHANGES.md):
+//! regenerate the fixture from its spec, `fixtures/golden.toml` (and bump
+//! `SCHEMA_VERSION` for structural changes; document either break in
+//! CHANGES.md):
 //!
 //! ```sh
 //! cargo run --release -p beep-bench --bin campaign -- \
-//!     --name golden --topologies cycle,torus --sizes 9 \
-//!     --epsilons 0.0,0.1 --protocols wave,round_sim --seeds 7 \
+//!     --spec crates/scenarios/tests/fixtures/golden.toml \
 //!     --no-timing --quiet \
 //!     --out crates/scenarios/tests/fixtures/golden_report.json
 //! ```
 
-use beep_apps::Protocol;
-use beep_scenarios::{
-    run_campaign, validate_report, CampaignSpec, CellStatus, RunOptions, TopologyFamily,
-    TopologySpec,
-};
+use beep_scenarios::{run_campaign, validate_report, CampaignSpec, CellStatus, RunOptions};
 
 const GOLDEN: &str = include_str!("fixtures/golden_report.json");
 
-/// The fixture's spec — must match the regeneration command above.
+/// The fixture's spec, the file the regeneration command above runs.
 fn golden_spec() -> CampaignSpec {
-    CampaignSpec {
-        name: "golden".into(),
-        topologies: vec![
-            TopologySpec {
-                family: TopologyFamily::Cycle,
-                sizes: vec![9],
-            },
-            TopologySpec {
-                family: TopologyFamily::Torus,
-                sizes: vec![9],
-            },
-        ],
-        epsilons: vec![0.0, 0.1],
-        channels: vec![],
-        faults: vec![],
-        protocols: vec![Protocol::Wave, Protocol::RoundSim],
-        seeds: vec![7],
-    }
+    CampaignSpec::parse(include_str!("fixtures/golden.toml")).expect("the golden spec parses")
 }
 
 #[test]

@@ -3,6 +3,7 @@
 
 use noisy_beeps::congest::algorithms::Flood;
 use noisy_beeps::congest::CongestError;
+use noisy_beeps::core::baseline::TdmaSimulator;
 use noisy_beeps::core::{BroadcastSimulator, SimError, SimulatedBroadcastRunner, SimulationParams};
 use noisy_beeps::net::{topology, BeepNetwork, Noise};
 use noisy_beeps::prelude::*;
@@ -94,6 +95,26 @@ fn error_paths_are_reported_as_errors() {
     assert!(matches!(
         unbuildable.run_to_completion(&mut three, 5),
         Err(SimError::Code(_))
+    ));
+
+    // A TDMA baseline run on a graph other than the one its coloring was
+    // built for reports the mismatch.
+    let tdma = TdmaSimulator::new(&g, 8, 0.0);
+    let mut five: Vec<_> = (0..5)
+        .map(|_| Box::new(algorithms::LeaderElection::new(1)))
+        .collect();
+    assert!(matches!(
+        tdma.run_to_completion(
+            &topology::path(5).unwrap(),
+            Noise::Noiseless,
+            0,
+            &mut five,
+            5
+        ),
+        Err(SimError::Congest(CongestError::NodeCount {
+            expected: 3,
+            actual: 5
+        }))
     ));
 
     // Round budget exhaustion surfaces as an error with the budget.
