@@ -48,8 +48,9 @@ pub struct MulticastReport {
 /// `sources` pairs node ids with their `message_bits`-bit messages;
 /// `candidates` is the message list to test against the decoded
 /// superimposition (cover-free decoding is a membership test; see
-/// DESIGN.md §3 on candidate decoding — pass the universe of possible
-/// messages when it is small, or the plausible candidates plus decoys).
+/// ARCHITECTURE.md, *Candidate-and-decoy decoding* — pass the universe of
+/// possible messages when it is small, or the plausible candidates plus
+/// decoys).
 ///
 /// # Errors
 ///

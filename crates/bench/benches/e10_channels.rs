@@ -113,7 +113,7 @@ fn bench_channel_models(c: &mut Criterion) {
     // The four noisy families benched above the noiseless baseline — the
     // CI bar checks this count so a silently-dropped model fails loudly.
     metrics.push(("models".into(), 4.0));
-    // Headline throughput on the noiseless baseline, for the trajectory.
+    // Headline throughput on the noiseless baseline.
     #[allow(clippy::cast_precision_loss)]
     metrics.push(("node_rounds_per_sec".into(), n as f64 * 1e9 / noiseless_ns));
     group.finish();

@@ -117,7 +117,7 @@ fn bench_fault_overlay(c: &mut Criterion) {
     // The three fault kinds benched above the fault-free baseline — the
     // CI bar checks this count so a silently-dropped kind fails loudly.
     metrics.push(("kinds".into(), 3.0));
-    // Headline throughput on the fault-free baseline, for the trajectory.
+    // Headline throughput on the fault-free baseline.
     #[allow(clippy::cast_precision_loss)]
     metrics.push(("node_rounds_per_sec".into(), n as f64 * 1e9 / nofault_ns));
     group.finish();

@@ -126,7 +126,7 @@ fn bench_adaptive_overlay(c: &mut Criterion) {
     // baseline — the CI bar checks this count so a silently-dropped
     // policy fails loudly.
     metrics.push(("policies".into(), 3.0));
-    // Headline throughput on the fault-free baseline, for the trajectory.
+    // Headline throughput on the fault-free baseline.
     #[allow(clippy::cast_precision_loss)]
     metrics.push(("node_rounds_per_sec".into(), n as f64 * 1e9 / nofault_ns));
     group.finish();

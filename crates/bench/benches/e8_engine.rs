@@ -10,8 +10,8 @@
 //! `BENCH_e8.json` metrics file (see `beep_bench::perfjson`) that CI's
 //! perf bar parses; the acceptance bar for the engine refactor is ≥ 5×
 //! at n = 100 000. Every size also reports the headline
-//! `node_rounds_per_sec_n{n}` throughput metric the perf-trajectory gate
-//! tracks across runs.
+//! `node_rounds_per_sec_n{n}` throughput metric, which the uploaded
+//! artifact records for each run.
 
 use beep_bits::BitVec;
 use beep_net::{topology, Action, BeepNetwork, Graph, Noise};

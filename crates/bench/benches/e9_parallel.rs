@@ -18,7 +18,7 @@
 //! n ≈ 10M always, and n = 100M when `BENCH_LARGE_N` is set in the
 //! environment (the scheduled `large-n` CI job sets it; the per-push
 //! smoke does not). Every size reports the headline
-//! `node_rounds_per_sec_n{n}` metric the perf-trajectory gate tracks.
+//! `node_rounds_per_sec_n{n}` metric, recorded in the uploaded artifact.
 
 use beep_bits::BitVec;
 use beep_net::{topology, BeepNetwork, Graph, Noise};

@@ -1,59 +1,29 @@
-//! Enforces a CI perf bar against a `BENCH_*.json` metrics file.
-//!
-//! Replaces the old `grep -oP` over human bench text: the engine benches
-//! emit `beep-bench-metrics` JSON (see `beep_bench::perfjson`) and this
-//! binary asserts a named metric clears a floor, compares against a
-//! previous run within a tolerance band, and appends to the perf
-//! trajectory (see `beep_bench::trajectory`).
+//! Enforces one CI perf bar: a named metric of a `BENCH_*.json` metrics
+//! file (see `beep_bench::perfjson`) must reach a floor.
 //!
 //! ```sh
-//! # Absolute floor (the classic perf bar):
 //! check_bench target/bench-json/BENCH_e8.json --key speedup_n100000 --min 5
 //! check_bench target/bench-json/BENCH_e9.json --key speedup_n1000000 --min 2 --min-cores 4
-//!
-//! # Trajectory gate: every node_rounds_per_sec_* metric must stay within
-//! # 40% of the previous run's artifact (missing baseline ⇒ note + pass):
-//! check_bench target/bench-json/BENCH_e8.json --key-prefix node_rounds_per_sec \
-//!     --baseline baseline/BENCH_e8.json --tolerance 0.4
-//!
-//! # Append the selected metrics to the trajectory file:
-//! check_bench target/bench-json/BENCH_e8.json --key-prefix node_rounds_per_sec \
-//!     --trajectory BENCH_TRAJECTORY.json --commit "$GITHUB_SHA"
 //! ```
 //!
-//! Selection: `--key K` names one metric exactly; `--key-prefix P` selects
-//! every metric starting with `P` (at least one must exist). Exactly one
-//! of the two is required, and at least one of `--min`, `--baseline`,
-//! `--trajectory` must be given.
+//! `--min-cores N` scopes the bar to measurements taken with ≥ N cores
+//! (thread speedups don't exist where threads don't): the core count is
+//! read from the file's own `cores` metric when the bench recorded one (so
+//! the waiver travels with the measurement), falling back to this
+//! process's core count. Below the threshold the metric must still
+//! *exist* — the bench ran — but its value is not enforced.
 //!
-//! `--min-cores N` scopes `--min` bars to measurements taken with ≥ N
-//! cores (thread speedups don't exist where threads don't): the core
-//! count is read from the file's own `cores` metric when the bench
-//! recorded one (so the waiver travels with the measurement), falling
-//! back to this process's core count. Below the threshold the metric must
-//! still *exist* — the bench ran — but its value is not enforced.
-//!
-//! Exit codes: 0 pass, 1 bar missed or band regressed, 2 usage/schema
-//! error.
+//! Exit codes: 0 pass, 1 bar missed, 2 usage or schema error (a missing
+//! key included).
 
-use beep_bench::perfjson::{read_bench_file, read_bench_json};
-use beep_bench::trajectory::{append_rows, compare, Row, Verdict};
-
-/// Default tolerance band for `--baseline`: shared CI runners jitter, so
-/// only a drop past 40% of the previous run is a trajectory break.
-const DEFAULT_TOLERANCE: f64 = 0.4;
+use beep_bench::perfjson::read_bench_json;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut path: Option<String> = None;
     let mut key: Option<String> = None;
-    let mut key_prefix: Option<String> = None;
     let mut min: Option<f64> = None;
     let mut min_cores = 0usize;
-    let mut baseline: Option<String> = None;
-    let mut tolerance = DEFAULT_TOLERANCE;
-    let mut trajectory: Option<String> = None;
-    let mut commit = "local".to_string();
 
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
@@ -64,7 +34,6 @@ fn main() {
         };
         match arg.as_str() {
             "--key" => key = Some(take("--key")),
-            "--key-prefix" => key_prefix = Some(take("--key-prefix")),
             "--min" => {
                 min = Some(
                     take("--min")
@@ -77,132 +46,43 @@ fn main() {
                     .parse()
                     .unwrap_or_else(|_| die("--min-cores needs an integer"));
             }
-            "--baseline" => baseline = Some(take("--baseline")),
-            "--tolerance" => {
-                tolerance = take("--tolerance")
-                    .parse()
-                    .unwrap_or_else(|_| die("--tolerance needs a number"));
-                if !(0.0..1.0).contains(&tolerance) {
-                    die("--tolerance must be a fraction in [0, 1)");
-                }
-            }
-            "--trajectory" => trajectory = Some(take("--trajectory")),
-            "--commit" => commit = take("--commit"),
             other if !other.starts_with('-') && path.is_none() => path = Some(other.to_string()),
             other => die(&format!("unknown argument {other:?}")),
         }
     }
-    let path = path.unwrap_or_else(|| {
-        die("usage: check_bench <json> (--key K | --key-prefix P) [--min X] [--baseline OLD] [--trajectory FILE]")
-    });
-    if key.is_some() == key_prefix.is_some() {
-        die("exactly one of --key / --key-prefix is required");
-    }
-    if min.is_none() && baseline.is_none() && trajectory.is_none() {
-        die("nothing to do: give --min, --baseline, or --trajectory");
-    }
-
-    let (bench, metrics) = read_bench_file(std::path::Path::new(&path)).unwrap_or_else(|e| die(&e));
-    let selected: Vec<(String, f64)> = match (&key, &key_prefix) {
-        (Some(k), _) => metrics
-            .iter()
-            .filter(|(name, _)| name == k)
-            .cloned()
-            .collect(),
-        (_, Some(p)) => metrics
-            .iter()
-            .filter(|(name, _)| name.starts_with(p.as_str()))
-            .cloned()
-            .collect(),
-        _ => unreachable!("one selector enforced above"),
+    let (Some(path), Some(key), Some(min)) = (path, key, min) else {
+        die("usage: check_bench <json> --key K --min X [--min-cores N]")
     };
-    if selected.is_empty() {
+
+    let metrics = read_bench_json(std::path::Path::new(&path)).unwrap_or_else(|e| die(&e));
+    let metric = |name: &str| metrics.iter().find(|(k, _)| k == name).map(|(_, v)| *v);
+    let value = metric(&key).unwrap_or_else(|| {
         die(&format!(
-            "{path}: no metric matches {} (have: {})",
-            key.as_deref().or(key_prefix.as_deref()).unwrap_or(""),
+            "{path}: no metric {key} (have: {})",
             metrics
                 .iter()
                 .map(|(k, _)| k.as_str())
                 .collect::<Vec<_>>()
                 .join(", ")
-        ));
-    }
-
-    let mut failed = false;
-
-    if let Some(min) = min {
-        // The machine that *measured* decides the waiver: prefer the
-        // "cores" metric recorded in the file (the e9 bench writes it) so
-        // a file produced on a small box doesn't spuriously fail the bar
-        // when checked on a bigger one.
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let cores = metrics
-            .iter()
-            .find(|(k, _)| k == "cores")
-            .map(|(_, v)| *v as usize)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-            });
-        for (k, value) in &selected {
-            if cores < min_cores {
-                println!(
-                    "{path}: {k} = {value} (bar ≥ {min} waived: {cores} cores < {min_cores} \
-                     required)"
-                );
-            } else if *value >= min {
-                println!("{path}: {k} = {value} ≥ {min}: ok");
-            } else {
-                eprintln!("{path}: {k} = {value} below the required {min}");
-                failed = true;
-            }
-        }
-    }
-
-    if let Some(baseline) = baseline {
-        let baseline_path = std::path::Path::new(&baseline);
-        if baseline_path.exists() {
-            let old = read_bench_json(baseline_path).unwrap_or_else(|e| die(&e));
-            for (k, value) in &selected {
-                match old.iter().find(|(name, _)| name == k) {
-                    Some((_, old_value)) => match compare(k, *value, *old_value, tolerance) {
-                        Verdict::Ok => println!(
-                            "{path}: {k} = {value:.3e} within {:.0}% of baseline {old_value:.3e}",
-                            tolerance * 100.0
-                        ),
-                        Verdict::Regressed(msg) => {
-                            eprintln!("{path}: {msg}");
-                            failed = true;
-                        }
-                    },
-                    None => println!("{path}: {k} is new (no baseline value); skipping band"),
-                }
-            }
-        } else {
-            // First run, expired artifact, fresh fork: no history is not
-            // a failure, or the gate could never bootstrap.
-            println!("{path}: baseline {baseline} not found; skipping trajectory band");
-        }
-    }
-
-    if let Some(trajectory) = trajectory {
-        let rows: Vec<Row> = selected
-            .iter()
-            .map(|(k, v)| Row {
-                bench: bench.clone(),
-                key: k.clone(),
-                value: *v,
-                commit: commit.clone(),
-            })
-            .collect();
-        let total =
-            append_rows(std::path::Path::new(&trajectory), &rows).unwrap_or_else(|e| die(&e));
+        ))
+    });
+    // The machine that *measured* decides the waiver: prefer the "cores"
+    // metric recorded in the file (the e9 bench writes it) so a file
+    // produced on a small box doesn't spuriously fail the bar when checked
+    // on a bigger one.
+    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+    let cores = metric("cores").map_or_else(
+        || std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        |v| v as usize,
+    );
+    if cores < min_cores {
         println!(
-            "{trajectory}: appended {} row(s) for {bench}@{commit} ({total} total)",
-            rows.len()
+            "{path}: {key} = {value} (bar ≥ {min} waived: {cores} cores < {min_cores} required)"
         );
-    }
-
-    if failed {
+    } else if value >= min {
+        println!("{path}: {key} = {value} ≥ {min}: ok");
+    } else {
+        eprintln!("{path}: {key} = {value} below the required {min}");
         std::process::exit(1);
     }
 }

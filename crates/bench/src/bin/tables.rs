@@ -1,4 +1,4 @@
-//! Prints the experiment tables of DESIGN.md §5 / EXPERIMENTS.md.
+//! Prints the experiment tables; its output is their reference output.
 //!
 //! ```sh
 //! cargo run --release -p beep-bench --bin tables -- all

@@ -1,8 +1,8 @@
-//! The experiments of DESIGN.md §5, one function per table.
+//! The experiments, one function per table.
 //!
 //! Every function is deterministic given its seed and scaled to finish in
-//! seconds on a laptop; EXPERIMENTS.md records reference output and the
-//! paper claim each table checks.
+//! seconds on a laptop; the `tables` binary prints their reference output,
+//! and each function's doc names the paper claim its table checks.
 
 mod codes;
 mod decoding;

@@ -2,19 +2,24 @@
 
 //! Experiment harness for the `noisy-beeps` reproduction.
 //!
-//! One function per experiment in DESIGN.md §5 / EXPERIMENTS.md, each
-//! returning a printable [`Table`] whose rows regenerate the corresponding
-//! quantitative claim of the paper. The `tables` binary prints them:
+//! One function per experiment table, each returning a printable
+//! [`Table`] whose rows regenerate the corresponding quantitative claim of
+//! the paper. The `tables` binary prints them; its output is the reference
+//! output of every table:
 //!
 //! ```sh
 //! cargo run --release -p beep-bench --bin tables -- all
 //! cargo run --release -p beep-bench --bin tables -- e5
 //! ```
 //!
-//! Wall-clock performance (encode/decode/simulation throughput) lives in
-//! the Criterion benches (`cargo bench`); the engine benches additionally
-//! emit machine-readable `BENCH_*.json` metric files (see [`perfjson`])
-//! that CI's perf bars parse and archives as the perf trajectory.
+//! Wall-clock performance lives in two places. The end-to-end benchmark
+//! (`perfbench/`, its own package) times Algorithm 1, the TDMA baseline
+//! and a fault-tolerant campaign; every performance claim rests on it. The
+//! Criterion benches (`cargo bench`) time the pieces beneath: bulk bit
+//! operations (e0), the codes' encoders and decoders (e1) and the round
+//! engine (e8–e12), whose benches also write machine-readable
+//! `BENCH_*.json` metric files (see [`perfjson`]) that CI's structural
+//! perf bars parse and uploads as an artifact.
 //!
 //! Scenario sweeps are driven by the `campaign` binary (a thin CLI over
 //! `beep-scenarios`):
@@ -26,7 +31,6 @@
 pub mod experiments;
 pub mod perfjson;
 mod table;
-pub mod trajectory;
 
 pub use table::Table;
 

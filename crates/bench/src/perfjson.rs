@@ -1,10 +1,10 @@
 //! Machine-readable bench metrics (`beep-bench-metrics`, version 1).
 //!
 //! The engine benches print human-oriented criterion text *and* write a
-//! small JSON metrics file per bench — `BENCH_e8.json`, `BENCH_e9.json` —
-//! that CI's perf bars parse (`ci/check_bench.sh` → the `check_bench`
-//! binary) instead of grepping the text, and that gets uploaded as a
-//! workflow artifact so the perf trajectory is queryable over time.
+//! small JSON metrics file per bench — `BENCH_e8.json` … `BENCH_e12.json`
+//! — that CI's structural perf bars parse (the `check_bench` binary)
+//! instead of grepping the text, and that CI uploads as a workflow
+//! artifact, the record of each run's throughput.
 //!
 //! Schema:
 //!
@@ -83,16 +83,6 @@ pub fn write_bench_json(bench: &str, metrics: &[(String, f64)]) -> std::io::Resu
 ///
 /// Returns a human-readable message on IO, parse, or schema failures.
 pub fn read_bench_json(path: &std::path::Path) -> Result<Vec<(String, f64)>, String> {
-    read_bench_file(path).map(|(_, metrics)| metrics)
-}
-
-/// Like [`read_bench_json`], but also returns the `bench` id recorded in
-/// the file (`e8`, `e9`, …) — the trajectory rows carry it.
-///
-/// # Errors
-///
-/// Returns a human-readable message on IO, parse, or schema failures.
-pub fn read_bench_file(path: &std::path::Path) -> Result<(String, Vec<(String, f64)>), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     let json = Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
     match json.get("schema").and_then(Json::as_str) {
@@ -113,11 +103,9 @@ pub fn read_bench_file(path: &std::path::Path) -> Result<(String, Vec<(String, f
             ))
         }
     }
-    let bench = json
-        .get("bench")
+    json.get("bench")
         .and_then(Json::as_str)
-        .ok_or_else(|| format!("{}: missing bench id", path.display()))?
-        .to_string();
+        .ok_or_else(|| format!("{}: missing bench id", path.display()))?;
     let metrics = json
         .get("metrics")
         .ok_or_else(|| format!("{}: missing metrics object", path.display()))?;
@@ -129,8 +117,7 @@ pub fn read_bench_file(path: &std::path::Path) -> Result<(String, Vec<(String, f
                     .map(|x| (k.clone(), x))
                     .ok_or_else(|| format!("{}: metric {k:?} is not a number", path.display()))
             })
-            .collect::<Result<Vec<_>, _>>()
-            .map(|m| (bench, m)),
+            .collect(),
         _ => Err(format!("{}: metrics is not an object", path.display())),
     }
 }

@@ -14,9 +14,10 @@
 //!   the network simulator uses: scoring every node's codeword plus random
 //!   decoys measures exactly the error events Lemmas 8–10 bound, without the
 //!   `2^a` enumeration the paper's information-theoretic decoder performs
-//!   (see DESIGN.md §3, substitution 2). The simulator hands both decoders
-//!   codewords it has already computed ([`SetDecoder::accepts_codeword`],
-//!   [`MessageDecoder::decode_encoded`]), so each is encoded once per round.
+//!   (see ARCHITECTURE.md, *Candidate-and-decoy decoding*). The simulator
+//!   hands both decoders codewords it has already computed
+//!   ([`SetDecoder::accepts_codeword`], [`MessageDecoder::decode_encoded`]),
+//!   so each is encoded once per round.
 //! * **exhaustive decoding** — enumerate the full input space; exact but
 //!   exponential, intended for validating the candidate decoder at small
 //!   sizes and for tests.

@@ -10,7 +10,7 @@
 //!   profiles: the paper's proof-driven values
 //!   ([`SimulationParams::theory`]) and an empirically calibrated profile
 //!   ([`SimulationParams::calibrated`]) usable at laptop scale (see
-//!   DESIGN.md §3 on why both exist).
+//!   ARCHITECTURE.md, *Candidate-and-decoy decoding*, on why both exist).
 //! * [`BroadcastSimulator`] — **Algorithm 1**: one Broadcast CONGEST round
 //!   executed in `2·c_ε³·(Δ+1)·B` rounds of the (noisy or noiseless)
 //!   beeping model, i.e. `O(Δ log n)` for `B = γ log n`-bit messages, with

@@ -17,7 +17,8 @@ use beep_codes::{BeepCode, BeepCodeParams, CombinedCode, DistanceCode, DistanceC
 /// These constants come from closing Chernoff/union bounds for *all* `n`
 /// simultaneously; they are intentionally conservative. For `ε = 0.05` the
 /// bound is ≈ 16,667 — correct, and unusable for actual simulation, which
-/// is why [`SimulationParams::calibrated`] exists (DESIGN.md §3).
+/// is why [`SimulationParams::calibrated`] exists (ARCHITECTURE.md,
+/// *Candidate-and-decoy decoding*).
 ///
 /// # Panics
 ///
@@ -62,8 +63,8 @@ pub struct SimulationParams {
     /// Seed of the shared public codes (all nodes must agree on it).
     pub code_seed: u64,
     /// Random decoy codewords scored per decode, estimating the
-    /// false-positive events of Lemmas 8–9 on the fly (see DESIGN.md §3,
-    /// substitution 2). 0 disables decoys.
+    /// false-positive events of Lemmas 8–9 on the fly (see ARCHITECTURE.md,
+    /// *Candidate-and-decoy decoding*). 0 disables decoys.
     pub decoys: usize,
 }
 

@@ -208,7 +208,7 @@ impl BroadcastSimulator {
     }
 
     /// The Section 4 decoder at every node, with candidate + decoy scoring
-    /// (DESIGN.md §3, substitution 2).
+    /// (ARCHITECTURE.md, *Candidate-and-decoy decoding*).
     ///
     /// Every codeword is computed once per round: the transmitters'
     /// phase-1 carriers are their candidate codewords, and the message

@@ -247,8 +247,9 @@ pub fn load_checkpoint(
                 .ok_or_else(|| bad(format!("line {}: missing index", line_no + 1)))?;
             let cell = record
                 .get("cell")
-                .ok_or_else(|| bad(format!("line {}: missing cell", line_no + 1)))
-                .and_then(CellResult::from_json)?;
+                .ok_or_else(|| bad(format!("line {}: missing cell", line_no + 1)))?;
+            let cell = CellResult::from_json(cell)
+                .map_err(|e| bad(format!("line {}: {e}", line_no + 1)))?;
             Ok((index, cell))
         };
         match parse() {
@@ -370,13 +371,20 @@ mod tests {
         std::fs::write(&path, format!("{header}{{\"index\": 0, \"ce")).unwrap();
         let loaded = load_checkpoint(&path, &spec, &cells).unwrap().unwrap();
         assert!(loaded.completed.is_empty());
-        // The same garbage *before* a valid-looking line: hard error.
-        std::fs::write(
-            &path,
-            format!("{header}{{\"index\": 0, \"ce\n{{\"index\": 1}}"),
-        )
-        .unwrap();
-        assert!(load_checkpoint(&path, &spec, &cells).is_err());
+        // The same garbage *before* a valid-looking line: hard error. So
+        // is a record that is JSON but not a cell; both name the journal
+        // and the line.
+        for record in [
+            "{\"index\": 0, \"ce",
+            "{\"index\": 0, \"cell\": {\"status\": \"gone\"}}",
+        ] {
+            std::fs::write(&path, format!("{header}{record}\n{{\"index\": 1}}")).unwrap();
+            let err = load_checkpoint(&path, &spec, &cells)
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains(&path.display().to_string()), "{err}");
+            assert!(err.contains("line 2: "), "{err}");
+        }
         std::fs::remove_file(&path).unwrap();
     }
 }

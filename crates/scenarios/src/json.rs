@@ -47,13 +47,17 @@ impl Json {
         }
     }
 
-    /// The value as an integer (floats with zero fraction coerce).
+    /// The value as an integer (floats with zero fraction in
+    /// `[-2⁶³, 2⁶³)` coerce; a float outside that range is `None`, not a
+    /// saturated `i64`).
     #[must_use]
     pub fn as_i64(&self) -> Option<i64> {
         match self {
             Json::Int(v) => Some(*v),
             #[allow(clippy::cast_possible_truncation)]
-            Json::Float(v) if v.fract() == 0.0 => Some(*v as i64),
+            Json::Float(v) if v.fract() == 0.0 && (-2f64.powi(63)..2f64.powi(63)).contains(v) => {
+                Some(*v as i64)
+            }
             _ => None,
         }
     }
@@ -594,5 +598,15 @@ mod tests {
         assert_eq!(Json::Float(7.0).as_i64(), Some(7));
         assert_eq!(Json::Float(7.5).as_i64(), None);
         assert_eq!(Json::Str("x".into()).as_i64(), None);
+    }
+
+    #[test]
+    fn whole_floats_beyond_i64_are_not_integers() {
+        let two_63 = 2f64.powi(63);
+        assert_eq!(Json::Float(-two_63).as_i64(), Some(i64::MIN));
+        assert_eq!(Json::Float(two_63 - 1024.0).as_i64(), Some(i64::MAX - 1023));
+        for beyond in [two_63, -two_63 - 2048.0, 1e20, -1e20, f64::INFINITY] {
+            assert_eq!(Json::Float(beyond).as_i64(), None, "{beyond}");
+        }
     }
 }

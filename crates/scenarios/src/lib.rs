@@ -8,7 +8,7 @@
 //! expands it into a cell matrix, executes every cell on the sharded
 //! bitset engine (in parallel across worker threads), and emits both a
 //! human table and a stable, schema-versioned JSON report
-//! ([`CampaignReport`]) suitable for perf-trajectory tracking in CI. The
+//! ([`CampaignReport`]) that CI checks and archives. The
 //! channel axis covers the paper's iid `ε` sweep plus the richer
 //! [`ChannelSpec`] families (bursty Gilbert–Elliott, per-node rates,
 //! adversarial erasure); the fault axis ([`FaultSpec`], `[[faults]]`

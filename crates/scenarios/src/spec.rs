@@ -1604,6 +1604,11 @@ mod tests {
                 "protocols = [\"mis\"]\n[[topology]]\nfamily = \"path\"\nsizes = [4]\n[[faults]]\nkind = 5\npolicy = \"target_loudest\"\nbudget_frac = 0.1",
                 "line 5: kind must be a string",
             ),
+            // An integer beyond i64 is an error, not a saturated seed.
+            (
+                "seeds = [99999999999999999999]\nprotocols = [\"mis\"]\n[[topology]]\nfamily = \"path\"\nsizes = [4]",
+                "seeds must be a non-negative integer array",
+            ),
             // An array error names its table's line.
             (
                 "protocols = [\"mis\"]\n[[topology]]\nfamily = \"path\"\nsizes = [4]\n[[channel]]\nmodel = \"per_node\"\npattern = [\"a\"]",

@@ -8,7 +8,7 @@
 //! compares the serialized report byte for byte against the checked-in
 //! fixture, so *any* drift — an engine RNG-stream change, a protocol
 //! tweak, a schema or formatter edit — fails loudly here instead of
-//! silently shifting the recorded perf trajectory.
+//! silently shifting every recorded report.
 //!
 //! If you change the format or the underlying streams *deliberately*,
 //! regenerate the fixture from its spec, `fixtures/golden.toml` (and bump

@@ -10,8 +10,8 @@
 //! sharded bitset engine. This example sweeps three families at two
 //! noise levels over two protocols, prints the human table, and pulls
 //! one number back out of the structured report — the same report the
-//! `campaign` binary writes as schema-versioned JSON for CI's perf
-//! trajectory.
+//! `campaign` binary writes as schema-versioned JSON, which CI checks and
+//! archives.
 
 use noisy_beeps::prelude::*;
 
