@@ -1,9 +1,8 @@
 //! E8: round-engine throughput — the scalar reference `run_round` versus
 //! the bit-parallel `run_round_bitset` kernel, on sparse-beeper rounds at
 //! n ∈ {1k, 10k, 100k} (the regime every protocol phase lives in: a few
-//! transmitters, everyone else listening), plus the extreme-scale
-//! n ≈ 10M implicit-torus configuration (zero adjacency storage, the
-//! wide-word shift kernel) and the `run_frame` frame driver.
+//! transmitters, everyone else listening), plus the `run_frame` frame
+//! driver.
 //!
 //! Besides the per-kernel timings, the bench measures and prints the
 //! scalar/bitset speedup directly and writes the machine-readable
@@ -104,31 +103,6 @@ fn bench_round_kernels(c: &mut Criterion) {
     METRICS.lock().unwrap().extend(metrics);
 }
 
-/// The extreme-scale configuration: n ≈ 10M nodes on a zero-storage
-/// implicit torus, driven through the wide-word shift kernel. Criterion
-/// iteration at this size is too slow for the smoke run, so the metrics
-/// come from a short direct median instead (the scheduled `large-n` CI
-/// job re-runs this with generous timeouts).
-fn bench_implicit_extreme(_c: &mut Criterion) {
-    let side = 3_163usize; // 3163² = 10_004_569 ≈ 10M nodes
-    let graph = topology::implicit_torus(side, side).unwrap();
-    let n = graph.node_count();
-    let beepers = BitVec::from_fn(n, |v| v % 1024 == 0);
-    let mut net = BeepNetwork::new(graph, Noise::bernoulli(0.1), 2);
-    net.set_parallelism(0); // all cores: the 10M row is a machine headline
-    let mut received = BitVec::zeros(n);
-    let ns = median_nanos(5, || {
-        net.run_round_bitset_into(&beepers, &mut received).unwrap();
-        black_box(&received);
-    });
-    #[allow(clippy::cast_precision_loss)]
-    let node_rounds_per_sec = n as f64 * 1e9 / ns;
-    println!("implicit torus n={n}: {ns:.0} ns/round = {node_rounds_per_sec:.3e} node-rounds/s");
-    let mut metrics = METRICS.lock().unwrap();
-    metrics.push((format!("implicit_torus_ns_n{n}"), ns));
-    metrics.push((format!("node_rounds_per_sec_n{n}"), node_rounds_per_sec));
-}
-
 fn bench_frame_kernel(c: &mut Criterion) {
     let mut group = c.benchmark_group("frame_engine");
     let n = 10_000;
@@ -166,6 +140,6 @@ fn bench_frame_kernel(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_round_kernels, bench_implicit_extreme, bench_frame_kernel
+    targets = bench_round_kernels, bench_frame_kernel
 }
 criterion_main!(benches);

@@ -12,13 +12,9 @@
 //! `parallel speedup n=…` line per size and writes the machine-readable
 //! `BENCH_e9.json` metrics file (see `beep_bench::perfjson`) that CI's
 //! perf bar parses. The acceptance bar — enforced by CI's bench smoke
-//! when the runner has ≥ 4 cores — is ≥ 2× at n = 1M.
-//!
-//! The extreme-scale tier runs on the zero-storage implicit torus:
-//! n ≈ 10M always, and n = 100M when `BENCH_LARGE_N` is set in the
-//! environment (the scheduled `large-n` CI job sets it; the per-push
-//! smoke does not). Every size reports the headline
-//! `node_rounds_per_sec_n{n}` metric, recorded in the uploaded artifact.
+//! when the runner has ≥ 4 cores — is ≥ 2× at n = 1M. Every size reports
+//! the headline `node_rounds_per_sec_n{n}` metric, recorded in the
+//! uploaded artifact.
 
 use beep_bits::BitVec;
 use beep_net::{topology, BeepNetwork, Graph, Noise};
@@ -117,34 +113,6 @@ fn bench_parallel_kernel(c: &mut Criterion) {
         ));
     }
 
-    // Extreme-scale tier: implicit torus, zero adjacency bytes, wide-word
-    // shift kernel on all cores. 3163² ≈ 10M runs on every invocation;
-    // 10000² = 100M only when the large-n job opts in via BENCH_LARGE_N
-    // (the bitmap working set alone is ~10× the smoke tier's).
-    let mut sides = vec![3_163usize];
-    if std::env::var_os("BENCH_LARGE_N").is_some() {
-        sides.push(10_000);
-    }
-    for side in sides {
-        let graph = topology::implicit_torus(side, side).unwrap();
-        let n = graph.node_count();
-        let beepers = BitVec::from_fn(n, |v| v % 1024 == 0);
-        let mut net = BeepNetwork::new(graph, Noise::bernoulli(EPS), 2);
-        net.set_parallelism(0);
-        let mut received = BitVec::zeros(n);
-        let ns = median_nanos(5, || {
-            net.run_round_bitset_into(&beepers, &mut received).unwrap();
-            black_box(&received);
-        });
-        #[allow(clippy::cast_precision_loss)]
-        let node_rounds_per_sec = n as f64 * 1e9 / ns;
-        println!(
-            "implicit torus n={n}: {ns:.0} ns/round = {node_rounds_per_sec:.3e} node-rounds/s \
-             (cores={cores})"
-        );
-        metrics.push((format!("implicit_torus_ns_n{n}"), ns));
-        metrics.push((format!("node_rounds_per_sec_n{n}"), node_rounds_per_sec));
-    }
     group.finish();
     // The JSON file is CI's perf contract — a failed write must fail the
     // bench, or the perf bar would validate stale cached metrics.

@@ -325,32 +325,6 @@ mod tests {
     }
 
     #[test]
-    fn implicit_torus_runs_and_matches_the_materialized_torus() {
-        // The baseline walks neighborhoods with `for_each_neighbor`, so a
-        // zero-storage implicit torus runs (`Graph::neighbors` would
-        // panic) and gives exactly the CSR torus's coloring and rounds.
-        use super::super::g2_coloring::distance2_coloring;
-        let implicit = topology::implicit_torus(8, 8).unwrap();
-        let csr = topology::torus(8, 8).unwrap();
-        assert_eq!(distance2_coloring(&implicit), distance2_coloring(&csr));
-        let eps = 0.05;
-        let on_implicit = TdmaSimulator::new(&implicit, B, eps);
-        let on_csr = TdmaSimulator::new(&csr, B, eps);
-        assert_eq!(on_implicit.colors(), on_csr.colors());
-        for seed in 0..3u64 {
-            let outgoing: Vec<Option<Message>> = (0..64u64)
-                .map(|v| (v % 3 != seed).then(|| msg(v + seed)))
-                .collect();
-            let mut a = BeepNetwork::new(implicit.clone(), Noise::bernoulli(eps), seed);
-            let mut b = BeepNetwork::new(csr.clone(), Noise::bernoulli(eps), seed);
-            let got = on_implicit.simulate_round(&mut a, &outgoing).unwrap();
-            let want = on_csr.simulate_round(&mut b, &outgoing).unwrap();
-            assert_eq!(got.delivered, want.delivered, "seed {seed}");
-            assert_eq!(got.stats, want.stats, "seed {seed}");
-        }
-    }
-
-    #[test]
     fn rejects_mismatched_noise() {
         let g = topology::path(2).unwrap();
         let sim = TdmaSimulator::new(&g, B, 0.1);

@@ -440,33 +440,6 @@ mod tests {
     }
 
     #[test]
-    fn implicit_and_materialized_torus_rounds_are_identical() {
-        // The ideal-inbox check walks neighbors through the
-        // representation-generic API, so an implicit graph simulates the
-        // same round as its materialized twin instead of panicking.
-        let params = SimulationParams::calibrated(0.05);
-        for seed in 0..4 {
-            let outgoing: Vec<Option<Message>> = (0..16)
-                .map(|v| (v % 3 != 0).then(|| msg(v + seed)))
-                .collect();
-            let run = |graph| {
-                run_one(
-                    graph,
-                    Noise::bernoulli(0.05),
-                    params,
-                    outgoing.clone(),
-                    seed,
-                )
-            };
-            let (implicit, implicit_rounds) = run(topology::implicit_torus(4, 4).unwrap());
-            let (csr, csr_rounds) = run(topology::torus(4, 4).unwrap());
-            assert_eq!(implicit.delivered, csr.delivered, "seed {seed}");
-            assert_eq!(implicit.stats, csr.stats, "seed {seed}");
-            assert_eq!(implicit_rounds, csr_rounds, "seed {seed}");
-        }
-    }
-
-    #[test]
     fn duplicate_messages_are_delivered_per_sender() {
         // Two neighbors sending identical messages must both appear.
         let graph = topology::star(3).unwrap(); // center 0, leaves 1, 2

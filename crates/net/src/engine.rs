@@ -3,14 +3,14 @@
 use crate::channel::{apply_channel_sharded, shard_words, shards, ChannelCtx, ChannelModel};
 use crate::error::NetError;
 use crate::faults::{AdversaryView, FaultPlan, RoundFaults};
-use crate::graph::{Graph, Repr};
+use crate::graph::Graph;
 use crate::node::{Action, BeepProtocol};
 use crate::noise::FlipSampler;
 use crate::trace::{NetStats, Transcript};
 use beep_bits::{transpose64, BitVec};
 
 /// Word budget for the precomputed dense adjacency bitmasks: `n` rows of
-/// `⌈n/64⌉` words each are only materialized when they fit in this many
+/// `⌈n/64⌉` words each are only built when they fit in this many
 /// `u64`s (16 MiB). Beyond it the sparse CSR kernel is used.
 const DENSE_WORD_BUDGET: usize = 1 << 21;
 
@@ -38,7 +38,7 @@ enum AdjKernel {
     /// Iterate the set bits of the beeper bitmap and scatter each beeper's
     /// adjacency list into the received bitmap: `O(Σ deg(beeper))`.
     Sparse,
-    /// Dense rows selected but not yet materialized: a network that only
+    /// Dense rows selected but not yet built: a network that only
     /// ever runs the scalar path (or is constructed per bench iteration)
     /// must not pay the `O(n²/64)` build in `new`. The first bitset round
     /// promotes this to [`AdjKernel::Dense`].
@@ -46,24 +46,15 @@ enum AdjKernel {
     /// Per-node neighbor bitmasks, OR'd a whole row (word-parallel) per
     /// beeper: `O(#beepers · n/64)` words. Wins on small or dense graphs.
     Dense(Vec<BitVec>),
-    /// Zero-storage kernel for implicit topologies: the neighborhood OR of
-    /// a whole output word is a handful of masked shifts of the beeper
-    /// words (`O(n/64)` per round regardless of beeper density), so the
-    /// adjacency is never touched because it never exists.
-    Implicit,
 }
 
 impl AdjKernel {
-    /// Auto-selects the kernel. Implicit graphs get the zero-storage
-    /// shift kernel. Materialized CSR graphs get dense
-    /// rows when they fit the [`DENSE_WORD_BUDGET`] *and* the graph is
-    /// dense enough that a row OR (`⌈n/64⌉` words) beats scattering an
-    /// average adjacency list (`2m/n` bit-writes), i.e. roughly when
-    /// `128·m ≥ n²`. The rows themselves are built lazily on first use.
+    /// Auto-selects the kernel. A graph gets dense rows when they fit the
+    /// [`DENSE_WORD_BUDGET`] *and* the graph is dense enough that a row OR
+    /// (`⌈n/64⌉` words) beats scattering an average adjacency list (`2m/n`
+    /// bit-writes), i.e. roughly when `128·m ≥ n²`. The rows themselves
+    /// are built lazily on first use.
     fn auto(graph: &Graph) -> Self {
-        if !matches!(graph.repr(), Repr::Csr { .. }) {
-            return AdjKernel::Implicit;
-        }
         let n = graph.node_count();
         let words_per_row = n.div_ceil(64);
         let fits = n.saturating_mul(words_per_row) <= DENSE_WORD_BUDGET;
@@ -111,57 +102,6 @@ fn or_words_wide(dst: &mut [u64], src: &[u64]) {
     }
 }
 
-/// Bits `bit .. bit+64` of `src` as one word, with everything outside
-/// `[0, 64·src.len())` reading as zero. The implicit kernels express "the
-/// beeper bit of my neighbor `v ± k`" as `window(beepers, 64·w ± k)`.
-#[inline]
-fn window(src: &[u64], bit: i64) -> u64 {
-    let word = bit.div_euclid(64);
-    let sh = bit.rem_euclid(64) as u32;
-    let get = |w: i64| -> u64 {
-        if w < 0 || w >= src.len() as i64 {
-            0
-        } else {
-            src[w as usize]
-        }
-    };
-    if sh == 0 {
-        get(word)
-    } else {
-        (get(word) >> sh) | (get(word + 1) << (64 - sh))
-    }
-}
-
-/// Bits `b` of word `w` whose node `64·w + b` has `node % cols == residue`
-/// — the column-boundary masks of the grid/torus kernels. At most
-/// `⌈64/cols⌉` bits are set, so the stride loop is short.
-#[inline]
-fn stride_mask(w: usize, cols: usize, residue: usize) -> u64 {
-    let offset = (w * 64) % cols;
-    let mut b = (residue + cols - offset) % cols;
-    let mut mask = 0u64;
-    while b < 64 {
-        mask |= 1u64 << b;
-        b += cols;
-    }
-    mask
-}
-
-/// Bits `b` of word `w` whose node `64·w + b` lies in `[lo, hi)` — the
-/// first-row/last-row masks of the torus wrap terms.
-#[inline]
-fn range_mask(w: usize, lo: usize, hi: usize) -> u64 {
-    let wlo = w * 64;
-    let from = lo.saturating_sub(wlo).min(64);
-    let to = hi.saturating_sub(wlo).min(64);
-    if from >= to {
-        return 0;
-    }
-    let high = if to == 64 { !0 } else { (1u64 << to) - 1 };
-    let low = if from == 0 { 0 } else { (1u64 << from) - 1 };
-    high & !low
-}
-
 /// [`std::thread::available_parallelism`], queried once per process: the
 /// auto heuristic consults it every round, and on Linux the std call
 /// re-reads cgroup quota files — far too slow for a microsecond-scale
@@ -179,13 +119,8 @@ struct ShardCtx<'a> {
     graph: &'a Graph,
     /// Dense adjacency rows when the dense kernel is active.
     rows: Option<&'a [BitVec]>,
-    /// Whether the zero-storage shift kernel is active.
-    implicit: bool,
-    /// `beepers.count_ones()`, computed once per round (the complete-graph
-    /// kernel and the gather/scatter strategy choice both need it).
-    beep_count: usize,
     beepers: &'a BitVec,
-    /// The set bits of `beepers`, materialized once per round: the dense
+    /// The set bits of `beepers`, listed once per round: the dense
     /// and scatter kernels walk the beeper set once *per shard*, and
     /// re-scanning the whole bitmap S times would dominate sparse rounds.
     /// Left empty in gather mode, which never iterates beepers.
@@ -223,19 +158,13 @@ impl ShardCtx<'_> {
             for &u in self.beeper_list {
                 or_words_wide(out, &rows[u].as_words()[w_lo..w_lo + out.len()]);
             }
-        } else if self.implicit {
-            // Implicit kernel: the neighborhood OR of a whole word is a
-            // handful of masked shifts — no adjacency exists to touch.
-            self.implicit_or(w_lo, out);
         } else if self.gather {
             // Dense beeper set: only listeners scan their CSR
             // neighborhood, with early exit — at ≥ n/16 beepers a hit
             // comes fast. The listeners are the zero bits of the
             // self-hearing copy; bits at `hi` and above in the last word
             // are not this shard's nodes.
-            let Repr::Csr { offsets, neighbors } = self.graph.repr() else {
-                unreachable!("the sparse kernel runs on CSR graphs only")
-            };
+            let (offsets, neighbors) = self.graph.csr();
             let src = self.beepers.as_words();
             for (i, word) in out.iter_mut().enumerate() {
                 let base = lo + 64 * i;
@@ -286,65 +215,6 @@ impl ShardCtx<'_> {
         }
     }
 
-    /// The implicit-topology neighborhood OR for the words starting at
-    /// global word `w_lo`: each output word is assembled from masked
-    /// shifted windows of the beeper words. `out` already holds the
-    /// self-hearing beeper copy; this ORs the neighbor contributions on
-    /// top and re-zeros the padding bits of the final word.
-    fn implicit_or(&self, w_lo: usize, out: &mut [u64]) {
-        let n = self.beepers.len();
-        let src = self.beepers.as_words();
-        let shape = self.graph.repr();
-        match *shape {
-            Repr::Csr { .. } => unreachable!("the shift kernel runs on implicit graphs only"),
-            Repr::Complete { .. } => {
-                // Carrier sensing on K_n: any beeper at all is heard by
-                // every node (beeper or not).
-                if self.beep_count > 0 {
-                    out.fill(!0);
-                }
-            }
-            Repr::Torus { rows, cols } | Repr::Grid { rows, cols } => {
-                let wrap = matches!(shape, Repr::Torus { .. });
-                debug_assert_eq!(rows * cols, n);
-                let c = cols as i64;
-                for (idx, o) in out.iter_mut().enumerate() {
-                    let w = w_lo + idx;
-                    let base = (w * 64) as i64;
-                    // Vertical neighbors are a plain ±cols shift; nodes in
-                    // the first/last row read past the bitmap and get 0.
-                    let mut acc = window(src, base - c) | window(src, base + c);
-                    // Horizontal neighbors are a ±1 shift masked at the
-                    // column boundaries so rows don't bleed into each
-                    // other.
-                    let start_mask = stride_mask(w, cols, 0);
-                    let end_mask = stride_mask(w, cols, cols - 1);
-                    acc |= window(src, base - 1) & !start_mask;
-                    acc |= window(src, base + 1) & !end_mask;
-                    if wrap {
-                        // Torus wrap terms: column 0 ↔ column cols−1 and
-                        // first row ↔ last row.
-                        acc |= window(src, base + c - 1) & start_mask;
-                        acc |= window(src, base - (c - 1)) & end_mask;
-                        let nc = (n - cols) as i64;
-                        acc |= window(src, base + nc) & range_mask(w, 0, cols);
-                        acc |= window(src, base - nc) & range_mask(w, n - cols, n);
-                    }
-                    *o |= acc;
-                }
-            }
-        }
-        // The shifts above can set padding bits past `n` in the bitmap's
-        // final word; BitVec's word invariant (and the post-pass scatter)
-        // require them zero.
-        if !n.is_multiple_of(64) {
-            let last = n / 64;
-            if (w_lo..w_lo + out.len()).contains(&last) {
-                out[last - w_lo] &= (1u64 << (n % 64)) - 1;
-            }
-        }
-    }
-
     /// Channel noise for bits `lo..hi`, from the `(round, shard)` cell's
     /// own counter-keyed stream — identical no matter which thread runs
     /// the shard. Unlike [`or_into`](Self::or_into), this MUST be called
@@ -387,9 +257,9 @@ impl ShardCtx<'_> {
 ///   differential-testing oracle.
 /// * [`run_round_bitset`](Self::run_round_bitset) — the bit-parallel
 ///   production kernel: beepers come in as a [`BitVec`], the received OR is
-///   computed by the kernel the graph selects (masked word shifts on
-///   implicit graphs, precomputed adjacency bitmask rows on small dense
-///   CSR graphs, the beepers' adjacency lists otherwise), and channel
+///   computed by the kernel the graph selects (precomputed adjacency
+///   bitmask rows on small dense graphs, the beepers' adjacency lists
+///   otherwise), and channel
 ///   noise is applied with batched geometric-skip sampling, each gap read
 ///   from the rate's exact step-point table ([`FlipSampler`]).
 /// * The **sharded multi-threaded path** inside the bitset kernel: the
@@ -734,7 +604,10 @@ impl BeepNetwork {
         let graph = &self.graph;
         let clean_bit = |v: usize| match actions[v] {
             Action::Beep => true,
-            Action::Listen => graph.any_neighbor(v, |u| actions[u] == Action::Beep),
+            Action::Listen => graph
+                .neighbors(v)
+                .iter()
+                .any(|&u| actions[u] == Action::Beep),
         };
         // Every channel is counter-keyed per (round, shard): apply it with
         // the bitset kernel's exact shard layout, so the scalar oracle
@@ -787,10 +660,9 @@ impl BeepNetwork {
     /// word-aligned shards, each owning a disjoint word range of the
     /// output and computed independently — serially, or on worker threads
     /// (see [`set_parallelism`](Self::set_parallelism)). The graph alone
-    /// picks the OR kernel: masked shifts of the beeper words on an
-    /// implicit graph; on a small dense CSR graph each beeper ORs its
-    /// precomputed adjacency bitmask row; on any other CSR graph each
-    /// beeper scatters its adjacency list, switching to an early-exit
+    /// picks the OR kernel: on a small dense graph each beeper ORs its
+    /// precomputed adjacency bitmask row; on any other graph each beeper
+    /// scatters its adjacency list, switching to an early-exit
     /// neighborhood gather when beepers are dense — so a sparse-beeper
     /// round is `O(Σ deg(beeper) + n/64)` instead of the scalar path's
     /// `O(n + m)`. Under [`Noise::Bernoulli`](crate::Noise::Bernoulli)
@@ -886,12 +758,10 @@ impl BeepNetwork {
             AdjKernel::Dense(rows) => Some(rows.as_slice()),
             _ => None,
         };
-        let implicit = matches!(self.kernel, AdjKernel::Implicit);
         let gather =
             matches!(self.kernel, AdjKernel::Sparse) && GATHER_DENSITY_FACTOR * beep_count >= n;
-        // The implicit kernel reads the beeper words directly; only the
-        // dense-row and scatter kernels walk the materialized beeper list.
-        let beeper_list: Vec<usize> = if gather || implicit {
+        // Only the dense-row and scatter kernels walk the beeper list.
+        let beeper_list: Vec<usize> = if gather {
             Vec::new()
         } else {
             beepers.iter_ones().collect()
@@ -899,8 +769,6 @@ impl BeepNetwork {
         let ctx = ShardCtx {
             graph: &self.graph,
             rows,
-            implicit,
-            beep_count,
             beepers,
             beeper_list: &beeper_list,
             channel: &self.channel,

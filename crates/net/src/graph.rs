@@ -1,72 +1,32 @@
-//! Undirected simple graphs: materialized CSR and implicit structured
-//! topologies.
+//! Undirected simple graphs in compressed sparse row (CSR) form.
 //!
-//! The engine touches every adjacency list every round, so the
-//! representation matters at scale. Two families coexist behind one
-//! [`Graph`] type:
-//!
-//! * **CSR** (`offsets` + flat `neighbors`) — the general-purpose form
-//!   every generator in [`crate::topology`] produces.
-//! * **Implicit** complete / torus / grid — neighborhoods computed on the
-//!   fly from the shape parameters, zero adjacency storage. This is what
-//!   makes n = 10M–100M fit in RAM: a 100M-node torus stores two `usize`s
-//!   where CSR would store 3.2 GB.
-//!
-//! Every read path is representation-generic: the edge set is the only
-//! contract. [`Graph::neighbors`] borrows the CSR slice or returns the
-//! list an implicit shape computes, and the engine picks its kernel from
-//! the representation, which is private to this crate.
-
-use std::borrow::Cow;
+//! A [`Graph`] stores `offsets` (one per node, plus one) and one flat,
+//! per-node sorted `neighbors` array: the neighbors of `v` are
+//! `neighbors[offsets[v]..offsets[v + 1]]`. Every generator in
+//! [`crate::topology`] builds one through [`Graph::from_edges`], which
+//! sorts and deduplicates each list, so the arrays are a function of the
+//! edge set alone.
 
 use crate::error::GraphError;
 
 /// Index of a node in a [`Graph`] (`0..n`).
 pub type NodeId = usize;
 
-/// How a [`Graph`] stores its edge set: materialized compressed sparse
-/// row (offsets + neighbor slice), or the shape parameters of an implicit
-/// complete graph `K_n`, `rows × cols` torus (both ≥ 3) or `rows × cols`
-/// grid, with no adjacency storage.
+/// An undirected simple graph over nodes `0..n`, stored as CSR.
 ///
-/// The representation is a storage/performance property only: two graphs
-/// with the same edge set but different representations behave identically
-/// in every kernel (proven by the differential oracle in
-/// `tests/bitset_oracle.rs`), though `Graph`'s derived `PartialEq` is
-/// representational and will not equate them.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum Repr {
-    Csr {
-        offsets: Vec<usize>,
-        neighbors: Vec<NodeId>,
-    },
-    Complete {
-        n: usize,
-    },
-    Torus {
-        rows: usize,
-        cols: usize,
-    },
-    Grid {
-        rows: usize,
-        cols: usize,
-    },
-}
-
-/// An undirected simple graph over nodes `0..n`.
-///
-/// Stored either materialized (CSR) or implicitly (complete/torus/grid
-/// shape parameters only) — see the module docs. Every accessor works on
-/// both. `PartialEq` is representational: it compares storage, not edge
-/// sets.
+/// Two graphs are equal exactly when they have the same node count and
+/// the same edge set: [`Graph::from_edges`] keeps each neighbor list
+/// sorted and free of duplicates, whatever order or direction the edges
+/// came in.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Graph {
-    repr: Repr,
+    offsets: Vec<usize>,
+    neighbors: Vec<NodeId>,
 }
 
 impl Graph {
-    /// Builds a CSR graph from an edge list. Duplicate edges collapse;
-    /// edge direction is irrelevant.
+    /// Builds a graph from an edge list. Duplicate edges collapse; edge
+    /// direction is irrelevant.
     ///
     /// # Errors
     ///
@@ -96,297 +56,80 @@ impl Graph {
             neighbors.extend_from_slice(list);
             offsets.push(neighbors.len());
         }
-        Ok(Graph {
-            repr: Repr::Csr { offsets, neighbors },
-        })
+        Ok(Graph { offsets, neighbors })
     }
 
-    /// An implicit complete graph `K_n`: every pair of distinct nodes is
-    /// adjacent, with zero adjacency storage.
-    #[must_use]
-    pub fn implicit_complete(n: usize) -> Self {
-        Graph {
-            repr: Repr::Complete { n },
-        }
-    }
-
-    /// An implicit `rows × cols` torus (wrap-around grid, exactly
-    /// 4-regular). Node `r·cols + c` is adjacent to its four orthogonal
-    /// neighbors with both coordinates taken modulo the dimensions —
-    /// the same edge set as [`crate::topology::torus`], with zero
-    /// adjacency storage.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::InvalidTopology`] if either dimension is
-    /// below 3 (wrap-around would create multi-edges or self-loops).
-    pub fn implicit_torus(rows: usize, cols: usize) -> Result<Self, GraphError> {
-        if rows < 3 || cols < 3 {
-            return Err(GraphError::InvalidTopology {
-                detail: format!("implicit torus needs both dimensions >= 3, got {rows}x{cols}"),
-            });
-        }
-        Ok(Graph {
-            repr: Repr::Torus { rows, cols },
-        })
-    }
-
-    /// An implicit `rows × cols` grid (no wrap-around): the same edge set
-    /// as [`crate::topology::grid`], with zero adjacency storage.
-    #[must_use]
-    pub fn implicit_grid(rows: usize, cols: usize) -> Self {
-        Graph {
-            repr: Repr::Grid { rows, cols },
-        }
-    }
-
-    /// Materializes this graph as plain CSR (a no-op clone if it already
-    /// is). Useful for comparing an implicit graph against the
-    /// general-purpose representation.
-    #[must_use]
-    pub fn materialize(&self) -> Self {
-        if matches!(self.repr, Repr::Csr { .. }) {
-            return self.clone();
-        }
-        let n = self.node_count();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut neighbors = Vec::new();
-        offsets.push(0);
-        for v in 0..n {
-            self.for_each_neighbor(v, |u| neighbors.push(u));
-            offsets.push(neighbors.len());
-        }
-        Graph {
-            repr: Repr::Csr { offsets, neighbors },
-        }
-    }
-
-    /// How this graph stores its edge set; the engine picks its kernel
-    /// from it.
-    pub(crate) fn repr(&self) -> &Repr {
-        &self.repr
-    }
-
-    /// Bytes of adjacency storage (offsets + neighbor data; zero for
-    /// implicit shapes).
-    #[must_use]
-    pub fn adjacency_bytes(&self) -> usize {
-        match &self.repr {
-            Repr::Csr { offsets, neighbors } => {
-                offsets.len() * size_of::<usize>() + neighbors.len() * size_of::<NodeId>()
-            }
-            Repr::Complete { .. } | Repr::Torus { .. } | Repr::Grid { .. } => 0,
-        }
+    /// The CSR arrays `(offsets, neighbors)`, for the engine's gather,
+    /// which scans many neighborhoods in one loop.
+    pub(crate) fn csr(&self) -> (&[usize], &[NodeId]) {
+        (&self.offsets, &self.neighbors)
     }
 
     /// The number of nodes `n`.
     #[must_use]
     pub fn node_count(&self) -> usize {
-        match &self.repr {
-            Repr::Csr { offsets, .. } => offsets.len() - 1,
-            Repr::Complete { n } => *n,
-            Repr::Torus { rows, cols } | Repr::Grid { rows, cols } => rows * cols,
-        }
+        self.offsets.len() - 1
     }
 
     /// The number of undirected edges `m`.
     #[must_use]
     pub fn edge_count(&self) -> usize {
-        match &self.repr {
-            Repr::Csr { neighbors, .. } => neighbors.len() / 2,
-            Repr::Complete { n } => n * n.saturating_sub(1) / 2,
-            Repr::Torus { rows, cols } => 2 * rows * cols,
-            Repr::Grid { rows, cols } => {
-                if *rows == 0 || *cols == 0 {
-                    0
-                } else {
-                    rows * (cols - 1) + cols * (rows - 1)
-                }
-            }
-        }
+        self.neighbors.len() / 2
     }
 
-    /// The neighbors of `v`, ascending: the borrowed slice of a CSR graph,
-    /// or the list an implicit shape computes. Works for every
-    /// representation; [`Graph::for_each_neighbor`] visits the same nodes
-    /// without building a list.
+    /// The neighbors of `v`, ascending.
     ///
     /// # Panics
     ///
     /// Panics if `v >= n`.
     #[must_use]
-    // Inlined so the engine's per-beeper scatter sees the borrowed arm and
-    // pays no tag check or drop for the `Cow`.
     #[inline]
-    pub fn neighbors(&self, v: NodeId) -> Cow<'_, [NodeId]> {
-        match &self.repr {
-            Repr::Csr { offsets, neighbors } => {
-                Cow::Borrowed(&neighbors[offsets[v]..offsets[v + 1]])
-            }
-            _ => {
-                let mut out = Vec::with_capacity(self.degree(v));
-                self.for_each_neighbor(v, |u| out.push(u));
-                Cow::Owned(out)
-            }
-        }
+    pub fn neighbors(&self, v: NodeId) -> &[NodeId] {
+        &self.neighbors[self.offsets[v]..self.offsets[v + 1]]
     }
 
-    /// Calls `f` for every neighbor of `v`, ascending. Works for every
-    /// representation.
+    /// Calls `f` for every neighbor of `v`, ascending.
     ///
     /// # Panics
     ///
     /// Panics if `v >= n`.
     pub fn for_each_neighbor<F: FnMut(NodeId)>(&self, v: NodeId, mut f: F) {
-        match &self.repr {
-            Repr::Csr { offsets, neighbors } => {
-                for &u in &neighbors[offsets[v]..offsets[v + 1]] {
-                    f(u);
-                }
-            }
-            Repr::Complete { n } => {
-                assert!(v < *n);
-                for u in 0..*n {
-                    if u != v {
-                        f(u);
-                    }
-                }
-            }
-            Repr::Torus { rows, cols } => {
-                assert!(v < rows * cols);
-                let (r, c) = (v / cols, v % cols);
-                let mut nbrs = [
-                    ((r + rows - 1) % rows) * cols + c,
-                    (r * cols) + (c + cols - 1) % cols,
-                    (r * cols) + (c + 1) % cols,
-                    ((r + 1) % rows) * cols + c,
-                ];
-                nbrs.sort_unstable();
-                for u in nbrs {
-                    f(u);
-                }
-            }
-            Repr::Grid { rows, cols } => {
-                assert!(v < rows * cols);
-                let (r, c) = (v / cols, v % cols);
-                if r > 0 {
-                    f(v - cols);
-                }
-                if c > 0 {
-                    f(v - 1);
-                }
-                if c + 1 < *cols {
-                    f(v + 1);
-                }
-                if r + 1 < *rows {
-                    f(v + cols);
-                }
-            }
+        for &u in self.neighbors(v) {
+            f(u);
         }
     }
 
-    /// Whether any neighbor of `v` satisfies `pred` (short-circuiting).
-    /// Works for every representation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v >= n`.
-    pub fn any_neighbor<F: FnMut(NodeId) -> bool>(&self, v: NodeId, mut pred: F) -> bool {
-        match &self.repr {
-            Repr::Csr { offsets, neighbors } => neighbors[offsets[v]..offsets[v + 1]]
-                .iter()
-                .any(|&u| pred(u)),
-            Repr::Complete { n } => {
-                assert!(v < *n);
-                (0..*n).any(|u| u != v && pred(u))
-            }
-            _ => {
-                let mut hit = false;
-                self.for_each_neighbor(v, |u| hit = hit || pred(u));
-                hit
-            }
-        }
-    }
-
-    /// The degree of `v`. O(1) in every representation.
+    /// The degree of `v`.
     ///
     /// # Panics
     ///
     /// Panics if `v >= n`.
     #[must_use]
     pub fn degree(&self, v: NodeId) -> usize {
-        match &self.repr {
-            Repr::Csr { offsets, .. } => offsets[v + 1] - offsets[v],
-            Repr::Complete { n } => {
-                assert!(v < *n);
-                n - 1
-            }
-            Repr::Torus { rows, cols } => {
-                assert!(v < rows * cols);
-                4
-            }
-            Repr::Grid { rows, cols } => {
-                assert!(v < rows * cols);
-                let (r, c) = (v / cols, v % cols);
-                usize::from(r > 0)
-                    + usize::from(c > 0)
-                    + usize::from(c + 1 < *cols)
-                    + usize::from(r + 1 < *rows)
-            }
-        }
+        self.offsets[v + 1] - self.offsets[v]
     }
 
     /// The maximum degree `Δ` (0 for an empty or edgeless graph). This is
-    /// the parameter every bound in the paper is expressed in. O(1) for
-    /// implicit graphs.
+    /// the parameter every bound in the paper is expressed in.
     #[must_use]
     pub fn max_degree(&self) -> usize {
-        match &self.repr {
-            Repr::Csr { .. } => (0..self.node_count())
-                .map(|v| self.degree(v))
-                .max()
-                .unwrap_or(0),
-            Repr::Complete { n } => n.saturating_sub(1),
-            Repr::Torus { .. } => 4,
-            Repr::Grid { rows, cols } => {
-                if *rows == 0 || *cols == 0 {
-                    0
-                } else {
-                    (if *rows > 2 { 2 } else { rows - 1 }) + (if *cols > 2 { 2 } else { cols - 1 })
-                }
-            }
-        }
+        (0..self.node_count())
+            .map(|v| self.degree(v))
+            .max()
+            .unwrap_or(0)
     }
 
-    /// Whether `{u, v}` is an edge. O(1) for implicit shapes, a binary
-    /// search for CSR.
+    /// Whether `{u, v}` is an edge: a binary search of `u`'s neighbors.
     ///
     /// # Panics
     ///
     /// Panics if `u >= n`.
     #[must_use]
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        match &self.repr {
-            Repr::Csr { offsets, neighbors } => neighbors[offsets[u]..offsets[u + 1]]
-                .binary_search(&v)
-                .is_ok(),
-            Repr::Complete { n } => {
-                assert!(u < *n);
-                v < *n && u != v
-            }
-            _ => {
-                if v >= self.node_count() {
-                    assert!(u < self.node_count());
-                    return false;
-                }
-                self.any_neighbor(u, |w| w == v)
-            }
-        }
+        self.neighbors(u).binary_search(&v).is_ok()
     }
 
     /// All edges as `(min, max)` pairs, each once, lexicographic order.
-    /// Materializes the full list — intended for tests and small graphs,
-    /// not the 10M+-node implicit shapes.
     #[must_use]
     pub fn edges(&self) -> Vec<(NodeId, NodeId)> {
         let mut out = Vec::with_capacity(self.edge_count());
@@ -463,9 +206,7 @@ mod tests {
         let g = triangle_plus_tail();
         assert_eq!(g.node_count(), 4);
         assert_eq!(g.edge_count(), 4);
-        assert_eq!(*g.neighbors(2), [0, 1, 3]);
-        // CSR lends its slice: the engine's scatter must not allocate.
-        assert!(matches!(g.neighbors(2), Cow::Borrowed(_)));
+        assert_eq!(g.neighbors(2), [0, 1, 3]);
         assert_eq!(g.degree(2), 3);
         assert_eq!(g.degree(3), 1);
         assert_eq!(g.max_degree(), 3);
@@ -478,7 +219,7 @@ mod tests {
     fn duplicate_and_reversed_edges_collapse() {
         let g = Graph::from_edges(3, &[(0, 1), (1, 0), (0, 1)]).unwrap();
         assert_eq!(g.edge_count(), 1);
-        assert_eq!(*g.neighbors(0), [1]);
+        assert_eq!(g.neighbors(0), [1]);
     }
 
     #[test]
@@ -524,54 +265,5 @@ mod tests {
         let g = Graph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
         assert_eq!(g.diameter(), None);
         assert!(!g.is_connected());
-    }
-
-    #[test]
-    fn implicit_complete_matches_csr() {
-        for n in [0usize, 1, 2, 5, 9] {
-            let imp = Graph::implicit_complete(n);
-            assert_eq!(imp.node_count(), n);
-            assert_eq!(imp.edge_count(), n * n.saturating_sub(1) / 2);
-            assert_eq!(imp.max_degree(), n.saturating_sub(1));
-            let mat = imp.materialize();
-            assert!(matches!(mat.repr, Repr::Csr { .. }));
-            for v in 0..n {
-                assert_eq!(imp.neighbors(v), mat.neighbors(v));
-                assert_eq!(imp.degree(v), mat.degree(v));
-            }
-        }
-    }
-
-    #[test]
-    fn implicit_torus_matches_generator() {
-        for (r, c) in [(3, 3), (3, 4), (4, 3), (5, 7)] {
-            let imp = Graph::implicit_torus(r, c).unwrap();
-            let gen = crate::topology::torus(r, c).unwrap();
-            assert_eq!(imp.node_count(), gen.node_count());
-            assert_eq!(imp.edge_count(), gen.edge_count());
-            assert_eq!(imp.edges(), gen.edges());
-            for v in 0..imp.node_count() {
-                assert_eq!(imp.neighbors(v), gen.neighbors(v));
-                assert_eq!(imp.degree(v), 4);
-            }
-        }
-        assert!(Graph::implicit_torus(2, 5).is_err());
-        assert!(Graph::implicit_torus(3, 2).is_err());
-    }
-
-    #[test]
-    fn implicit_grid_matches_generator() {
-        for (r, c) in [(1, 1), (1, 6), (4, 1), (2, 2), (3, 5), (6, 4)] {
-            let imp = Graph::implicit_grid(r, c);
-            let gen = crate::topology::grid(r, c).unwrap();
-            assert_eq!(imp.node_count(), gen.node_count());
-            assert_eq!(imp.edge_count(), gen.edge_count());
-            assert_eq!(imp.edges(), gen.edges());
-            assert_eq!(imp.max_degree(), gen.max_degree());
-            for v in 0..imp.node_count() {
-                assert_eq!(imp.neighbors(v), gen.neighbors(v));
-                assert_eq!(imp.degree(v), gen.degree(v));
-            }
-        }
     }
 }

@@ -1,4 +1,5 @@
-//! Topology generators for the paper's experiment graphs.
+//! Topology generators for the paper's experiment graphs. Each one lists
+//! its edges and builds the CSR [`Graph`] through [`Graph::from_edges`].
 //!
 //! Includes the lower-bound hard instance
 //! ([`complete_bipartite_with_isolated`], Lemma 14: `K_{Δ,Δ}` plus `n − 2Δ`
@@ -154,46 +155,6 @@ pub fn torus(rows: usize, cols: usize) -> Result<Graph, GraphError> {
         }
     }
     Graph::from_edges(rows * cols, &edges)
-}
-
-/// The same edge set as [`torus`] with zero adjacency storage: the
-/// neighborhood of every node is computed on the fly from `(rows, cols)`.
-/// This is the representation that lets 10M–100M-node tori fit in RAM
-/// (see [`Graph::implicit_torus`] and the "Extreme-scale kernel" chapter
-/// of ARCHITECTURE.md).
-///
-/// # Errors
-///
-/// Returns [`GraphError::InvalidTopology`] if either dimension is below 3
-/// (smaller wraparounds collapse to multi-edges).
-pub fn implicit_torus(rows: usize, cols: usize) -> Result<Graph, GraphError> {
-    Graph::implicit_torus(rows, cols)
-}
-
-/// The same edge set as [`grid`] with zero adjacency storage (see
-/// [`Graph::implicit_grid`]).
-///
-/// # Errors
-///
-/// Never fails (degenerate dimensions give paths or an empty graph).
-pub fn implicit_grid(rows: usize, cols: usize) -> Result<Graph, GraphError> {
-    Ok(Graph::implicit_grid(rows, cols))
-}
-
-/// The same edge set as [`complete`] with zero adjacency storage (see
-/// [`Graph::implicit_complete`]).
-///
-/// # Errors
-///
-/// Returns [`GraphError::InvalidTopology`] for `n == 0` (mirroring
-/// [`complete`], which rejects the empty graph).
-pub fn implicit_complete(n: usize) -> Result<Graph, GraphError> {
-    if n == 0 {
-        return Err(GraphError::InvalidTopology {
-            detail: "complete graph needs at least 1 node".to_string(),
-        });
-    }
-    Ok(Graph::implicit_complete(n))
 }
 
 /// A Barabási–Albert preferential-attachment graph: starts from a star on

@@ -5,12 +5,11 @@
 //! geometric-skip noisy channel.
 //!
 //! The generators run at one-word sizes (n ≤ 20), where the engine
-//! clamps a round to one thread and every CSR graph takes dense rows.
+//! clamps a round to one thread and every graph takes dense rows.
 //! Multi-word graphs (n = 200–600) reach the rest: the sharded path on
 //! more than one thread (thread counts {1, 2, 4, 8} × shard counts
-//! {1, 2, 8}), the scatter and gather kernels on sparse CSR, dense rows
-//! over several words, and the implicit shift kernel next to each
-//! implicit graph's materialized twin.
+//! {1, 2, 8}), the scatter and gather kernels on sparse graphs and dense
+//! rows over several words.
 //!
 //! CI runs this file explicitly (and fails if it vanishes or stops
 //! executing tests): it is the proof that the production kernel and the
@@ -60,51 +59,23 @@ fn all_topologies() -> Vec<(String, Graph)> {
             "random_tree(16)".into(),
             topology::random_tree(16, &mut rng).unwrap(),
         ),
-        // Implicit adjacency representations: same edge sets as
-        // generator-built CSR graphs, zero storage. Every oracle in this
-        // file sweeps them alongside the materialized forms.
         ("torus(4,5)".into(), topology::torus(4, 5).unwrap()),
-        (
-            "implicit_torus(4,5)".into(),
-            topology::implicit_torus(4, 5).unwrap(),
-        ),
-        (
-            "implicit_grid(3,5)".into(),
-            topology::implicit_grid(3, 5).unwrap(),
-        ),
-        (
-            "implicit_complete(9)".into(),
-            topology::implicit_complete(9).unwrap(),
-        ),
         (
             "preferential_attachment(15,2)".into(),
             topology::preferential_attachment(15, 2, &mut rng).unwrap(),
         ),
         // Multi-word graphs, one per kernel the engine picks, so the
-        // sharded path runs on more than one thread. Sparse CSR scatters
-        // below `16·beepers = n` and gathers above it: at n = 600 the
-        // densities 0.03 and 0.05 fall below that line and 0.1 and up
-        // above it. `complete(200)` takes dense rows; each implicit graph
-        // takes the shift kernel next to its materialized twin.
+        // sharded path runs on more than one thread. A sparse graph
+        // scatters below `16·beepers = n` and gathers above it: at n = 600
+        // the densities 0.03 and 0.05 fall below that line and 0.1 and up
+        // above it. `complete(200)` takes dense rows.
         (
             "random_regular(600,4)".into(),
             topology::random_regular(600, 4, &mut rng).unwrap(),
         ),
         ("torus(20,30)".into(), topology::torus(20, 30).unwrap()),
-        (
-            "implicit_torus(20,30)".into(),
-            topology::implicit_torus(20, 30).unwrap(),
-        ),
         ("grid(24,25)".into(), topology::grid(24, 25).unwrap()),
-        (
-            "implicit_grid(24,25)".into(),
-            topology::implicit_grid(24, 25).unwrap(),
-        ),
         ("complete(200)".into(), topology::complete(200).unwrap()),
-        (
-            "implicit_complete(200)".into(),
-            topology::implicit_complete(200).unwrap(),
-        ),
     ]
 }
 
@@ -905,75 +876,6 @@ fn faulted_noisy_transcripts_are_thread_and_shard_invariant() {
                         "{name} {key} threads={threads} shards={shards}"
                     );
                 }
-            }
-        }
-    }
-}
-
-#[test]
-fn implicit_reprs_reproduce_materialized_noisy_transcripts() {
-    // The adjacency representation is NOT part of the determinism tuple:
-    // an implicit graph with the same edge set as a materialized CSR graph
-    // must produce byte-identical noisy transcripts at every thread and
-    // shard count, because channel noise is keyed by (seed, round, shard)
-    // and the OR is representation-independent.
-    let pairs: Vec<(String, Graph, Graph)> = vec![
-        (
-            "torus(5,7)".into(),
-            topology::torus(5, 7).unwrap(),
-            topology::implicit_torus(5, 7).unwrap(),
-        ),
-        (
-            "grid(4,9)".into(),
-            topology::grid(4, 9).unwrap(),
-            topology::implicit_grid(4, 9).unwrap(),
-        ),
-        (
-            "complete(11)".into(),
-            topology::complete(11).unwrap(),
-            topology::implicit_complete(11).unwrap(),
-        ),
-        (
-            "torus(20,30)".into(),
-            topology::torus(20, 30).unwrap(),
-            topology::implicit_torus(20, 30).unwrap(),
-        ),
-        (
-            "grid(24,25)".into(),
-            topology::grid(24, 25).unwrap(),
-            topology::implicit_grid(24, 25).unwrap(),
-        ),
-        (
-            "complete(200)".into(),
-            topology::complete(200).unwrap(),
-            topology::implicit_complete(200).unwrap(),
-        ),
-    ];
-    let mut rng = StdRng::seed_from_u64(0x51AB);
-    for (name, csr, implicit) in pairs {
-        let n = csr.node_count();
-        let beeper_sets: Vec<BitVec> = (0..10)
-            .map(|round| {
-                let density = [0.0, 0.1, 0.5, 1.0][round % 4];
-                beeper_bitmap(&random_actions(n, density, &mut rng))
-            })
-            .collect();
-        for shards in SHARD_COUNTS {
-            for &threads in &THREAD_COUNTS {
-                let run = |graph: &Graph| {
-                    let mut net = BeepNetwork::new(graph.clone(), Noise::bernoulli(0.25), 7);
-                    net.set_shard_count(shards);
-                    net.set_parallelism(threads);
-                    beeper_sets
-                        .iter()
-                        .map(|b| net.run_round_bitset(b).unwrap())
-                        .collect::<Vec<BitVec>>()
-                };
-                assert_eq!(
-                    run(&csr),
-                    run(&implicit),
-                    "{name} threads={threads} shards={shards}"
-                );
             }
         }
     }

@@ -22,8 +22,7 @@
 use beep_bits::BitVec;
 use beep_net::{
     noise_stream_seed, protocol_coin, topology, AdaptivePolicy, AdversarialErasure, BeepNetwork,
-    ChannelModel, FaultKind, FaultPlan, GilbertElliott, Graph, Noise, PerNodeEps,
-    PROTOCOL_COIN_STREAM,
+    ChannelModel, FaultKind, FaultPlan, GilbertElliott, Noise, PerNodeEps, PROTOCOL_COIN_STREAM,
 };
 
 /// FNV-1a over the words of a sequence of received frames — a stable,
@@ -513,48 +512,26 @@ fn empty_fault_plan_leaves_the_golden_stream_untouched() {
     assert_eq!(transcript_fingerprint(&frames), 0xF20B_61B1_63CB_81F1);
 }
 
-/// Like [`noisy_transcript`], but on a torus built by the given
-/// constructor (512 = 8 × 64 nodes), so the implicit shift kernel and the
-/// materialized CSR kernel can be pinned against the same stream.
-fn torus_transcript(
-    graph: Graph,
-    seed: u64,
-    eps: f64,
-    shards: usize,
-    rounds: usize,
-) -> Vec<BitVec> {
-    let n = graph.node_count();
-    let mut net = BeepNetwork::new(graph, Noise::bernoulli(eps), seed);
+/// Like [`noisy_transcript`], but on the 8 × 64 torus (512 nodes), whose
+/// wrap-around edges join nodes in distant words.
+fn torus_transcript(seed: u64, eps: f64, shards: usize, rounds: usize) -> Vec<BitVec> {
+    let mut net = BeepNetwork::new(topology::torus(8, 64).unwrap(), Noise::bernoulli(eps), seed);
     net.set_shard_count(shards);
-    let beepers = BitVec::from_fn(n, |v| v % 37 == 0);
+    let beepers = BitVec::from_fn(512, |v| v % 37 == 0);
     (0..rounds)
         .map(|_| net.run_round_bitset(&beepers).unwrap())
         .collect()
 }
 
 #[test]
-fn golden_implicit_torus_transcripts_per_seed_eps_shards() {
-    // The adjacency representation is NOT part of the stream key: the
-    // implicit shift kernel on `implicit_torus` must reproduce the exact
-    // pinned fingerprints of the materialized CSR torus, per
-    // (seed, ε, shard_count) cell. A change to the wide-word OR lanes, the
-    // wrap masks, or the tail masking fails here.
+fn golden_torus_transcripts_per_seed_eps_shards() {
+    // Pinned fingerprints of the torus, per (seed, ε, shard_count) cell.
+    // A change to the kernel's OR of the wrap-around edges or to the
+    // tail masking fails here.
     let mut computed = Vec::new();
     for &(seed, eps, shards) in &[(1u64, 0.1f64, 1usize), (1, 0.1, 8), (9, 0.3, 2)] {
-        let implicit = torus_transcript(
-            topology::implicit_torus(8, 64).unwrap(),
-            seed,
-            eps,
-            shards,
-            8,
-        );
-        let materialized = torus_transcript(topology::torus(8, 64).unwrap(), seed, eps, shards, 8);
-        assert_eq!(
-            implicit, materialized,
-            "implicit vs csr seed={seed} eps={eps} shards={shards}"
-        );
-        let fp = transcript_fingerprint(&implicit);
-        println!("implicit torus seed={seed} eps={eps} shards={shards}: {fp:#018X}");
+        let fp = transcript_fingerprint(&torus_transcript(seed, eps, shards, 8));
+        println!("torus seed={seed} eps={eps} shards={shards}: {fp:#018X}");
         computed.push(fp);
     }
     assert_eq!(
@@ -594,20 +571,16 @@ fn frames_reproduce_the_golden_per_round_stream() {
 }
 
 #[test]
-fn golden_implicit_frame_transcript_matches_per_round_driving() {
-    // A 40-round schedule through `run_frame_into` on the implicit torus.
-    // The per-round loop on the materialized torus must produce the same
-    // bytes, and the fingerprint is pinned so a change to the frame
-    // driver's beeper assembly or heard-string scatter fails loudly.
+fn golden_torus_frame_transcript_matches_per_round_driving() {
+    // A 40-round schedule through `run_frame_into` on the torus. The
+    // per-round loop must produce the same bytes, and the fingerprint is
+    // pinned so a change to the frame driver's beeper assembly or
+    // heard-string scatter fails loudly.
     let rounds = 40;
     let frames: Vec<Option<BitVec>> = (0..512)
         .map(|v| Some(BitVec::from_fn(rounds, |r| (v + r) % 37 == 0)))
         .collect();
-    let mut framed = BeepNetwork::new(
-        topology::implicit_torus(8, 64).unwrap(),
-        Noise::bernoulli(0.1),
-        1,
-    );
+    let mut framed = BeepNetwork::new(topology::torus(8, 64).unwrap(), Noise::bernoulli(0.1), 1);
     framed.set_shard_count(8);
     let mut heard = Vec::new();
     framed.run_frame_into(&frames, rounds, &mut heard).unwrap();
@@ -622,7 +595,7 @@ fn golden_implicit_frame_transcript_matches_per_round_driving() {
         .collect();
     assert_eq!(per_round_bitmaps(&heard, rounds), expected);
     let fp = transcript_fingerprint(&expected);
-    println!("implicit torus frame, 40 rounds: {fp:#018X}");
+    println!("torus frame, 40 rounds: {fp:#018X}");
     assert_eq!(fp, 0x8ABB_5AE8_D342_DCB2);
 }
 

@@ -1,7 +1,8 @@
 //! Property tests for the topology generators the scenario layer sweeps:
-//! seeded determinism (the campaign reproducibility contract) and
+//! seeded determinism (the campaign reproducibility contract),
 //! structural invariants (node/edge counts, degree bounds, torus
-//! 4-regularity, RGG radius respected).
+//! 4-regularity, RGG radius respected) and graph equality as edge-set
+//! equality.
 
 use beep_net::topology;
 use beep_net::Graph;
@@ -14,6 +15,30 @@ fn edges(g: &Graph) -> Vec<(usize, usize)> {
     let mut e = g.edges();
     e.sort_unstable();
     e
+}
+
+/// The output of generator `which` (`0..15`, one per generator) at about
+/// `n ≥ 4` nodes, from `seed`.
+fn generated(which: usize, n: usize, seed: u64) -> Graph {
+    let rng = &mut StdRng::seed_from_u64(seed);
+    match which {
+        0 => topology::complete(n),
+        1 => topology::complete_bipartite(n / 2, n - n / 2),
+        2 => topology::complete_bipartite_with_isolated(n / 4, n),
+        3 => topology::path(n),
+        4 => topology::cycle(n),
+        5 => topology::star(n),
+        6 => topology::grid(n / 3, 3),
+        7 => topology::torus(n / 3 + 2, 3),
+        8 => topology::preferential_attachment(n, 2, rng),
+        9 => topology::binary_tree(n),
+        10 => topology::hypercube((n % 5) as u32),
+        11 => topology::gnp(n, 0.3, rng),
+        12 => topology::random_geometric(n, 0.4, rng).map(|(g, _)| g),
+        13 => topology::random_regular(2 * n, 3, rng),
+        _ => topology::random_tree(n, rng),
+    }
+    .unwrap()
 }
 
 proptest! {
@@ -132,6 +157,30 @@ proptest! {
         prop_assert_eq!(g.node_count(), n);
         prop_assert_eq!(g.edge_count(), n.saturating_sub(1));
         prop_assert!(g.is_connected());
+    }
+
+    // --- Equality: two graphs are equal exactly when their edge sets
+    // are, however the edges were listed.
+
+    #[test]
+    fn graphs_are_equal_exactly_when_their_edge_sets_are(
+        which in 0usize..15,
+        n in 4usize..40,
+        seed in 0u64..500,
+    ) {
+        let g = generated(which, n, seed);
+        let n = g.node_count();
+        let listed = g.edges();
+        prop_assert_eq!(&Graph::from_edges(n, &listed).unwrap(), &g);
+        // The same edges in reverse order, each listed twice and once
+        // backwards.
+        let messy: Vec<(usize, usize)> =
+            listed.iter().rev().flat_map(|&(u, v)| [(v, u), (u, v)]).collect();
+        prop_assert_eq!(&Graph::from_edges(n, &messy).unwrap(), &g);
+        // One edge fewer is a different graph.
+        if let Some((_, rest)) = listed.split_first() {
+            prop_assert_ne!(&Graph::from_edges(n, rest).unwrap(), &g);
+        }
     }
 
     #[test]

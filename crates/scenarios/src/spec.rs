@@ -65,9 +65,10 @@
 //!
 //! One reader checks every table, the root included. A key the table does
 //! not accept, a missing required key, and a present value of the wrong
-//! type or outside its range are errors that name the table's line (line
-//! 0 for the root). A spec never falls back to a default for a value it
-//! states: `radius = "0.3"` is an error, not the auto radius.
+//! type or outside its range are errors that name the table's header line.
+//! The root has no header, so its errors name the line of the key at fault
+//! (line 0 for a missing key). A spec never falls back to a default for a
+//! value it states: `radius = "0.3"` is an error, not the auto radius.
 
 use crate::error::ScenarioError;
 use crate::json::Json;
@@ -832,13 +833,13 @@ impl CampaignSpec {
             // Assignments belong to the most recent table header, or to
             // the root before the first header.
             let table = tables.last_mut().unwrap_or(&mut root);
-            if table.pairs.iter().any(|(k, _)| *k == key) {
+            if table.pairs.iter().any(|(k, _, _)| *k == key) {
                 return Err(ScenarioError::Spec {
                     line: line_no,
                     detail: format!("duplicate key {key:?}"),
                 });
             }
-            table.pairs.push((key, value));
+            table.pairs.push((key, value, line_no));
         }
 
         root.accept(&["name", "seeds", "epsilons", "protocols"])?;
@@ -851,7 +852,7 @@ impl CampaignSpec {
             .iter()
             .map(|name| {
                 Protocol::from_name(name)
-                    .ok_or_else(|| root.err(format!("unknown protocol {name:?}")))
+                    .ok_or_else(|| root.key_err("protocols", format!("unknown protocol {name:?}")))
             })
             .collect::<Result<Vec<Protocol>, _>>()?;
         let mut spec = CampaignSpec {
@@ -891,17 +892,18 @@ impl CampaignSpec {
     }
 }
 
-/// One table of a spec file: the root, or one `[[…]]` entry, with the
-/// line its errors name (0 for the root, which has no header line).
-/// Every key is read through it, so a key, type or range error reads the
-/// same in every table. A key the table does not accept, a required key
-/// that is missing and a present value of the wrong type are all errors:
-/// a spec must fail loudly, not silently sweep a default.
+/// One table of a spec file: the root, or one `[[…]]` entry, with its
+/// header line (0 for the root, which has none). Every key is read
+/// through it, so a key, type or range error reads the same in every
+/// table. A key the table does not accept, a required key that is missing
+/// and a present value of the wrong type are all errors: a spec must fail
+/// loudly, not silently sweep a default.
 struct Table<'a> {
     /// `[[topology]]`, `[[channel]]`, `[[faults]]` or `the root table`.
     header: &'a str,
     line: usize,
-    pairs: Vec<(String, Json)>,
+    /// Each key with its value and the line it is on.
+    pairs: Vec<(String, Json, usize)>,
 }
 
 impl<'a> Table<'a> {
@@ -920,30 +922,47 @@ impl<'a> Table<'a> {
         }
     }
 
+    /// An error about `key`. It names the header line of a `[[…]]` table,
+    /// and the key's own line in the root table, which has no header.
+    fn key_err(&self, key: &str, detail: String) -> ScenarioError {
+        let line = if self.line > 0 {
+            self.line
+        } else {
+            self.pairs
+                .iter()
+                .find(|(k, _, _)| k == key)
+                .map_or(0, |&(_, _, line)| line)
+        };
+        ScenarioError::Spec { line, detail }
+    }
+
     /// Rejects the first key outside `accepted`.
     fn accept(&self, accepted: &[&str]) -> Result<(), ScenarioError> {
         match self
             .pairs
             .iter()
-            .find(|(k, _)| !accepted.contains(&k.as_str()))
+            .find(|(k, _, _)| !accepted.contains(&k.as_str()))
         {
-            Some((key, _)) => Err(self.err(format!(
-                "unknown key {key:?} in {} (accepted: {})",
-                self.header,
-                accepted.join(", ")
-            ))),
+            Some((key, _, _)) => Err(self.key_err(
+                key,
+                format!(
+                    "unknown key {key:?} in {} (accepted: {})",
+                    self.header,
+                    accepted.join(", ")
+                ),
+            )),
             None => Ok(()),
         }
     }
 
     /// The value of `key`, `None` when the key is absent.
     fn get<T: SpecValue>(&self, key: &str) -> Result<Option<T>, ScenarioError> {
-        let Some((_, value)) = self.pairs.iter().find(|(k, _)| k == key) else {
+        let Some((_, value, _)) = self.pairs.iter().find(|(k, _, _)| k == key) else {
             return Ok(None);
         };
         T::read(value)
             .map(Some)
-            .ok_or_else(|| self.err(format!("{key} must be a {}", T::noun())))
+            .ok_or_else(|| self.key_err(key, format!("{key} must be a {}", T::noun())))
     }
 
     /// The value of the required `key`.
@@ -963,7 +982,7 @@ impl<'a> Table<'a> {
         if (0.0..0.5).contains(&rate) {
             Ok(rate)
         } else {
-            Err(self.err(format!("{key} {rate} outside [0, ½)")))
+            Err(self.key_err(key, format!("{key} {rate} outside [0, ½)")))
         }
     }
 
@@ -974,7 +993,7 @@ impl<'a> Table<'a> {
         if (0.0..=1.0).contains(&value) {
             Ok(value)
         } else {
-            Err(self.err(format!("{key} {value} outside [0, 1]")))
+            Err(self.key_err(key, format!("{key} {value} outside [0, 1]")))
         }
     }
 
@@ -1613,6 +1632,23 @@ mod tests {
             (
                 "protocols = [\"mis\"]\n[[topology]]\nfamily = \"path\"\nsizes = [4]\n[[channel]]\nmodel = \"per_node\"\npattern = [\"a\"]",
                 "line 5: pattern must be a number array",
+            ),
+            // A root-table error names the line of the key at fault.
+            (
+                "name = \"x\"\nseeds = [99999999999999999999]\nprotocols = [\"mis\"]\n[[topology]]\nfamily = \"path\"\nsizes = [4]",
+                "line 2: seeds must be a non-negative integer array",
+            ),
+            (
+                "name = \"x\"\nepsilons = [0.7]\nprotocols = [\"mis\"]\n[[topology]]\nfamily = \"path\"\nsizes = [4]",
+                "line 2: epsilons 0.7 outside [0, ½)",
+            ),
+            (
+                "name = \"x\"\nepsilon = [0.1]\nprotocols = [\"mis\"]\n[[topology]]\nfamily = \"path\"\nsizes = [4]",
+                "line 2: unknown key \"epsilon\"",
+            ),
+            (
+                "name = \"x\"\nprotocols = [\"nope\"]\n[[topology]]\nfamily = \"path\"\nsizes = [4]",
+                "line 2: unknown protocol",
             ),
         ] {
             let err = CampaignSpec::parse(bad).unwrap_err().to_string();
