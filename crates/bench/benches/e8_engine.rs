@@ -7,10 +7,12 @@
 //! Besides the per-kernel timings, the bench measures and prints the
 //! scalar/bitset speedup directly and writes the machine-readable
 //! `BENCH_e8.json` metrics file (see `beep_bench::perfjson`) that CI's
-//! perf bar parses; the acceptance bar for the engine refactor is ≥ 5×
+//! perf bars parse; the acceptance bar for the engine refactor is ≥ 5×
 //! at n = 100 000. Every size also reports the headline
 //! `node_rounds_per_sec_n{n}` throughput metric, which the uploaded
-//! artifact records for each run.
+//! artifact records for each run. `frame_speedup` is a noisy frame of
+//! Algorithm 1's shape through the fault-free frame path against the same
+//! frame driven round by round; CI's bar for it is ≥ 1.3×.
 
 use beep_bits::BitVec;
 use beep_net::{topology, Action, BeepNetwork, Graph, Noise};
@@ -127,14 +129,65 @@ fn bench_frame_kernel(c: &mut Criterion) {
         black_box(&heard);
     });
     println!("run_frame_into n={n} len={len}: {frame_ns:.0} ns");
+    let frame_speedup = alg1_frame_speedup();
     let mut metrics = METRICS.lock().unwrap();
     metrics.push(("frame_ns".into(), frame_ns));
+    metrics.push(("frame_speedup".into(), frame_speedup));
     // The JSON file is CI's perf contract — a failed write must fail the
     // bench, or the perf bar would validate stale cached metrics. This is
     // the last criterion target, so the file carries every group above.
     let path = beep_bench::perfjson::write_bench_json("e8", &metrics)
         .expect("BENCH_e8.json must be written (CI's perf bar reads it)");
     println!("metrics written to {}", path.display());
+}
+
+/// One noisy phase frame of Algorithm 1's shape (`perfbench`'s
+/// `alg1_matching`: `random_regular(512, 4)`, ε = 0.05, 120 transmitters,
+/// weight-909 frames of 13,635 rounds), timed through `run_frame_into`
+/// and, round by round, through `run_round_bitset_into` on an identically
+/// seeded network. Asserts the two hear the same bits and returns the
+/// per-round/frame time ratio — a ratio within one run, so no number is
+/// compared across machines.
+fn alg1_frame_speedup() -> f64 {
+    let (n, len, weight, transmitters) = (512, 13_635, 909, 120);
+    let mut rng = StdRng::seed_from_u64(0xA1);
+    let graph = topology::random_regular(n, 4, &mut rng).unwrap();
+    // Every fourth node transmits until there are 120, the rest listen.
+    let frames: Vec<Option<BitVec>> = (0..n)
+        .map(|v| {
+            (v % 4 == 0 && v / 4 < transmitters)
+                .then(|| BitVec::random_with_weight(len, weight, &mut rng))
+        })
+        .collect();
+    let beepers_by_round: Vec<BitVec> = (0..len)
+        .map(|i| BitVec::from_fn(n, |v| frames[v].as_ref().is_some_and(|f| f.get(i))))
+        .collect();
+    let mut received_by_round = vec![BitVec::zeros(n); len];
+    let mut round_net = BeepNetwork::new(graph.clone(), Noise::bernoulli(0.05), 6);
+    let round_ns = median_nanos(7, || {
+        for (beepers, received) in beepers_by_round.iter().zip(&mut received_by_round) {
+            round_net.run_round_bitset_into(beepers, received).unwrap();
+        }
+    });
+    let mut frame_net = BeepNetwork::new(graph, Noise::bernoulli(0.05), 6);
+    let mut heard = Vec::new();
+    let frame_ns = median_nanos(7, || {
+        frame_net.run_frame_into(&frames, len, &mut heard).unwrap();
+        black_box(&heard);
+    });
+    // Both networks ran the same frames from round 0, so their last frames
+    // ran at the same rounds and must hear the same bits.
+    for (v, h) in heard.iter().enumerate() {
+        for (i, received) in received_by_round.iter().enumerate() {
+            assert_eq!(h.get(i), received.get(v), "node {v} round {i}");
+        }
+    }
+    let speedup = round_ns / frame_ns;
+    println!(
+        "alg1-shaped frame n={n} len={len}: round by round {round_ns:.0} ns / \
+         run_frame_into {frame_ns:.0} ns = {speedup:.2}x"
+    );
+    speedup
 }
 
 criterion_group! {

@@ -134,7 +134,9 @@ impl TdmaSimulator {
             }
             .into());
         }
-        // Build per-node frames: slot for its color, presence + bits.
+        // Build per-node frames from the slot of the node's color alone:
+        // one run of `ρ` ones per set field, field 0 the presence marker,
+        // then the message bits.
         let slot_len = (self.message_bits + 1) * self.repetition;
         let total = self.colors * slot_len;
         let frames: Vec<Option<BitVec>> = outgoing
@@ -144,14 +146,14 @@ impl TdmaSimulator {
                 msg.as_ref().map(|m| {
                     let base = self.coloring[v] * slot_len;
                     let bits = m.to_bitvec();
-                    BitVec::from_fn(total, |i| {
-                        if i < base || i >= base + slot_len {
-                            return false;
+                    let mut frame = BitVec::zeros(total);
+                    for field in std::iter::once(0).chain(bits.iter_ones().map(|j| j + 1)) {
+                        let start = base + field * self.repetition;
+                        for i in start..start + self.repetition {
+                            frame.set(i, true);
                         }
-                        let within = (i - base) / self.repetition;
-                        // Field 0 is the presence marker, then message bits.
-                        within == 0 || bits.get(within - 1)
-                    })
+                    }
+                    frame
                 })
             })
             .collect();

@@ -245,11 +245,13 @@ impl BroadcastSimulator {
                     .map(|codeword| Candidate { node, codeword })
             })
             .collect();
-        // Message candidates for phase-2 nearest-codeword decoding.
-        let mut message_pool: Vec<BitVec> =
-            outgoing.iter().flatten().map(Message::to_bitvec).collect();
-        message_pool.sort_unstable_by_key(|b: &BitVec| b.to_string());
-        message_pool.dedup();
+        // Message candidates for phase-2 nearest-codeword decoding, sorted
+        // by `Message`'s order: lexicographic over bits with false < true,
+        // the order of their 0/1 strings, since every width is equal.
+        let mut senders: Vec<&Message> = outgoing.iter().flatten().collect();
+        senders.sort_unstable();
+        senders.dedup();
+        let mut message_pool: Vec<BitVec> = senders.into_iter().map(Message::to_bitvec).collect();
         // Shared decoys: fresh random inputs (≡ non-transmitted codewords)
         // and fresh random messages. A decoy colliding with a genuinely
         // transmitted r_v would probe the decoder's true-positive path, not

@@ -102,6 +102,56 @@ fn or_words_wide(dst: &mut [u64], src: &[u64]) {
     }
 }
 
+// Frames move in blocks of 64 rounds × 64 nodes: one 64-word block per
+// 64-node group `g`, whose word `i` is the group's word in the block's
+// round `i`. Transposing a block converts it to or from the group's 64
+// node-major frame (heard) words.
+
+/// Word `b` of node `v`'s transmit frame: 0 for a listener or a node past
+/// the last group's end.
+fn frame_word(frames: &[Option<BitVec>], v: usize, b: usize) -> u64 {
+    frames
+        .get(v)
+        .and_then(Option::as_ref)
+        .map_or(0, |f| f.as_words()[b])
+}
+
+/// Fills each group's block with `word(v)` for its 64 nodes `v` and
+/// transposes it to round-major.
+fn to_round_major(blocks: &mut [[u64; 64]], word: impl Fn(usize) -> u64) {
+    for (g, block) in blocks.iter_mut().enumerate() {
+        for (j, w) in block.iter_mut().enumerate() {
+            *w = word(64 * g + j);
+        }
+        transpose64(block);
+    }
+}
+
+/// Transposes each group's block back to node-major and stores its words
+/// as word `b` of the group's strings.
+fn to_node_major(blocks: &mut [[u64; 64]], strings: &mut [BitVec], b: usize) {
+    for (g, block) in blocks.iter_mut().enumerate() {
+        transpose64(block);
+        for (s, &w) in strings[64 * g..].iter_mut().zip(block.iter()) {
+            s.as_words_mut()[b] = w;
+        }
+    }
+}
+
+/// Round `i` of the blocks as one node-indexed bitmap.
+fn load_round(blocks: &[[u64; 64]], i: usize, bits: &mut BitVec) {
+    for (w, block) in bits.as_words_mut().iter_mut().zip(blocks) {
+        *w = block[i];
+    }
+}
+
+/// Writes a node-indexed bitmap back as round `i` of the blocks.
+fn store_round(blocks: &mut [[u64; 64]], i: usize, bits: &BitVec) {
+    for (&w, block) in bits.as_words().iter().zip(blocks) {
+        block[i] = w;
+    }
+}
+
 /// [`std::thread::available_parallelism`], queried once per process: the
 /// auto heuristic consults it every round, and on Linux the std call
 /// re-reads cgroup quota files — far too slow for a microsecond-scale
@@ -249,7 +299,7 @@ impl ShardCtx<'_> {
 ///
 /// # Round kernels
 ///
-/// Three implementations of the same model:
+/// Four implementations of the same model:
 ///
 /// * [`run_round`](Self::run_round) — the scalar reference: one pass over
 ///   the nodes with one neighborhood scan each, then the channel through
@@ -267,6 +317,13 @@ impl ShardCtx<'_> {
 ///   word-aligned shards, each computed independently (and, above a work
 ///   budget or with [`set_parallelism`](Self::set_parallelism), on worker
 ///   threads writing disjoint word ranges).
+/// * The **whole-frame path** of [`run_frame`](Self::run_frame) with no
+///   fault plan installed: each node's pre-channel heard frame is the
+///   word-parallel OR of its own and its transmitting neighbours' frames,
+///   taken once per frame, and only the channel runs round by round,
+///   through the same shard pass as the other kernels, on the calling
+///   thread. Under a fault plan a frame's rounds go through the bitset
+///   kernel one at a time.
 ///
 /// # Determinism contract
 ///
@@ -694,9 +751,9 @@ impl BeepNetwork {
     /// [`run_round_bitset`](Self::run_round_bitset) writing into a caller
     /// buffer: `received` is entirely overwritten (and reallocated only if
     /// its length is wrong), so a round loop reuses one allocation.
-    /// [`run_frame`](Self::run_frame) and
-    /// [`run_protocols`](Self::run_protocols) drive their per-round loops
-    /// through this.
+    /// [`run_protocols`](Self::run_protocols) drives its per-round loop
+    /// through this, as does [`run_frame`](Self::run_frame) under a fault
+    /// plan.
     ///
     /// # Errors
     ///
@@ -839,14 +896,19 @@ impl BeepNetwork {
     /// Use [`run_frame_of_len`](Self::run_frame_of_len) when silent batches
     /// must still consume rounds.
     ///
-    /// This is the frame-level API the phase simulators run on. Frames
-    /// move in word blocks of 64 rounds × 64 nodes: one 64×64 bit
-    /// transpose ([`beep_bits::transpose64`]) turns a node group's frame
-    /// words into 64 rounds of beeper words and another turns 64 rounds
-    /// of received words back into heard words. Each round still goes
-    /// through the sharded bitset kernel on its own, so the transcript,
-    /// noise and fault overlay are exactly those of round-by-round
-    /// driving.
+    /// This is the frame-level API the phase simulators run on. With no
+    /// fault plan installed, a round's pre-channel bits depend only on
+    /// that round's frame bits, so each node's clean heard frame is the
+    /// word-parallel OR of its own and its transmitting neighbours'
+    /// frames, taken once for the whole frame, and only the channel runs
+    /// round by round. Frames move in word blocks of 64 rounds × 64
+    /// nodes: one 64×64 bit transpose ([`beep_bits::transpose64`]) turns
+    /// a node group's heard words into 64 rounds of received words for
+    /// the channel and another turns them back. Under a fault plan, whose
+    /// overrides and adaptive decisions are per round, each round goes
+    /// through the sharded bitset kernel on its own. Either way the heard
+    /// frames, stats, transcript, noise and fault overlay are exactly
+    /// those of round-by-round driving.
     ///
     /// ```
     /// use beep_bits::BitVec;
@@ -938,11 +1000,101 @@ impl BeepNetwork {
             }
         }
         heard.resize_with(n, || BitVec::zeros(rounds));
-        // Frames move in blocks of 64 rounds × 64 nodes. `send` and `recv`
-        // hold one 64-word block per node group `g`; word `i` of a block
-        // is the group's beeper (received) word in the block's round `i`.
-        // Transposing a block converts it to or from the group's 64
-        // node-major frame (heard) words.
+        if self.faults.is_empty() {
+            self.run_clean_frame(frames, rounds, heard);
+            Ok(())
+        } else {
+            self.run_faulted_frame(frames, rounds, heard)
+        }
+    }
+
+    /// The fault-free frame path: the OR once per frame, 64 rounds per
+    /// word operation, with stats, per-node energy and the last active
+    /// round taken from the frames' popcounts and highest set bits. The
+    /// channel, whose flips the determinism contract keys by
+    /// `(round, shard)`, runs round by round in the context
+    /// [`run_round_bitset_into`](Self::run_round_bitset_into) builds, on
+    /// exactly the bits it sees there (adversarial erasure reads them).
+    /// Per-round beeper words are built only for a recorded transcript or
+    /// noise-free self-hearing.
+    fn run_clean_frame(&mut self, frames: &[Option<BitVec>], rounds: usize, heard: &mut [BitVec]) {
+        let n = self.graph.node_count();
+        let first_round = self.stats.rounds as u64;
+        for h in heard.iter_mut() {
+            h.clear();
+        }
+        let mut beeps = 0;
+        let mut last_beep = None;
+        for (u, frame) in frames.iter().enumerate() {
+            let Some(frame) = frame else { continue };
+            let words = frame.as_words();
+            let Some(top) = words.iter().rposition(|&w| w != 0) else {
+                continue;
+            };
+            let ones = frame.count_ones();
+            beeps += ones;
+            self.beeps_per_node[u] += ones as u64;
+            last_beep = last_beep.max(Some(64 * top + 63 - words[top].leading_zeros() as usize));
+            or_words_wide(heard[u].as_words_mut(), words);
+            for &w in self.graph.neighbors(u) {
+                or_words_wide(heard[w].as_words_mut(), words);
+            }
+        }
+        self.stats.rounds += rounds;
+        self.stats.beeps += beeps as u64;
+        self.stats.listens += (n * rounds - beeps) as u64;
+        if let Some(bit) = last_beep {
+            self.last_activity = Some(first_round + bit as u64);
+        }
+
+        let noisy = !self.channel.is_noiseless();
+        let recording = self.transcript.is_some();
+        let need_beepers = recording || (noisy && !self.self_hearing_noisy);
+        if !noisy && !recording {
+            return;
+        }
+        self.prepare_samplers();
+        let groups = n.div_ceil(64);
+        let mut send = vec![[0u64; 64]; if need_beepers { groups } else { 0 }];
+        let mut recv = vec![[0u64; 64]; if noisy { groups } else { 0 }];
+        let mut beepers = BitVec::zeros(n);
+        let mut received = BitVec::zeros(n);
+        for (b, start) in (0..rounds).step_by(64).enumerate() {
+            let block_rounds = (rounds - start).min(64);
+            to_round_major(&mut send, |v| frame_word(frames, v, b));
+            to_round_major(&mut recv, |v| heard.get(v).map_or(0, |h| h.as_words()[b]));
+            for i in 0..block_rounds {
+                load_round(&send, i, &mut beepers);
+                if noisy {
+                    load_round(&recv, i, &mut received);
+                    let round = first_round + (start + i) as u64;
+                    apply_channel_sharded(
+                        &self.channel,
+                        &self.channel_ctx(round, &beepers),
+                        &mut received,
+                    );
+                    store_round(&mut recv, i, &received);
+                }
+                if let Some(t) = &mut self.transcript {
+                    t.push(beepers.clone());
+                }
+            }
+            // Rounds past the frame's end hold the heard strings' zero
+            // tail, which no channel pass touched.
+            to_node_major(&mut recv, heard, b);
+        }
+    }
+
+    /// The frame path under a fault plan, whose overrides and adaptive
+    /// decisions are per round: each round goes through
+    /// [`run_round_bitset_into`](Self::run_round_bitset_into) on its own.
+    fn run_faulted_frame(
+        &mut self,
+        frames: &[Option<BitVec>],
+        rounds: usize,
+        heard: &mut [BitVec],
+    ) -> Result<(), NetError> {
+        let n = self.graph.node_count();
         let groups = n.div_ceil(64);
         let mut send = vec![[0u64; 64]; groups];
         let mut recv = vec![[0u64; 64]; groups];
@@ -950,32 +1102,17 @@ impl BeepNetwork {
         let mut received = BitVec::zeros(n);
         for (b, start) in (0..rounds).step_by(64).enumerate() {
             let block_rounds = (rounds - start).min(64);
-            for (g, block) in send.iter_mut().enumerate() {
-                for (j, word) in block.iter_mut().enumerate() {
-                    *word = frames
-                        .get(g * 64 + j)
-                        .and_then(Option::as_ref)
-                        .map_or(0, |f| f.as_words()[b]);
-                }
-                transpose64(block);
-            }
+            to_round_major(&mut send, |v| frame_word(frames, v, b));
             for i in 0..block_rounds {
-                for (word, block) in beepers.as_words_mut().iter_mut().zip(&send) {
-                    *word = block[i];
-                }
+                load_round(&send, i, &mut beepers);
                 self.run_round_bitset_into(&beepers, &mut received)?;
-                for (&word, block) in received.as_words().iter().zip(&mut recv) {
-                    block[i] = word;
-                }
+                store_round(&mut recv, i, &received);
             }
-            for (g, block) in recv.iter_mut().enumerate() {
-                // Rounds past the frame's end were not run: hear silence.
+            // Rounds past the frame's end were not run: hear silence.
+            for block in &mut recv {
                 block[block_rounds..].fill(0);
-                transpose64(block);
-                for (h, &word) in heard[g * 64..].iter_mut().zip(block.iter()) {
-                    h.as_words_mut()[b] = word;
-                }
             }
+            to_node_major(&mut recv, heard, b);
         }
         Ok(())
     }

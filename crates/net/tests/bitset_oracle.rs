@@ -443,6 +443,107 @@ fn every_channel_scalar_bitset_threaded_agree_bit_for_bit() {
     }
 }
 
+/// What every node hears when `frames` is driven through
+/// `run_round_bitset_into` one slot at a time — the per-round kernel the
+/// frame driver must agree with.
+fn bitset_frame(net: &mut BeepNetwork, frames: &[Option<BitVec>], len: usize) -> Vec<BitVec> {
+    let n = frames.len();
+    let mut heard: Vec<BitVec> = (0..n).map(|_| BitVec::zeros(len)).collect();
+    let mut received = BitVec::zeros(n);
+    for i in 0..len {
+        let beepers = BitVec::from_fn(n, |v| frames[v].as_ref().is_some_and(|f| f.get(i)));
+        net.run_round_bitset_into(&beepers, &mut received).unwrap();
+        for v in received.iter_ones() {
+            heard[v].set(i, true);
+        }
+    }
+    heard
+}
+
+#[test]
+fn run_frame_matches_round_by_round_bitset_under_every_channel_and_knob() {
+    // run_frame_into ≡ the same frame driven one run_round_bitset_into at
+    // a time on an identically configured twin, under every channel (the
+    // adversary reads the received bits, so it needs each round's exact
+    // pre-channel frame), shards {1, 2, 8}, noisy and noise-free
+    // self-hearing, with and without transcripts (the frame driver builds
+    // per-round beepers for either). Heard frames, stats, per-node energy
+    // and transcripts must agree. Every frame is silent in its last round,
+    // so the last active round is not the frame's last; a rushing
+    // adversary installed on both twins afterwards spams only within its
+    // window after that round, so its next rounds read the
+    // `last_activity` the frame left behind.
+    let mut rng = StdRng::seed_from_u64(0xF8A5);
+    for (name, graph) in frame_topologies() {
+        let n = graph.node_count();
+        for len in FRAME_LENS {
+            let frames: Vec<Option<BitVec>> = (0..n)
+                .map(|v| {
+                    (v % 3 != 1).then(|| {
+                        let mut f = BitVec::random_uniform(len, &mut rng);
+                        f.set(len - 1, false);
+                        f
+                    })
+                })
+                .collect();
+            let mut channels = noisy_channels(n);
+            channels.push(("noiseless", Noise::Noiseless.into()));
+            for (key, channel) in channels {
+                for shards in SHARD_COUNTS {
+                    for (self_noisy, recording) in
+                        [(true, true), (true, false), (false, true), (false, false)]
+                    {
+                        let twin = || {
+                            let mut net = BeepNetwork::new(graph.clone(), channel.clone(), 41);
+                            net.set_shard_count(shards);
+                            net.set_self_hearing_noisy(self_noisy);
+                            if recording {
+                                net.record_transcript();
+                            }
+                            net
+                        };
+                        let what = format!(
+                            "{name} len={len} {key} shards={shards} self_noisy={self_noisy} \
+                             recording={recording}"
+                        );
+                        let mut stepped = twin();
+                        let mut framed = twin();
+                        let expected = bitset_frame(&mut stepped, &frames, len);
+                        let mut heard = Vec::new();
+                        framed.run_frame_into(&frames, len, &mut heard).unwrap();
+                        assert_eq!(heard, expected, "{what}");
+                        assert_eq!(stepped.stats(), framed.stats(), "{what} stats");
+                        assert_eq!(
+                            stepped.beeps_by_node(),
+                            framed.beeps_by_node(),
+                            "{what} energy"
+                        );
+                        assert_eq!(
+                            stepped.transcript(),
+                            framed.transcript(),
+                            "{what} transcript"
+                        );
+                        let plan = FaultPlan::from_policy(AdaptivePolicy::RushingSpam {
+                            budget: n / 4 + 1,
+                            window: 2,
+                        });
+                        stepped.set_fault_plan(plan.clone()).unwrap();
+                        framed.set_fault_plan(plan).unwrap();
+                        let silent = BitVec::zeros(n);
+                        for round in 0..3 {
+                            assert_eq!(
+                                stepped.run_round_bitset(&silent).unwrap(),
+                                framed.run_round_bitset(&silent).unwrap(),
+                                "{what} round {round} after the frame"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn gilbert_elliott_flip_rates_track_the_round_state() {
     // Statistical oracle for the bursty channel through the full engine:
