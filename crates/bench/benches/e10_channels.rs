@@ -2,9 +2,9 @@
 //! every variant of the closed `ChannelModel` enum at n = 100k, against the
 //! noiseless baseline.
 //!
-//! The workload mirrors `e9_parallel`: a random-regular graph with one
-//! beeper per 16 nodes, so the kernel runs its realistic sparse-gather
-//! shape and the channel pass is the only thing that varies. The iid
+//! The workload is a random-regular graph with one beeper per 16 nodes,
+//! so the kernel runs its realistic sparse-gather shape and the channel
+//! pass is the only thing that varies. The iid
 //! channel draws geometric-skip flips; Gilbert–Elliott adds one cached
 //! per-round state draw; the per-node channel pays one RNG draw per node;
 //! the adversary draws nothing and walks the frame greedily. All of them
@@ -28,7 +28,8 @@ use rand::SeedableRng;
 use std::hint::black_box;
 use std::time::Instant;
 
-/// One beeper per `BEEP_STRIDE` nodes — the e9 workload shape.
+/// One beeper per `BEEP_STRIDE` nodes: `16·#beepers = n`, the gather
+/// kernel's threshold.
 const BEEP_STRIDE: usize = 16;
 const N: usize = 100_000;
 

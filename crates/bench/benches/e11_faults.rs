@@ -10,7 +10,7 @@
 //! measure kernel selection, not the overlay. At stride 32 every plan
 //! stays safely in the scatter regime and the overlay is the only thing
 //! that varies. The overlay's work is two passes over the plan: editing the
-//! beeper bitmap before the shard fan-out (clear mutes/crashed, set
+//! beeper bitmap before the neighborhood OR (clear mutes/crashed, set
 //! spammers) and forcing crashed listeners deaf after the channel — both
 //! `O(plan.len())`, independent of `n` and of the channel, so the
 //! expected overhead at a 1% fault fraction is noise-level for crash and

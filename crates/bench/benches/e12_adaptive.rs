@@ -5,9 +5,8 @@
 //! The workload is e11's — a random-regular graph on the iid channel,
 //! one beeper per 32 nodes — so the numbers compose: e11 prices the
 //! static overlay's two `O(plan.len())` passes, and this bench prices
-//! what adaptivity adds on top. An adaptive decision runs once per round
-//! *before* the shard fan-out (never inside it — that is what keeps the
-//! transcript thread-invariant): `TargetLoudest` selects the top-budget
+//! what adaptivity adds on top. An adaptive decision runs once per round,
+//! before the neighborhood OR: `TargetLoudest` selects the top-budget
 //! cumulative beepers in `O(n)` with no sort (a linear-time selection of
 //! the budget-th largest count, then one ascending pass over the nodes),
 //! and `RushingSpam` draws its spam set from the reserved adaptive stream

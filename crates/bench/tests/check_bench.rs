@@ -44,24 +44,19 @@ fn a_met_floor_exits_0_and_a_missed_floor_exits_1() {
 }
 
 #[test]
-fn min_cores_waives_a_miss_measured_on_fewer_cores() {
-    let file = bench_file("cores", &[("speedup_n1000000", 1.0), ("cores", 1.0)]);
-    let bar = ["--key", "speedup_n1000000", "--min", "2"];
-    let waived = [&bar[..], &["--min-cores", "4"]].concat();
-    assert_eq!(exit_code(&file, &waived), Some(0));
-    assert_eq!(exit_code(&file, &bar), Some(1));
-    std::fs::remove_file(file).expect("the file is removable");
-}
-
-#[test]
 fn usage_and_schema_errors_exit_2() {
     let file = bench_file("errors", &[("models", 4.0)]);
     let bar = ["--key", "models", "--min", "4"];
     assert_eq!(exit_code(&file, &bar), Some(0));
     assert_eq!(exit_code(&file, &["--key", "kinds", "--min", "3"]), Some(2));
     assert_eq!(exit_code(&file, &["--key", "models"]), Some(2));
-    // Flags of the retired cross-run comparison are unknown arguments.
-    for removed in [["--tolerance", "0.4"], ["--commit", "abc1234"]] {
+    // Retired flags (the cross-run comparison's and the core-count
+    // waiver) are unknown arguments.
+    for removed in [
+        ["--tolerance", "0.4"],
+        ["--commit", "abc1234"],
+        ["--min-cores", "4"],
+    ] {
         let args = [&bar[..], &removed[..]].concat();
         assert_eq!(exit_code(&file, &args), Some(2), "{removed:?}");
     }

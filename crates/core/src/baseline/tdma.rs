@@ -125,6 +125,19 @@ impl TdmaSimulator {
         net: &mut BeepNetwork,
         outgoing: &[Option<Message>],
     ) -> Result<RoundOutcome, SimError> {
+        self.simulate_round_into(net, outgoing, &mut Vec::new())
+    }
+
+    /// [`simulate_round`](Self::simulate_round) hearing the frame into
+    /// `heard`, which [`run_to_completion`](Self::run_to_completion)'s
+    /// round loop keeps across rounds instead of allocating `n` heard
+    /// strings per round.
+    fn simulate_round_into(
+        &self,
+        net: &mut BeepNetwork,
+        outgoing: &[Option<Message>],
+        heard: &mut Vec<BitVec>,
+    ) -> Result<RoundOutcome, SimError> {
         check_round_inputs(net, outgoing, self.epsilon, self.message_bits)?;
         let n = outgoing.len();
         if n != self.coloring.len() {
@@ -159,7 +172,7 @@ impl TdmaSimulator {
             .collect();
         // The explicit length keeps an all-silent round occupying its
         // slots.
-        let heard = net.run_frame_of_len(&frames, total)?;
+        net.run_frame_into(&frames, total, heard)?;
         // Decode: per node, per neighbor slot, majority-vote.
         let graph = net.graph();
         let half = self.repetition / 2;
@@ -229,8 +242,9 @@ impl TdmaSimulator {
         max_rounds: usize,
     ) -> Result<SimReport, SimError> {
         let net = BeepNetwork::new(graph.clone(), channel, seed ^ 0x7D7A);
+        let mut heard = Vec::new();
         let simulate_round = |net: &mut BeepNetwork, outgoing: &[Option<Message>]| {
-            self.simulate_round(net, outgoing)
+            self.simulate_round_into(net, outgoing, &mut heard)
         };
         run_simulated(
             net,

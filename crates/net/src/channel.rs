@@ -23,8 +23,7 @@
 //! per-round global state (the Gilbert–Elliott good/bad switch) comes
 //! from the reserved stream index [`ROUND_STATE_STREAM`]. No model draws
 //! from a sequential RNG, so a transcript is a pure function of
-//! `(graph, channel, seed, actions, shard_count)` — bit-identical at
-//! every thread count, exactly like the iid channel since PR 2. The
+//! `(graph, channel, seed, actions, shard_count)`. The
 //! [`AdversarialErasure`] model draws zero random bytes at all.
 //!
 //! The shards are word-aligned: with `S` shards over `w` words, shard `s`
@@ -59,7 +58,7 @@ pub const ROUND_STATE_STREAM: u64 = u64::MAX;
 /// one shard of a round's received frame.
 ///
 /// Everything a counter-keyed model may depend on is here — and nothing
-/// else: no thread ids, no sequential RNG, no mutable engine state.
+/// else: no sequential RNG, no mutable engine state.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ChannelCtx<'a> {
     /// The network graph (e.g. for degree-aware adversaries).
@@ -257,8 +256,7 @@ impl PartialEq for GilbertElliott {
 ///
 /// The model is word-sliced: a shard draws exactly one `f64` per node it
 /// owns — for every node, flipped or not, protected or not — so each
-/// shard's stream is self-contained and the transcript never depends on
-/// which thread ran which shard.
+/// shard's stream is self-contained.
 ///
 /// ```
 /// use beep_bits::BitVec;
@@ -326,7 +324,7 @@ impl PerNodeEps {
 ///
 /// The rule is fully deterministic — the model draws **zero** random
 /// bytes — which makes it the worst-case counterpart of the stochastic
-/// models: same inputs, same corruption, at any thread count. The budget
+/// models: same inputs, same corruption. The budget
 /// is split across shards (`budget/S` each, the first `budget mod S`
 /// shards taking one extra), so the shard layout stays part of the
 /// determinism tuple exactly as for the stochastic models.
@@ -383,8 +381,8 @@ impl AdversarialErasure {
 /// Every model is counter-keyed (see the [module docs](self)): all
 /// randomness for shard `s` of round `r` comes from that cell's
 /// [`noise_stream_seed`] stream, and per-round global state from the
-/// reserved [`ROUND_STATE_STREAM`], so a transcript never depends on the
-/// thread count.
+/// reserved [`ROUND_STATE_STREAM`], so a transcript is a pure function of
+/// `(graph, channel, seed, actions, shard_count)`.
 ///
 /// ```
 /// use beep_bits::BitVec;
@@ -591,31 +589,17 @@ impl From<AdversarialErasure> for ChannelModel {
 
 /// Words per shard of the word-aligned shard layout over `words` words:
 /// `⌈words/S⌉`, at least 1. Shard `s` owns words `[s·per, (s+1)·per)`.
-/// The layout is a pure function of `(words, S)`, never of the thread
-/// count, and every channel keys its streams by it.
+/// The layout is a pure function of `(words, S)`, and every channel keys
+/// its streams by it.
 pub(crate) fn shard_words(words: usize, shard_count: usize) -> usize {
     words.div_ceil(shard_count).max(1)
 }
 
-/// The shards of an `n`-bit frame held in `words`, in order, as
-/// `(shard, lo, hi, words)`: the shard index, its first and
-/// one-past-last bit, and its words (the first holds bits `lo..lo + 64`).
-pub(crate) fn shards(
-    words: &mut [u64],
-    n: usize,
-    shard_count: usize,
-) -> impl ExactSizeIterator<Item = (usize, usize, usize, &mut [u64])> {
-    let per = shard_words(words.len(), shard_count);
-    words.chunks_mut(per).enumerate().map(move |(s, chunk)| {
-        let lo = s * per * 64;
-        (s, lo, (lo + chunk.len() * 64).min(n), chunk)
-    })
-}
-
 /// Applies `channel` to a whole received frame, shard by shard over the
-/// [`shards`] layout with `S = round.shard_count`. `round` carries
+/// [`shard_words`] layout with `S = round.shard_count`. `round` carries
 /// everything but the shard index, which each shard's context sets to
-/// its own.
+/// its own; shard `s` covers bits `lo..hi`, from its first word's first
+/// bit to the end of its words or of the frame.
 pub(crate) fn apply_channel_sharded(
     channel: &ChannelModel,
     round: &ChannelCtx<'_>,
@@ -625,12 +609,14 @@ pub(crate) fn apply_channel_sharded(
         return;
     }
     let n = frame.len();
-    for (s, lo, hi, words) in shards(frame.as_words_mut(), n, round.shard_count) {
+    let per = shard_words(n.div_ceil(64), round.shard_count);
+    for (s, words) in frame.as_words_mut().chunks_mut(per).enumerate() {
+        let lo = s * per * 64;
         let ctx = ChannelCtx {
             shard: s as u64,
             ..*round
         };
-        channel.apply_to_shard(words, lo, hi, &ctx);
+        channel.apply_to_shard(words, lo, (lo + words.len() * 64).min(n), &ctx);
     }
 }
 

@@ -1,6 +1,6 @@
 //! The synchronous round engine.
 
-use crate::channel::{apply_channel_sharded, shard_words, shards, ChannelCtx, ChannelModel};
+use crate::channel::{apply_channel_sharded, shard_words, ChannelCtx, ChannelModel};
 use crate::error::NetError;
 use crate::faults::{AdversaryView, FaultPlan, RoundFaults};
 use crate::graph::Graph;
@@ -14,22 +14,16 @@ use beep_bits::{transpose64, BitVec};
 /// `u64`s (16 MiB). Beyond it the sparse CSR kernel is used.
 const DENSE_WORD_BUDGET: usize = 1 << 21;
 
-/// Default shard count `S` of the sharded round kernel. Part of the
+/// Default shard count `S` of the channel's stream layout. Part of the
 /// determinism tuple `(graph, noise, seed, actions, shard_count)`, so it is
 /// a fixed constant — never derived from the machine. Override with
 /// [`BeepNetwork::set_shard_count`].
 const DEFAULT_SHARD_COUNT: usize = 8;
 
-/// Auto-parallelism budget: with `n + 2m` below this, a round is too small
-/// for thread spawn/join to pay off and the auto heuristic stays on one
-/// thread. Roughly the work of a 64k-node sparse round (~a few tens of
-/// microseconds); scope spawn/join costs single-digit microseconds.
-const PARALLEL_WORK_BUDGET: usize = 1 << 16;
-
-/// Beeper-density threshold of the sparse kernel's per-shard strategy: at
-/// `16·#beepers ≥ n` the destination-side gather (early-exit neighbor scan
-/// per node) beats source-side scatter (binary-searched adjacency slices
-/// per beeper). Cost-only — both strategies write the same bits.
+/// Beeper-density threshold of the sparse kernel: at `16·#beepers ≥ n`
+/// the destination-side gather (early-exit neighbor scan per listener)
+/// beats the source-side scatter (each beeper's adjacency list).
+/// Cost-only — both strategies write the same bits.
 const GATHER_DENSITY_FACTOR: usize = 16;
 
 /// How [`BeepNetwork::run_round_bitset`] computes the neighborhood OR.
@@ -77,6 +71,74 @@ impl AdjKernel {
                 })
                 .collect(),
         )
+    }
+
+    /// Writes one round's pre-channel received bits into `out`: the
+    /// beepers themselves (self-hearing, Section 1.5) ORed with every
+    /// beeper's neighborhood, by this kernel. `beep_count` is the number
+    /// of set bits of `beepers`. The first call on pending dense rows
+    /// builds them.
+    fn or_into(&mut self, graph: &Graph, beepers: &BitVec, beep_count: usize, out: &mut BitVec) {
+        if matches!(self, AdjKernel::DensePending) {
+            *self = AdjKernel::dense(graph);
+        }
+        let n = graph.node_count();
+        let out = out.as_words_mut();
+        out.copy_from_slice(beepers.as_words());
+        if let AdjKernel::Dense(rows) = self {
+            // OR each beeper's adjacency-bitmask row, in u64×8 unrolled
+            // lanes.
+            for u in beepers.iter_ones() {
+                or_words_wide(out, rows[u].as_words());
+            }
+        } else if GATHER_DENSITY_FACTOR * beep_count >= n {
+            // Dense beeper set: only listeners scan their CSR
+            // neighborhood, with early exit — at ≥ n/16 beepers a hit
+            // comes fast. The listeners are the zero bits of the
+            // self-hearing copy; bits at `n` and above in the last word
+            // are not nodes.
+            let (offsets, neighbors) = graph.csr();
+            let src = beepers.as_words();
+            for (i, word) in out.iter_mut().enumerate() {
+                let base = 64 * i;
+                let mut listeners = !*word;
+                if n - base < 64 {
+                    listeners &= (1u64 << (n - base)) - 1;
+                }
+                while listeners != 0 {
+                    let v = base + listeners.trailing_zeros() as usize;
+                    listeners &= listeners - 1;
+                    if neighbors[offsets[v]..offsets[v + 1]]
+                        .iter()
+                        .any(|&u| src[u / 64] >> (u % 64) & 1 != 0)
+                    {
+                        *word |= 1 << (v % 64);
+                    }
+                }
+            }
+        } else {
+            // Sparse beeper set: scatter each beeper's CSR adjacency list.
+            // Consecutive neighbors usually share an output word (lists
+            // are sorted), so bits accumulate in a register and flush once
+            // per word instead of read-modify-writing memory per neighbor.
+            for u in beepers.iter_ones() {
+                let mut cur = usize::MAX;
+                let mut acc = 0u64;
+                for &w in graph.neighbors(u) {
+                    if w / 64 != cur {
+                        if acc != 0 {
+                            out[cur] |= acc;
+                        }
+                        cur = w / 64;
+                        acc = 0;
+                    }
+                    acc |= 1u64 << (w % 64);
+                }
+                if acc != 0 {
+                    out[cur] |= acc;
+                }
+            }
+        }
     }
 }
 
@@ -152,136 +214,6 @@ fn store_round(blocks: &mut [[u64; 64]], i: usize, bits: &BitVec) {
     }
 }
 
-/// [`std::thread::available_parallelism`], queried once per process: the
-/// auto heuristic consults it every round, and on Linux the std call
-/// re-reads cgroup quota files — far too slow for a microsecond-scale
-/// round loop.
-fn available_cores() -> usize {
-    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CORES
-        .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
-}
-
-/// The read-only inputs one round of the sharded kernel shares across
-/// worker threads. Everything here is borrowed immutably, so shards can be
-/// computed in any order, on any thread, with identical results.
-struct ShardCtx<'a> {
-    graph: &'a Graph,
-    /// Dense adjacency rows when the dense kernel is active.
-    rows: Option<&'a [BitVec]>,
-    beepers: &'a BitVec,
-    /// The set bits of `beepers`, listed once per round: the dense
-    /// and scatter kernels walk the beeper set once *per shard*, and
-    /// re-scanning the whole bitmap S times would dominate sparse rounds.
-    /// Left empty in gather mode, which never iterates beepers.
-    beeper_list: &'a [usize],
-    channel: &'a ChannelModel,
-    /// The round's channel context, built once before the shards fan
-    /// out; each shard sets only its own index.
-    noise: ChannelCtx<'a>,
-    /// Sparse-kernel strategy for this round: destination-side gather
-    /// (dense beeper sets) vs source-side scatter (sparse beeper sets).
-    gather: bool,
-}
-
-impl ShardCtx<'_> {
-    /// Computes one shard of the received frame: bits `lo..hi` of the
-    /// round's output, written into `out` (whose first word is global word
-    /// `lo / 64`). Pure in `(self, shard, lo, hi)` — thread-safe by
-    /// construction because every shard owns a disjoint word range.
-    fn compute(&self, shard: usize, lo: usize, hi: usize, out: &mut [u64]) {
-        self.or_into(lo, hi, out);
-        self.noise_into(shard, lo, hi, out);
-    }
-
-    /// The pre-noise received bits of `lo..hi`: self-hearing copy plus the
-    /// neighborhood OR. A pure function of `(graph, beepers)` — shard
-    /// boundaries only restrict *where* it writes, so the serial path can
-    /// call it once over the whole frame.
-    fn or_into(&self, lo: usize, hi: usize, out: &mut [u64]) {
-        let w_lo = lo / 64;
-        // Self-hearing (Section 1.5): start from the beeper bits.
-        out.copy_from_slice(&self.beepers.as_words()[w_lo..w_lo + out.len()]);
-        if let Some(rows) = self.rows {
-            // Dense kernel: OR each beeper's adjacency-bitmask row,
-            // restricted to this shard's words, in u64×8 unrolled lanes.
-            for &u in self.beeper_list {
-                or_words_wide(out, &rows[u].as_words()[w_lo..w_lo + out.len()]);
-            }
-        } else if self.gather {
-            // Dense beeper set: only listeners scan their CSR
-            // neighborhood, with early exit — at ≥ n/16 beepers a hit
-            // comes fast. The listeners are the zero bits of the
-            // self-hearing copy; bits at `hi` and above in the last word
-            // are not this shard's nodes.
-            let (offsets, neighbors) = self.graph.csr();
-            let src = self.beepers.as_words();
-            for (i, word) in out.iter_mut().enumerate() {
-                let base = lo + 64 * i;
-                let mut listeners = !*word;
-                if hi - base < 64 {
-                    listeners &= (1u64 << (hi - base)) - 1;
-                }
-                while listeners != 0 {
-                    let v = base + listeners.trailing_zeros() as usize;
-                    listeners &= listeners - 1;
-                    if neighbors[offsets[v]..offsets[v + 1]]
-                        .iter()
-                        .any(|&u| src[u / 64] >> (u % 64) & 1 != 0)
-                    {
-                        *word |= 1 << (v % 64);
-                    }
-                }
-            }
-        } else {
-            // Sparse beeper set: scatter each beeper's CSR adjacency list,
-            // binary-searched down to this shard's node range. Consecutive
-            // neighbors usually share an output word (lists are sorted),
-            // so bits accumulate in a register and flush once per word
-            // instead of read-modify-writing memory per neighbor.
-            for &u in self.beeper_list {
-                let adj = self.graph.neighbors(u);
-                let start = adj.partition_point(|&w| w < lo);
-                let mut cur = usize::MAX;
-                let mut acc = 0u64;
-                for &w in &adj[start..] {
-                    if w >= hi {
-                        break;
-                    }
-                    let wi = (w - lo) / 64;
-                    if wi != cur {
-                        if acc != 0 {
-                            out[cur] |= acc;
-                        }
-                        cur = wi;
-                        acc = 0;
-                    }
-                    acc |= 1u64 << (w % 64);
-                }
-                if acc != 0 {
-                    out[cur] |= acc;
-                }
-            }
-        }
-    }
-
-    /// Channel noise for bits `lo..hi`, from the `(round, shard)` cell's
-    /// own counter-keyed stream — identical no matter which thread runs
-    /// the shard. Unlike [`or_into`](Self::or_into), this MUST be called
-    /// with the exact shard boundaries: the flips are what the
-    /// determinism contract keys per shard.
-    fn noise_into(&self, shard: usize, lo: usize, hi: usize, out: &mut [u64]) {
-        if self.channel.is_noiseless() {
-            return;
-        }
-        let ctx = ChannelCtx {
-            shard: shard as u64,
-            ..self.noise
-        };
-        self.channel.apply_to_shard(out, lo, hi, &ctx);
-    }
-}
-
 /// A beeping network: a graph, a channel model, and a seed.
 ///
 /// The engine implements the models of Section 1.1 exactly:
@@ -299,7 +231,8 @@ impl ShardCtx<'_> {
 ///
 /// # Round kernels
 ///
-/// Four implementations of the same model:
+/// Three implementations of the same model, each running a round on
+/// the calling thread:
 ///
 /// * [`run_round`](Self::run_round) — the scalar reference: one pass over
 ///   the nodes with one neighborhood scan each, then the channel through
@@ -307,45 +240,37 @@ impl ShardCtx<'_> {
 ///   differential-testing oracle.
 /// * [`run_round_bitset`](Self::run_round_bitset) — the bit-parallel
 ///   production kernel: beepers come in as a [`BitVec`], the received OR is
-///   computed by the kernel the graph selects (precomputed adjacency
-///   bitmask rows on small dense graphs, the beepers' adjacency lists
-///   otherwise), and channel
-///   noise is applied with batched geometric-skip sampling, each gap read
+///   computed in one pass by the kernel the graph selects (precomputed
+///   adjacency bitmask rows on small dense graphs, the beepers' adjacency
+///   lists otherwise), and the channel then runs over the
+///   [`shard_count`](Self::shard_count) word-aligned shards of its stream
+///   layout, iid noise with batched geometric-skip sampling, each gap read
 ///   from the rate's exact step-point table ([`FlipSampler`]).
-/// * The **sharded multi-threaded path** inside the bitset kernel: the
-///   received frame is split into [`shard_count`](Self::shard_count)
-///   word-aligned shards, each computed independently (and, above a work
-///   budget or with [`set_parallelism`](Self::set_parallelism), on worker
-///   threads writing disjoint word ranges).
 /// * The **whole-frame path** of [`run_frame`](Self::run_frame) with no
 ///   fault plan installed: each node's pre-channel heard frame is the
 ///   word-parallel OR of its own and its transmitting neighbours' frames,
 ///   taken once per frame, and only the channel runs round by round,
-///   through the same shard pass as the other kernels, on the calling
-///   thread. Under a fault plan a frame's rounds go through the bitset
-///   kernel one at a time.
+///   through the same shard pass as the other kernels. Under a fault plan
+///   a frame's rounds go through the bitset kernel one at a time.
 ///
 /// # Determinism contract
 ///
 /// Every kernel draws each round's channel corruption from per-shard
 /// counter-keyed streams ([`noise_stream_seed`](crate::noise_stream_seed)`(seed,
 /// round, shard)`). A noisy transcript is therefore a pure function of
-/// `(graph, channel, faults, seed, actions, shard_count)` — the thread
-/// count and thread scheduling are **not** part of the stream, so any
-/// parallelism setting (including 1) reproduces it bit-identically. The
-/// scalar and bitset kernels are bit-identical under every channel,
-/// noiseless or noisy (asserted by the `bitset_oracle` test suite).
+/// `(graph, channel, faults, seed, actions, shard_count)`. The scalar and
+/// bitset kernels are bit-identical under every channel, noiseless or
+/// noisy (asserted by the `bitset_oracle` test suite).
 ///
 /// # Fault overlay
 ///
 /// An installed [`FaultPlan`] (see [`set_fault_plan`](Self::set_fault_plan))
 /// slots between submitted actions and the channel in **every** kernel:
 /// faulty nodes' actions are overridden before the neighborhood OR (so the
-/// overlay is applied identically regardless of shard layout or thread
-/// count), and crashed nodes' received bits are forced to 0 after the
-/// channel. A plan may also carry an
-/// [`AdaptivePolicy`](crate::AdaptivePolicy): its per-round choices are
-/// computed once before the shard fan-out, from observables (submitted
+/// overlay is applied identically regardless of shard layout), and crashed
+/// nodes' received bits are forced to 0 after the channel. A plan may also
+/// carry an [`AdaptivePolicy`](crate::AdaptivePolicy): its per-round
+/// choices are computed once before the OR, from observables (submitted
 /// beepers, cumulative per-node beep counts, last network activity) that
 /// are identical in every kernel, and applied through the same two
 /// passes. The channel's RNG streams are untouched either way, so a run
@@ -385,8 +310,6 @@ pub struct BeepNetwork {
     /// one never pays for the tables.
     samplers: Option<Vec<FlipSampler>>,
     shard_count: usize,
-    /// Worker threads for the sharded kernel; 0 = auto heuristic.
-    threads: usize,
 }
 
 impl BeepNetwork {
@@ -416,7 +339,6 @@ impl BeepNetwork {
             kernel,
             samplers: None,
             shard_count: DEFAULT_SHARD_COUNT,
-            threads: 0,
         }
     }
 
@@ -486,50 +408,12 @@ impl BeepNetwork {
         self.self_hearing_noisy = noisy;
     }
 
-    /// Sets how many worker threads the sharded bitset kernel may use.
-    /// `0` (the default) means *auto*: one thread for small rounds, all
-    /// available cores once the per-round work (`n + 2m`) crosses a budget
-    /// where spawn/join overhead is amortized.
+    /// Sets the shard count `S` of the channel's stream layout.
     ///
-    /// Purely a performance knob: results are bit-identical for every
-    /// setting, because channel noise is keyed by `(seed, round, shard)`
-    /// — see [`noise_stream_seed`](crate::noise_stream_seed) — never by
-    /// which thread computed a shard.
-    ///
-    /// ```
-    /// use beep_bits::BitVec;
-    /// use beep_net::{topology, BeepNetwork, Noise};
-    ///
-    /// let g = topology::cycle(200).unwrap();
-    /// let beepers = BitVec::from_indices(200, [0, 63, 130]);
-    /// let mut serial = BeepNetwork::new(g.clone(), Noise::bernoulli(0.2), 9);
-    /// serial.set_parallelism(1);
-    /// let mut threaded = BeepNetwork::new(g, Noise::bernoulli(0.2), 9);
-    /// threaded.set_parallelism(4);
-    /// for _ in 0..8 {
-    ///     assert_eq!(
-    ///         serial.run_round_bitset(&beepers).unwrap(),
-    ///         threaded.run_round_bitset(&beepers).unwrap(),
-    ///     );
-    /// }
-    /// ```
-    pub fn set_parallelism(&mut self, threads: usize) {
-        self.threads = threads;
-    }
-
-    /// The configured worker-thread setting (`0` = auto heuristic).
-    #[must_use]
-    pub fn parallelism(&self) -> usize {
-        self.threads
-    }
-
-    /// Sets the shard count `S` of the sharded bitset kernel.
-    ///
-    /// Unlike the thread count, `S` **is** part of the determinism tuple:
-    /// under [`Noise::Bernoulli`](crate::Noise::Bernoulli) each shard
-    /// draws its flips from its own `(seed, round, shard)`-keyed stream,
-    /// so changing `S` changes the noisy transcript (noiseless results
-    /// never change). Keep the default when reproducing recorded
+    /// `S` is part of the determinism tuple: under a noisy channel each
+    /// shard draws its flips from its own `(seed, round, shard)`-keyed
+    /// stream, so changing `S` changes the noisy transcript (noiseless
+    /// results never change). Keep the default when reproducing recorded
     /// experiments.
     ///
     /// # Panics
@@ -542,28 +426,10 @@ impl BeepNetwork {
         self.samplers = None;
     }
 
-    /// The shard count `S` of the sharded bitset kernel.
+    /// The shard count `S` of the channel's stream layout.
     #[must_use]
     pub fn shard_count(&self) -> usize {
         self.shard_count
-    }
-
-    /// Worker threads the next bitset round will actually use, resolving
-    /// the auto heuristic: parallel only when `n + 2m` crosses
-    /// the spawn/join amortization budget, and never more threads than
-    /// shards (a thread with no shard would be pure overhead).
-    fn effective_threads(&self) -> usize {
-        let configured = if self.threads == 0 {
-            let work = self.graph.node_count() + 2 * self.graph.edge_count();
-            if work >= PARALLEL_WORK_BUDGET {
-                available_cores()
-            } else {
-                1
-            }
-        } else {
-            self.threads
-        };
-        configured.clamp(1, self.shard_count)
     }
 
     /// Builds the channel's flip samplers on the first noisy round, for
@@ -713,20 +579,20 @@ impl BeepNetwork {
     ///
     /// Semantics (beeper set, received OR, noise, stats, transcript) are
     /// exactly [`run_round`](Self::run_round)'s; only the cost model
-    /// differs. The round is computed in [`shard_count`](Self::shard_count)
-    /// word-aligned shards, each owning a disjoint word range of the
-    /// output and computed independently — serially, or on worker threads
-    /// (see [`set_parallelism`](Self::set_parallelism)). The graph alone
-    /// picks the OR kernel: on a small dense graph each beeper ORs its
-    /// precomputed adjacency bitmask row; on any other graph each beeper
-    /// scatters its adjacency list, switching to an early-exit
-    /// neighborhood gather when beepers are dense — so a sparse-beeper
-    /// round is `O(Σ deg(beeper) + n/64)` instead of the scalar path's
-    /// `O(n + m)`. Under [`Noise::Bernoulli`](crate::Noise::Bernoulli)
-    /// the channel is applied with geometric-skip batch sampling
-    /// (`O(ε·n)` expected RNG draws, each answered by a [`FlipSampler`]
-    /// table built on the first noisy round) from per-shard counter-keyed
-    /// streams; see the type-level determinism contract.
+    /// differs. The round runs on the calling thread: one pass computes
+    /// the received OR, then the channel runs shard by shard over the
+    /// [`shard_count`](Self::shard_count) word-aligned shards of its
+    /// stream layout. The graph alone picks the OR kernel: on a small
+    /// dense graph each beeper ORs its precomputed adjacency bitmask row;
+    /// on any other graph each beeper scatters its adjacency list,
+    /// switching to an early-exit neighborhood gather when beepers are
+    /// dense — so a sparse-beeper round is `O(Σ deg(beeper) + n/64)`
+    /// instead of the scalar path's `O(n + m)`. Under
+    /// [`Noise::Bernoulli`](crate::Noise::Bernoulli) the channel is
+    /// applied with geometric-skip batch sampling (`O(ε·n)` expected RNG
+    /// draws, each answered by a [`FlipSampler`] table built on the first
+    /// noisy round) from per-shard counter-keyed streams; see the
+    /// type-level determinism contract.
     ///
     /// ```
     /// use beep_bits::BitVec;
@@ -771,23 +637,18 @@ impl BeepNetwork {
                 actual: beepers.len(),
             });
         }
-        if matches!(self.kernel, AdjKernel::DensePending) {
-            self.kernel = AdjKernel::dense(&self.graph);
-        }
         self.prepare_samplers();
         if received.len() != n {
             *received = BitVec::zeros(n);
         }
         let round = self.stats.rounds as u64;
         // Fault overlay, step 1: compute the round's *effective* beeper
-        // set before anything fans out into shards. Editing the bitmap
-        // here keeps thread/shard invariance trivial (every shard reads
-        // the same beepers) and leaves the channel's counter-keyed streams
-        // untouched; an empty plan takes this branch never and the round
-        // is byte-identical to a fault-free run. An adaptive policy makes
-        // its per-round choice here too — once, from observables that are
-        // identical at every thread and shard count — and its spam/mute
-        // edits land on the same bitmap.
+        // set before the OR. Editing the bitmap here leaves the channel's
+        // counter-keyed streams untouched; an empty plan takes this branch
+        // never and the round is byte-identical to a fault-free run. An
+        // adaptive policy makes its per-round choice here too — once, from
+        // observables that are identical at every shard count — and its
+        // spam/mute edits land on the same bitmap.
         let faulty: BitVec;
         let decision: RoundFaults;
         let mut pre_adaptive_count: Option<usize> = None;
@@ -811,60 +672,11 @@ impl BeepNetwork {
         };
         let beep_count = beepers.count_ones();
         let pre_adaptive_active = pre_adaptive_count.map_or(beep_count > 0, |c| c > 0);
-        let rows = match &self.kernel {
-            AdjKernel::Dense(rows) => Some(rows.as_slice()),
-            _ => None,
-        };
-        let gather =
-            matches!(self.kernel, AdjKernel::Sparse) && GATHER_DENSITY_FACTOR * beep_count >= n;
-        // Only the dense-row and scatter kernels walk the beeper list.
-        let beeper_list: Vec<usize> = if gather {
-            Vec::new()
-        } else {
-            beepers.iter_ones().collect()
-        };
-        let ctx = ShardCtx {
-            graph: &self.graph,
-            rows,
-            beepers,
-            beeper_list: &beeper_list,
-            channel: &self.channel,
-            noise: self.channel_ctx(round, beepers),
-            gather,
-        };
-        let threads = self.effective_threads();
-        if threads <= 1 {
-            // Serial path: the OR is shard-agnostic (a pure function of
-            // graph and beepers), so run it in one unsharded pass — no
-            // per-shard adjacency re-walks — and then the channel, which
-            // the determinism contract keys per (round, shard), shard by
-            // shard, as the scalar oracle does.
-            ctx.or_into(0, n, received.as_words_mut());
-            apply_channel_sharded(ctx.channel, &ctx.noise, received);
-        } else {
-            // Deal shards round-robin onto at most one worker per shard
-            // (a spare thread would only spawn, find an empty queue, and
-            // join); the last queue runs on the calling thread so a scope
-            // spawns T−1.
-            let layout = shards(received.as_words_mut(), n, self.shard_count);
-            let threads = threads.min(layout.len()).max(1);
-            let mut queues: Vec<Vec<_>> = (0..threads).map(|_| Vec::new()).collect();
-            for shard in layout {
-                queues[shard.0 % threads].push(shard);
-            }
-            let own = queues.pop().expect("at least one queue");
-            let run_queue = |queue: Vec<(usize, usize, usize, &mut [u64])>| {
-                for (s, lo, hi, words) in queue {
-                    ctx.compute(s, lo, hi, words);
-                }
-            };
-            std::thread::scope(|scope| {
-                for queue in queues {
-                    scope.spawn(|| run_queue(queue));
-                }
-                run_queue(own);
-            });
-        }
+        self.kernel
+            .or_into(&self.graph, beepers, beep_count, received);
+        // The channel, which the determinism contract keys per
+        // (round, shard), runs shard by shard, as the scalar oracle does.
+        apply_channel_sharded(&self.channel, &self.channel_ctx(round, beepers), received);
         // Fault overlay, step 2: crashed nodes are deaf — their received
         // bit is cleared *after* the channel, so feedback (and run_frame
         // outputs) see silence. Adaptive deafening clears at the same
@@ -893,7 +705,7 @@ impl BeepNetwork {
     ///
     /// The round count is inferred from the first transmitted frame (0 if
     /// every node listens); every transmitted frame must have that length.
-    /// Use [`run_frame_of_len`](Self::run_frame_of_len) when silent batches
+    /// Use [`run_frame_into`](Self::run_frame_into) when silent batches
     /// must still consume rounds.
     ///
     /// This is the frame-level API the phase simulators run on. With no
@@ -906,7 +718,7 @@ impl BeepNetwork {
     /// a node group's heard words into 64 rounds of received words for
     /// the channel and another turns them back. Under a fault plan, whose
     /// overrides and adaptive decisions are per round, each round goes
-    /// through the sharded bitset kernel on its own. Either way the heard
+    /// through the bitset kernel on its own. Either way the heard
     /// frames, stats, transcript, noise and fault overlay are exactly
     /// those of round-by-round driving.
     ///
@@ -930,36 +742,20 @@ impl BeepNetwork {
     ///   length.
     pub fn run_frame(&mut self, frames: &[Option<BitVec>]) -> Result<Vec<BitVec>, NetError> {
         let rounds = frames.iter().flatten().map(BitVec::len).next().unwrap_or(0);
-        self.run_frame_of_len(frames, rounds)
-    }
-
-    /// [`run_frame`](Self::run_frame) with an explicit round count: runs
-    /// exactly `rounds` rounds even when every node listens (an all-silent
-    /// phase still occupies its slot in the paper's round accounting).
-    ///
-    /// # Errors
-    ///
-    /// * [`NetError::ActionCount`] if `frames.len()` differs from the node
-    ///   count.
-    /// * [`NetError::FrameLength`] if a transmitted frame's length is not
-    ///   `rounds`.
-    pub fn run_frame_of_len(
-        &mut self,
-        frames: &[Option<BitVec>],
-        rounds: usize,
-    ) -> Result<Vec<BitVec>, NetError> {
         let mut heard = Vec::new();
         self.run_frame_into(frames, rounds, &mut heard)?;
         Ok(heard)
     }
 
-    /// [`run_frame_of_len`](Self::run_frame_of_len) writing into a caller
-    /// buffer: `heard` is resized to one `rounds`-bit string per node and
-    /// entirely overwritten, reusing its allocations when the shapes
-    /// already match. A phase loop that runs many frames back to back
-    /// (e.g. the Algorithm 1 simulator) allocates its output once instead
-    /// of `O(n)` strings per phase; the per-round `received` scratch is
-    /// reused internally either way.
+    /// [`run_frame`](Self::run_frame) with an explicit round count,
+    /// writing into a caller buffer: runs exactly `rounds` rounds even
+    /// when every node listens (an all-silent phase still occupies its
+    /// slot in the paper's round accounting). `heard` is resized to one
+    /// `rounds`-bit string per node and entirely overwritten, reusing its
+    /// allocations when the shapes already match. A phase loop that runs
+    /// many frames back to back (e.g. the Algorithm 1 simulator) allocates
+    /// its output once instead of `O(n)` strings per phase; the per-round
+    /// `received` scratch is reused internally either way.
     ///
     /// # Errors
     ///
@@ -1458,8 +1254,10 @@ mod tests {
         let heard = net.run_frame(&[None, None, None]).unwrap();
         assert!(heard.iter().all(BitVec::is_empty));
         assert_eq!(net.stats().rounds, 0);
-        // The explicit-length variant still burns the rounds.
-        let heard = net.run_frame_of_len(&[None, None, None], 4).unwrap();
+        // An explicit round count still burns the rounds.
+        let mut heard = Vec::new();
+        net.run_frame_into(&[None, None, None], 4, &mut heard)
+            .unwrap();
         assert!(heard.iter().all(|h| h.len() == 4 && h.count_ones() == 0));
         assert_eq!(net.stats().rounds, 4);
     }
@@ -1490,43 +1288,21 @@ mod tests {
     }
 
     #[test]
-    fn shard_and_thread_counts_do_not_change_noiseless_results() {
-        // Noiseless output is a pure function of (graph, beepers): shard
-        // layout and threading must be invisible.
+    fn shard_count_does_not_change_noiseless_results() {
+        // Noiseless output is a pure function of (graph, beepers): the
+        // shard layout must be invisible.
         let g = topology::grid(9, 9).unwrap(); // 81 nodes: 2 words
         let beepers = BitVec::from_indices(81, [0, 13, 64, 80]);
         let mut reference = BeepNetwork::new(g.clone(), Noise::Noiseless, 0);
         let expected = reference.run_round_bitset(&beepers).unwrap();
         for shards in [1, 2, 3, 8, 64] {
-            for threads in [1, 2, 4, 8] {
-                let mut net = BeepNetwork::new(g.clone(), Noise::Noiseless, 0);
-                net.set_shard_count(shards);
-                net.set_parallelism(threads);
-                assert_eq!(
-                    net.run_round_bitset(&beepers).unwrap(),
-                    expected,
-                    "shards={shards} threads={threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn thread_count_does_not_change_noisy_results() {
-        // The determinism contract: with the shard count fixed, the noisy
-        // transcript is identical for every parallelism setting.
-        let g = topology::cycle(300).unwrap();
-        let beepers = BitVec::from_indices(300, [5, 77, 200]);
-        let run = |threads: usize| {
-            let mut net = BeepNetwork::new(g.clone(), Noise::bernoulli(0.3), 42);
-            net.set_parallelism(threads);
-            (0..12)
-                .map(|_| net.run_round_bitset(&beepers).unwrap())
-                .collect::<Vec<_>>()
-        };
-        let reference = run(1);
-        for threads in [2, 4, 8] {
-            assert_eq!(run(threads), reference, "threads={threads}");
+            let mut net = BeepNetwork::new(g.clone(), Noise::Noiseless, 0);
+            net.set_shard_count(shards);
+            assert_eq!(
+                net.run_round_bitset(&beepers).unwrap(),
+                expected,
+                "shards={shards}"
+            );
         }
     }
 
@@ -1564,11 +1340,8 @@ mod tests {
     }
 
     #[test]
-    fn parallelism_and_shard_count_knobs_round_trip() {
+    fn shard_count_knob_round_trips() {
         let mut net = BeepNetwork::new(topology::path(3).unwrap(), Noise::Noiseless, 0);
-        assert_eq!(net.parallelism(), 0, "auto by default");
-        net.set_parallelism(4);
-        assert_eq!(net.parallelism(), 4);
         let default_shards = net.shard_count();
         assert!(default_shards >= 1);
         net.set_shard_count(3);
@@ -1586,7 +1359,6 @@ mod tests {
     fn empty_graph_round_is_a_no_op() {
         let g = Graph::from_edges(0, &[]).unwrap();
         let mut net = BeepNetwork::new(g, Noise::bernoulli(0.3), 1);
-        net.set_parallelism(4);
         let received = net.run_round_bitset(&BitVec::zeros(0)).unwrap();
         assert!(received.is_empty());
         assert_eq!(net.stats().rounds, 1);

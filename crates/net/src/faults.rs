@@ -7,10 +7,9 @@
 //! nodes, and the engine applies the plan to the *submitted* actions of
 //! every round before the neighborhood OR and the channel run. With a plan
 //! installed, a transcript is a pure function of
-//! `(graph, channel, faults, seed, actions, shard_count)` — still
-//! bit-identical at every thread count, because the overlay edits the
-//! beeper bitmap before the round fans out into shards and never touches
-//! the per-shard channel streams.
+//! `(graph, channel, faults, seed, actions, shard_count)`, because the
+//! overlay edits the beeper bitmap before the neighborhood OR and never
+//! touches the per-shard channel streams.
 //!
 //! Plans are either written down explicitly
 //! ([`FaultPlan::try_from_assignments`]) or *realized* from a seed
@@ -29,9 +28,9 @@
 //! delivery), each node's cumulative beep count, and when the network was
 //! last active. The choice is a pure function of that observed transcript
 //! prefix plus the reserved [`ADAPTIVE_POLICY_STREAM`] — so adaptive runs
-//! stay bit-identical at every thread and shard count, and a policy draws
-//! from a stream disjoint from both the channel streams and the static
-//! plan realization stream.
+//! stay bit-identical at every shard count, and a policy draws from a
+//! stream disjoint from both the channel streams and the static plan
+//! realization stream.
 
 use crate::error::NetError;
 use crate::node::Action;
@@ -100,9 +99,9 @@ impl FaultKind {
 /// What an adaptive adversary observes when choosing one round's faults.
 ///
 /// Everything here is a pure function of the execution prefix (plus the
-/// static fault overlay), identical in every kernel at every thread and
-/// shard count — which is exactly why adaptive decisions preserve the
-/// engine's determinism contract.
+/// static fault overlay), identical in every kernel at every shard count —
+/// which is exactly why adaptive decisions preserve the engine's
+/// determinism contract.
 #[derive(Debug, Clone, Copy)]
 pub struct AdversaryView<'a> {
     /// The network seed (adaptive draws key their reserved stream off it).

@@ -33,16 +33,15 @@
 //! The engine is deterministic given a seed: every experiment in the
 //! workspace is exactly reproducible.
 //!
-//! Rounds run on one of three equivalent kernels: the scalar reference
-//! [`BeepNetwork::run_round`] (kept as a differential-testing oracle), the
-//! bit-parallel [`BeepNetwork::run_round_bitset`] /
-//! [`BeepNetwork::run_frame`] that the simulators and protocols in the
-//! workspace use, and — inside the bitset kernel — a sharded
-//! multi-threaded execution path ([`BeepNetwork::set_parallelism`]). All
-//! three produce bit-identical noisy transcripts at every thread count
-//! because channel noise is keyed by `(seed, round, shard)`
-//! ([`noise_stream_seed`]). See ARCHITECTURE.md at the repository root for
-//! the full determinism contract.
+//! Rounds run on the calling thread, on one of three equivalent kernels:
+//! the scalar reference [`BeepNetwork::run_round`] (kept as a
+//! differential-testing oracle), the bit-parallel
+//! [`BeepNetwork::run_round_bitset`] that protocols use, and the
+//! whole-frame path of [`BeepNetwork::run_frame`] that the simulators
+//! use. All three produce bit-identical noisy transcripts because channel
+//! noise is keyed by `(seed, round, shard)` ([`noise_stream_seed`]) over
+//! one word-aligned shard layout. See ARCHITECTURE.md at the repository
+//! root for the full determinism contract.
 //!
 //! # Example
 //!

@@ -6,14 +6,14 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
 
 /// Derives the seed of the noise RNG stream for one `(seed, round, shard)`
-/// cell — the determinism contract of the sharded round engine.
+/// cell — the determinism contract of the round engine.
 ///
 /// Every noisy round, in every round kernel, draws its channel flips from
 /// `StdRng::seed_from_u64(noise_stream_seed(seed, round, shard))`, one
 /// independent stream per shard per round. Because the stream is keyed by
 /// *position* rather than threaded through one sequential RNG, the noisy
 /// transcript depends only on `(graph, noise, seed, actions, shard_count)`
-/// — never on how many threads computed it, nor on their scheduling.
+/// — in every kernel, whichever order its shards run in.
 ///
 /// The two multipliers are distinct odd 64-bit mixing constants
 /// (SplitMix64's golden-ratio increment and the rrmxmx mixer multiplier),
@@ -283,10 +283,10 @@ impl FlipSampler {
     /// beeper set there when self-hearing is configured noise-free).
     ///
     /// Flip positions come from geometric gaps, so `n` bits cost
-    /// `O(ε·n + 1)` draws. The sharded round engine runs this pass once
-    /// per shard, each with its own counter-keyed stream (see
-    /// [`noise_stream_seed`]), so channel noise is identical no matter
-    /// how many threads ran the round.
+    /// `O(ε·n + 1)` draws. The round engine runs this pass once per
+    /// shard, each with its own counter-keyed stream (see
+    /// [`noise_stream_seed`]), so channel noise is identical in every
+    /// kernel.
     ///
     /// # Panics
     ///

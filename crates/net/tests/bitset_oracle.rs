@@ -4,12 +4,11 @@
 //! `topology::*` generator — plus the statistical contract of the
 //! geometric-skip noisy channel.
 //!
-//! The generators run at one-word sizes (n ≤ 20), where the engine
-//! clamps a round to one thread and every graph takes dense rows.
-//! Multi-word graphs (n = 200–600) reach the rest: the sharded path on
-//! more than one thread (thread counts {1, 2, 4, 8} × shard counts
-//! {1, 2, 8}), the scatter and gather kernels on sparse graphs and dense
-//! rows over several words.
+//! The generators run at one-word sizes (n ≤ 20), where every graph
+//! takes dense rows and the channel has one shard at any shard count.
+//! Multi-word graphs (n = 200–600) reach the rest: the channel over
+//! several shards (shard counts {1, 2, 8}), the scatter and gather
+//! kernels on sparse graphs and dense rows over several words.
 //!
 //! CI runs this file explicitly (and fails if it vanishes or stops
 //! executing tests): it is the proof that the production kernel and the
@@ -65,7 +64,7 @@ fn all_topologies() -> Vec<(String, Graph)> {
             topology::preferential_attachment(15, 2, &mut rng).unwrap(),
         ),
         // Multi-word graphs, one per kernel the engine picks, so the
-        // sharded path runs on more than one thread. A sparse graph
+        // channel runs over more than one shard. A sparse graph
         // scatters below `16·beepers = n` and gathers above it: at n = 600
         // the densities 0.03 and 0.05 fall below that line and 0.1 and up
         // above it. `complete(200)` takes dense rows.
@@ -201,100 +200,37 @@ fn run_frame_matches_round_by_round_scalar_driving() {
     }
 }
 
-/// Thread counts the sharded-kernel oracles sweep (the acceptance
-/// criterion's {1, 2, 4, 8}).
-const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
 #[test]
-fn threaded_kernel_is_bit_identical_to_scalar_on_every_topology() {
-    // scalar ≡ bitset ≡ threaded, noiseless, for every topology generator,
-    // every swept thread count, and shard counts on both sides of the
-    // words-per-shard boundary.
+fn sharded_kernel_is_bit_identical_to_scalar_on_every_topology() {
+    // scalar ≡ bitset, noiseless, for every topology generator and shard
+    // counts on both sides of the words-per-shard boundary.
     let mut rng = StdRng::seed_from_u64(97);
     for (name, graph) in all_topologies() {
         let n = graph.node_count();
         let mut scalar = BeepNetwork::new(graph.clone(), Noise::Noiseless, 1);
-        let mut threaded: Vec<BeepNetwork> = THREAD_COUNTS
-            .iter()
-            .flat_map(|&threads| {
-                [1, 2, 8].map(|shards| {
-                    let mut net = BeepNetwork::new(graph.clone(), Noise::Noiseless, 1);
-                    net.set_parallelism(threads);
-                    net.set_shard_count(shards);
-                    net
-                })
-            })
-            .collect();
+        let mut sharded = SHARD_COUNTS.map(|shards| {
+            let mut net = BeepNetwork::new(graph.clone(), Noise::Noiseless, 1);
+            net.set_shard_count(shards);
+            net
+        });
         for round in 0..8 {
             let density = [0.0, 0.05, 0.3, 1.0][round % 4];
             let actions = random_actions(n, density, &mut rng);
             let beepers = beeper_bitmap(&actions);
             let expected = scalar.run_round(&actions).unwrap();
-            for net in &mut threaded {
+            for net in &mut sharded {
                 let received = net.run_round_bitset(&beepers).unwrap();
                 assert_eq!(
                     expected,
                     received.iter_bits().collect::<Vec<bool>>(),
-                    "{name} round {round} threads={} shards={}",
-                    net.parallelism(),
+                    "{name} round {round} shards={}",
                     net.shard_count()
                 );
             }
         }
-        for net in &threaded {
+        for net in &sharded {
             assert_eq!(scalar.stats(), net.stats(), "{name} stats");
             assert_eq!(scalar.beeps_by_node(), net.beeps_by_node(), "{name} energy");
-        }
-    }
-}
-
-#[test]
-fn noisy_transcripts_are_thread_count_invariant_on_every_topology() {
-    // The tentpole determinism contract: with (graph, noise, seed, actions,
-    // shard_count) fixed, every thread count — including 1 — produces a
-    // bit-identical noisy transcript.
-    let mut rng = StdRng::seed_from_u64(131);
-    for (name, graph) in all_topologies() {
-        let n = graph.node_count();
-        let beeper_sets: Vec<BitVec> = DENSITIES
-            .iter()
-            .map(|&density| beeper_bitmap(&random_actions(n, density, &mut rng)))
-            .collect();
-        let run = |threads: usize| {
-            let mut net = BeepNetwork::new(graph.clone(), Noise::bernoulli(0.25), 7);
-            net.set_parallelism(threads);
-            beeper_sets
-                .iter()
-                .map(|b| net.run_round_bitset(b).unwrap())
-                .collect::<Vec<BitVec>>()
-        };
-        let reference = run(THREAD_COUNTS[0]);
-        for &threads in &THREAD_COUNTS[1..] {
-            assert_eq!(run(threads), reference, "{name} threads={threads}");
-        }
-    }
-}
-
-#[test]
-fn run_frame_into_is_thread_count_invariant_under_noise() {
-    // The frame-level API inherits the per-round contract.
-    let mut rng = StdRng::seed_from_u64(163);
-    for (name, graph) in all_topologies() {
-        let n = graph.node_count();
-        let len = 20;
-        let frames: Vec<Option<BitVec>> = (0..n)
-            .map(|v| (v % 3 != 1).then(|| BitVec::random_uniform(len, &mut rng)))
-            .collect();
-        let run = |threads: usize| {
-            let mut net = BeepNetwork::new(graph.clone(), Noise::bernoulli(0.1), 5);
-            net.set_parallelism(threads);
-            let mut heard = Vec::new();
-            net.run_frame_into(&frames, len, &mut heard).unwrap();
-            heard
-        };
-        let reference = run(THREAD_COUNTS[0]);
-        for &threads in &THREAD_COUNTS[1..] {
-            assert_eq!(run(threads), reference, "{name} threads={threads}");
         }
     }
 }
@@ -396,11 +332,11 @@ fn noisy_channels(n: usize) -> Vec<(&'static str, ChannelModel)> {
 }
 
 #[test]
-fn every_channel_scalar_bitset_threaded_agree_bit_for_bit() {
+fn every_channel_scalar_bitset_agree_bit_for_bit() {
     // Every channel model is counter-keyed per (seed, round, shard), and
     // the scalar kernel applies it through the same shard pass, so
-    // scalar ≡ bitset ≡ threaded holds *bit-for-bit* — across every
-    // topology generator, threads {1, 2, 4, 8} × shards {1, 2, 8}.
+    // scalar ≡ bitset holds *bit-for-bit* — across every topology
+    // generator and shards {1, 2, 8}.
     let mut rng = StdRng::seed_from_u64(0xC4A2);
     for (name, graph) in all_topologies() {
         let n = graph.node_count();
@@ -408,36 +344,24 @@ fn every_channel_scalar_bitset_threaded_agree_bit_for_bit() {
             for shards in SHARD_COUNTS {
                 let mut scalar = BeepNetwork::new(graph.clone(), channel.clone(), 3);
                 scalar.set_shard_count(shards);
-                let mut threaded: Vec<BeepNetwork> = THREAD_COUNTS
-                    .iter()
-                    .map(|&threads| {
-                        let mut net = BeepNetwork::new(graph.clone(), channel.clone(), 3);
-                        net.set_shard_count(shards);
-                        net.set_parallelism(threads);
-                        net
-                    })
-                    .collect();
+                let mut bitset = BeepNetwork::new(graph.clone(), channel.clone(), 3);
+                bitset.set_shard_count(shards);
                 for (round, &density) in DENSITIES.iter().enumerate() {
                     let actions = random_actions(n, density, &mut rng);
                     let beepers = beeper_bitmap(&actions);
                     let expected = scalar.run_round(&actions).unwrap();
-                    for net in &mut threaded {
-                        let received = net.run_round_bitset(&beepers).unwrap();
-                        assert_eq!(
-                            expected,
-                            received.iter_bits().collect::<Vec<bool>>(),
-                            "{name} {key} round {round} threads={} shards={shards}",
-                            net.parallelism(),
-                        );
-                    }
-                }
-                for net in &threaded {
+                    let received = bitset.run_round_bitset(&beepers).unwrap();
                     assert_eq!(
-                        scalar.stats(),
-                        net.stats(),
-                        "{name} {key} shards={shards} stats"
+                        expected,
+                        received.iter_bits().collect::<Vec<bool>>(),
+                        "{name} {key} round {round} shards={shards}",
                     );
                 }
+                assert_eq!(
+                    scalar.stats(),
+                    bitset.stats(),
+                    "{name} {key} shards={shards} stats"
+                );
             }
         }
     }
@@ -727,14 +651,14 @@ fn adaptive_plans(n: usize) -> Vec<(String, FaultPlan)> {
 }
 
 #[test]
-fn adaptive_scalar_bitset_threaded_agree_bit_for_bit() {
-    // The adaptive decision is computed once per round from thread-
-    // invariant observables (post-static submitted beepers, cumulative
+fn adaptive_scalar_bitset_agree_bit_for_bit() {
+    // The adaptive decision is computed once per round from observables
+    // every kernel shares (post-static submitted beepers, cumulative
     // per-node energy, last activity round) and applied through the same
-    // two override passes as static faults — so scalar ≡ bitset ≡ threaded
-    // must stay bit-for-bit under every AdaptivePolicy, across every
-    // topology generator, threads {1, 2, 4, 8} × shards {1, 2, 8}, under
-    // the iid and the bursty channel.
+    // two override passes as static faults — so scalar ≡ bitset must stay
+    // bit-for-bit under every AdaptivePolicy, across every topology
+    // generator and shards {1, 2, 8}, under the iid and the bursty
+    // channel.
     let mut rng = StdRng::seed_from_u64(0xADA7);
     for (name, graph) in all_topologies() {
         let n = graph.node_count();
@@ -744,42 +668,30 @@ fn adaptive_scalar_bitset_threaded_agree_bit_for_bit() {
                     let mut scalar = BeepNetwork::new(graph.clone(), channel.clone(), 23);
                     scalar.set_shard_count(shards);
                     scalar.set_fault_plan(plan.clone()).unwrap();
-                    let mut threaded: Vec<BeepNetwork> = THREAD_COUNTS
-                        .iter()
-                        .map(|&threads| {
-                            let mut net = BeepNetwork::new(graph.clone(), channel.clone(), 23);
-                            net.set_shard_count(shards);
-                            net.set_parallelism(threads);
-                            net.set_fault_plan(plan.clone()).unwrap();
-                            net
-                        })
-                        .collect();
+                    let mut bitset = BeepNetwork::new(graph.clone(), channel.clone(), 23);
+                    bitset.set_shard_count(shards);
+                    bitset.set_fault_plan(plan.clone()).unwrap();
                     for (round, &density) in DENSITIES.iter().enumerate() {
                         let actions = random_actions(n, density, &mut rng);
                         let beepers = beeper_bitmap(&actions);
                         let expected = scalar.run_round(&actions).unwrap();
-                        for net in &mut threaded {
-                            let received = net.run_round_bitset(&beepers).unwrap();
-                            assert_eq!(
-                                expected,
-                                received.iter_bits().collect::<Vec<bool>>(),
-                                "{name} {ch} {key} round {round} threads={} shards={shards}",
-                                net.parallelism(),
-                            );
-                        }
-                    }
-                    for net in &threaded {
+                        let received = bitset.run_round_bitset(&beepers).unwrap();
                         assert_eq!(
-                            scalar.stats(),
-                            net.stats(),
-                            "{name} {ch} {key} shards={shards} stats"
-                        );
-                        assert_eq!(
-                            scalar.beeps_by_node(),
-                            net.beeps_by_node(),
-                            "{name} {ch} {key} shards={shards} energy"
+                            expected,
+                            received.iter_bits().collect::<Vec<bool>>(),
+                            "{name} {ch} {key} round {round} shards={shards}",
                         );
                     }
+                    assert_eq!(
+                        scalar.stats(),
+                        bitset.stats(),
+                        "{name} {ch} {key} shards={shards} stats"
+                    );
+                    assert_eq!(
+                        scalar.beeps_by_node(),
+                        bitset.beeps_by_node(),
+                        "{name} {ch} {key} shards={shards} energy"
+                    );
                 }
             }
         }
@@ -823,50 +735,12 @@ fn adaptive_frames_match_round_by_round_driving() {
 }
 
 #[test]
-fn adaptive_noisy_transcripts_are_thread_and_shard_invariant() {
-    // The determinism contract extended by the adaptive axis: transcripts
-    // stay pure functions of (graph, channel, faults, seed, actions,
-    // shard_count) — bit-identical at every tested thread count, for every
-    // AdaptivePolicy.
-    let mut rng = StdRng::seed_from_u64(0xADA9);
-    for (name, graph) in all_topologies() {
-        let n = graph.node_count();
-        let beeper_sets: Vec<BitVec> = DENSITIES
-            .iter()
-            .map(|&density| beeper_bitmap(&random_actions(n, density, &mut rng)))
-            .collect();
-        for (key, plan) in adaptive_plans(n) {
-            for shards in SHARD_COUNTS {
-                let run = |threads: usize| {
-                    let mut net = BeepNetwork::new(graph.clone(), Noise::bernoulli(0.25), 7);
-                    net.set_shard_count(shards);
-                    net.set_parallelism(threads);
-                    net.set_fault_plan(plan.clone()).unwrap();
-                    beeper_sets
-                        .iter()
-                        .map(|b| net.run_round_bitset(b).unwrap())
-                        .collect::<Vec<BitVec>>()
-                };
-                let reference = run(THREAD_COUNTS[0]);
-                for &threads in &THREAD_COUNTS[1..] {
-                    assert_eq!(
-                        run(threads),
-                        reference,
-                        "{name} {key} threads={threads} shards={shards}"
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn faulted_scalar_bitset_threaded_agree_bit_for_bit() {
+fn faulted_scalar_bitset_agree_bit_for_bit() {
     // The fault overlay edits the beeper set before the channel and
     // silences crashed listeners after it — both shard-independent, so
-    // scalar ≡ bitset ≡ threaded must stay bit-for-bit under every
-    // FaultKind, across every topology generator, threads {1, 2, 4, 8}
-    // × shards {1, 2, 8}, under the iid and the bursty channel.
+    // scalar ≡ bitset must stay bit-for-bit under every FaultKind, across
+    // every topology generator and shards {1, 2, 8}, under the iid and
+    // the bursty channel.
     let mut rng = StdRng::seed_from_u64(0xFA17);
     for (name, graph) in all_topologies() {
         let n = graph.node_count();
@@ -876,42 +750,30 @@ fn faulted_scalar_bitset_threaded_agree_bit_for_bit() {
                     let mut scalar = BeepNetwork::new(graph.clone(), channel.clone(), 19);
                     scalar.set_shard_count(shards);
                     scalar.set_fault_plan(plan.clone()).unwrap();
-                    let mut threaded: Vec<BeepNetwork> = THREAD_COUNTS
-                        .iter()
-                        .map(|&threads| {
-                            let mut net = BeepNetwork::new(graph.clone(), channel.clone(), 19);
-                            net.set_shard_count(shards);
-                            net.set_parallelism(threads);
-                            net.set_fault_plan(plan.clone()).unwrap();
-                            net
-                        })
-                        .collect();
+                    let mut bitset = BeepNetwork::new(graph.clone(), channel.clone(), 19);
+                    bitset.set_shard_count(shards);
+                    bitset.set_fault_plan(plan.clone()).unwrap();
                     for (round, &density) in DENSITIES.iter().enumerate() {
                         let actions = random_actions(n, density, &mut rng);
                         let beepers = beeper_bitmap(&actions);
                         let expected = scalar.run_round(&actions).unwrap();
-                        for net in &mut threaded {
-                            let received = net.run_round_bitset(&beepers).unwrap();
-                            assert_eq!(
-                                expected,
-                                received.iter_bits().collect::<Vec<bool>>(),
-                                "{name} {ch} {key} round {round} threads={} shards={shards}",
-                                net.parallelism(),
-                            );
-                        }
-                    }
-                    for net in &threaded {
+                        let received = bitset.run_round_bitset(&beepers).unwrap();
                         assert_eq!(
-                            scalar.stats(),
-                            net.stats(),
-                            "{name} {ch} {key} shards={shards} stats"
-                        );
-                        assert_eq!(
-                            scalar.beeps_by_node(),
-                            net.beeps_by_node(),
-                            "{name} {ch} {key} shards={shards} energy"
+                            expected,
+                            received.iter_bits().collect::<Vec<bool>>(),
+                            "{name} {ch} {key} round {round} shards={shards}",
                         );
                     }
+                    assert_eq!(
+                        scalar.stats(),
+                        bitset.stats(),
+                        "{name} {ch} {key} shards={shards} stats"
+                    );
+                    assert_eq!(
+                        scalar.beeps_by_node(),
+                        bitset.beeps_by_node(),
+                        "{name} {ch} {key} shards={shards} energy"
+                    );
                 }
             }
         }
@@ -940,44 +802,6 @@ fn faulted_frames_match_round_by_round_driving() {
             let heard = framed.run_frame(&frames).unwrap();
             assert_eq!(heard, expected, "{name} {ch}");
             assert_eq!(scalar.stats(), framed.stats(), "{name} {ch} stats");
-        }
-    }
-}
-
-#[test]
-fn faulted_noisy_transcripts_are_thread_and_shard_invariant() {
-    // The tentpole contract extended by the fault axis: transcripts are
-    // pure functions of (graph, channel, faults, seed, actions,
-    // shard_count) — bit-identical at every tested thread count, for
-    // every FaultKind.
-    let mut rng = StdRng::seed_from_u64(0xFA19);
-    for (name, graph) in all_topologies() {
-        let n = graph.node_count();
-        let beeper_sets: Vec<BitVec> = DENSITIES
-            .iter()
-            .map(|&density| beeper_bitmap(&random_actions(n, density, &mut rng)))
-            .collect();
-        for (key, plan) in fault_plans(n) {
-            for shards in SHARD_COUNTS {
-                let run = |threads: usize| {
-                    let mut net = BeepNetwork::new(graph.clone(), Noise::bernoulli(0.25), 7);
-                    net.set_shard_count(shards);
-                    net.set_parallelism(threads);
-                    net.set_fault_plan(plan.clone()).unwrap();
-                    beeper_sets
-                        .iter()
-                        .map(|b| net.run_round_bitset(b).unwrap())
-                        .collect::<Vec<BitVec>>()
-                };
-                let reference = run(THREAD_COUNTS[0]);
-                for &threads in &THREAD_COUNTS[1..] {
-                    assert_eq!(
-                        run(threads),
-                        reference,
-                        "{name} {key} threads={threads} shards={shards}"
-                    );
-                }
-            }
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Golden pins for the noisy RNG stream of the sharded bitset kernel.
+//! Golden pins for the noisy RNG stream of the bitset kernel.
 //!
 //! A noisy bitset transcript is a pure function of
 //! `(graph, noise, seed, actions, shard_count)` — that tuple is the
@@ -143,8 +143,7 @@ fn channel_transcript(
         .collect()
 }
 
-/// The golden channel suite: one parameterization per non-iid family,
-/// shared by the fingerprint and thread-invariance pins below.
+/// The golden channel suite: one parameterization per non-iid family.
 fn golden_channels() -> Vec<(&'static str, ChannelModel)> {
     vec![
         (
@@ -202,29 +201,6 @@ fn golden_gilbert_elliott_state_sequence_is_pinned() {
 }
 
 #[test]
-fn golden_channel_transcripts_survive_any_thread_count() {
-    // Every model's pinned stream is thread-count-invariant: the parallel
-    // path must reproduce the single-thread fingerprint exactly.
-    for (key, channel) in golden_channels() {
-        let reference = transcript_fingerprint(&channel_transcript(channel.clone(), 1, 8, 8));
-        for threads in [2, 4, 8] {
-            let mut net = BeepNetwork::new(topology::cycle(512).unwrap(), channel.clone(), 1);
-            net.set_shard_count(8);
-            net.set_parallelism(threads);
-            let beepers = BitVec::from_fn(512, |v| v % 37 == 0);
-            let frames: Vec<BitVec> = (0..8)
-                .map(|_| net.run_round_bitset(&beepers).unwrap())
-                .collect();
-            assert_eq!(
-                transcript_fingerprint(&frames),
-                reference,
-                "{key} threads={threads}"
-            );
-        }
-    }
-}
-
-#[test]
 fn golden_fault_plan_realization_is_pinned() {
     // Plan realization draws from the reserved FAULT_PLAN_STREAM shard of
     // the same counter-keyed generator the channels use, so the sampled
@@ -256,18 +232,11 @@ fn golden_fault_plan_realization_is_pinned() {
 
 /// Like [`noisy_transcript`], but under a fault plan realized from the
 /// run seed (kind per call; fraction fixed at 1/8 of the nodes).
-fn faulted_transcript(
-    kind: FaultKind,
-    seed: u64,
-    shards: usize,
-    rounds: usize,
-    threads: usize,
-) -> Vec<BitVec> {
+fn faulted_transcript(kind: FaultKind, seed: u64, shards: usize, rounds: usize) -> Vec<BitVec> {
     let n = 512;
     let plan = FaultPlan::realize(n, 0.125, kind, seed).unwrap();
     let mut net = BeepNetwork::new(topology::cycle(n).unwrap(), Noise::bernoulli(0.1), seed);
     net.set_shard_count(shards);
-    net.set_parallelism(threads);
     net.set_fault_plan(plan).unwrap();
     let beepers = BitVec::from_fn(n, |v| v % 37 == 0);
     (0..rounds)
@@ -292,7 +261,7 @@ fn golden_faulted_transcripts_per_kind_seed_shards() {
     let mut computed = Vec::new();
     for (key, kind) in GOLDEN_FAULTS {
         for &(seed, shards) in &[(1u64, 1usize), (1, 8), (9, 8)] {
-            let fp = transcript_fingerprint(&faulted_transcript(kind, seed, shards, 8, 1));
+            let fp = transcript_fingerprint(&faulted_transcript(kind, seed, shards, 8));
             println!("{key} seed={seed} shards={shards}: {fp:#018X}");
             computed.push(fp);
         }
@@ -313,29 +282,12 @@ fn golden_faulted_transcripts_per_kind_seed_shards() {
     );
 }
 
-#[test]
-fn golden_faulted_transcripts_survive_any_thread_count() {
-    // Faulted pins are thread-count-invariant too: the parallel path must
-    // reproduce the single-thread fingerprint for every fault kind.
-    for (key, kind) in GOLDEN_FAULTS {
-        let reference = transcript_fingerprint(&faulted_transcript(kind, 1, 8, 8, 1));
-        for threads in [2, 4, 8] {
-            assert_eq!(
-                transcript_fingerprint(&faulted_transcript(kind, 1, 8, 8, threads)),
-                reference,
-                "{key} threads={threads}"
-            );
-        }
-    }
-}
-
 /// Like [`faulted_transcript`], but under an arbitrary (possibly adaptive)
 /// plan built by the caller.
-fn adaptive_transcript(plan: FaultPlan, seed: u64, shards: usize, threads: usize) -> Vec<BitVec> {
+fn adaptive_transcript(plan: FaultPlan, seed: u64, shards: usize) -> Vec<BitVec> {
     let n = 512;
     let mut net = BeepNetwork::new(topology::cycle(n).unwrap(), Noise::bernoulli(0.1), seed);
     net.set_shard_count(shards);
-    net.set_parallelism(threads);
     net.set_fault_plan(plan).unwrap();
     let beepers = BitVec::from_fn(n, |v| v % 37 == 0);
     (0..8)
@@ -387,7 +339,7 @@ fn golden_adaptive_transcripts_per_policy_seed_shards() {
     let mut computed = Vec::new();
     for (key, plan) in golden_policies() {
         for &(seed, shards) in &[(1u64, 1usize), (1, 8), (9, 8)] {
-            let fp = transcript_fingerprint(&adaptive_transcript(plan.clone(), seed, shards, 1));
+            let fp = transcript_fingerprint(&adaptive_transcript(plan.clone(), seed, shards));
             println!("{key} seed={seed} shards={shards}: {fp:#018X}");
             computed.push(fp);
         }
@@ -412,23 +364,6 @@ fn golden_adaptive_transcripts_per_policy_seed_shards() {
 }
 
 #[test]
-fn golden_adaptive_transcripts_survive_any_thread_count() {
-    // Adaptive pins are thread-count-invariant too: the decision is made
-    // once per round before the shard fan-out, so the parallel path must
-    // reproduce the single-thread fingerprint for every policy.
-    for (key, plan) in golden_policies() {
-        let reference = transcript_fingerprint(&adaptive_transcript(plan.clone(), 1, 8, 1));
-        for threads in [2, 4, 8] {
-            assert_eq!(
-                transcript_fingerprint(&adaptive_transcript(plan.clone(), 1, 8, threads)),
-                reference,
-                "{key} threads={threads}"
-            );
-        }
-    }
-}
-
-#[test]
 fn zero_budget_policies_leave_the_golden_stream_untouched() {
     // A zero-budget policy is a provable no-op: the plan stays empty, the
     // engine takes the fault-free fast path, and the fault-free golden
@@ -440,7 +375,7 @@ fn zero_budget_policies_leave_the_golden_stream_untouched() {
             window: 3,
         },
     ] {
-        let frames = adaptive_transcript(FaultPlan::from_policy(policy), 1, 8, 1);
+        let frames = adaptive_transcript(FaultPlan::from_policy(policy), 1, 8);
         assert_eq!(
             transcript_fingerprint(&frames),
             0xF20B_61B1_63CB_81F1,
@@ -597,26 +532,6 @@ fn golden_torus_frame_transcript_matches_per_round_driving() {
     let fp = transcript_fingerprint(&expected);
     println!("torus frame, 40 rounds: {fp:#018X}");
     assert_eq!(fp, 0x8ABB_5AE8_D342_DCB2);
-}
-
-#[test]
-fn golden_transcripts_survive_any_thread_count() {
-    // The pinned stream is thread-count-invariant: the same fingerprints
-    // must come out of the parallel path.
-    for threads in [2, 4, 8] {
-        let mut net = BeepNetwork::new(topology::cycle(512).unwrap(), Noise::bernoulli(0.1), 1);
-        net.set_shard_count(8);
-        net.set_parallelism(threads);
-        let beepers = BitVec::from_fn(512, |v| v % 37 == 0);
-        let frames: Vec<BitVec> = (0..8)
-            .map(|_| net.run_round_bitset(&beepers).unwrap())
-            .collect();
-        assert_eq!(
-            transcript_fingerprint(&frames),
-            0xF20B_61B1_63CB_81F1,
-            "threads={threads}"
-        );
-    }
 }
 
 /// The number of received bits the channel flipped: positions where a
