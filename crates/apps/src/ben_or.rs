@@ -48,7 +48,7 @@
 //!   verdict and the defeat test assert exactly this forced-1 outcome,
 //!   which preserves agreement).
 
-use crate::consensus::{consensus_slots_per_phase, slot_vote};
+use crate::consensus::{consensus_slots_per_phase, SlotVotes};
 use crate::error::AppError;
 use beep_bits::BitVec;
 use beep_net::{protocol_coin, BeepNetwork, ChannelModel, FaultPlan, Graph};
@@ -105,16 +105,16 @@ pub fn beep_ben_or(
     let slots = consensus_slots_per_phase(n, 3 * phases, channel.calibration_epsilon());
     let correct: Vec<usize> = (0..n).filter(|&v| faults.fault_of(v).is_none()).collect();
     let mut value = BitVec::from_fn(n, |v| inputs[v]);
-    let mut received = BitVec::zeros(n);
+    let mut votes = SlotVotes::default();
     let mut agreement_phase = None;
     for phase in 0..phases {
         // Value groups 0 and 1, then the coin group for split neighborhoods.
-        let heard0 = slot_vote(&mut net, &!&value, slots, &mut received)?;
-        let heard1 = slot_vote(&mut net, &value, slots, &mut received)?;
+        let heard0 = votes.vote(&mut net, &!&value, slots)?;
+        let heard1 = votes.vote(&mut net, &value, slots)?;
         let flippers = BitVec::from_fn(n, |v| {
             heard0.get(v) && heard1.get(v) && protocol_coin(seed, v, phase as u64)
         });
-        let heard_coin = slot_vote(&mut net, &flippers, slots, &mut received)?;
+        let heard_coin = votes.vote(&mut net, &flippers, slots)?;
         for v in 0..n {
             match (heard0.get(v), heard1.get(v)) {
                 (false, true) => value.set(v, true),

@@ -77,24 +77,53 @@ pub fn consensus_slots_per_phase(n: usize, phases: usize, epsilon: f64) -> usize
     slots.max(1)
 }
 
-/// One slot vote: `beepers` beep in each of `slots` rounds, and the
-/// verdict holds the nodes that heard a majority of them
-/// (`2·heard ≥ slots`). `received` is the round scratch buffer.
-pub(crate) fn slot_vote(
-    net: &mut BeepNetwork,
-    beepers: &BitVec,
-    slots: usize,
-    received: &mut BitVec,
-) -> Result<BitVec, AppError> {
-    let n = beepers.len();
-    let mut heard = vec![0usize; n];
-    for _ in 0..slots {
-        net.run_round_bitset_into(beepers, received)?;
-        for v in received.iter_ones() {
-            heard[v] += 1;
+/// Longest frame a slot vote runs at once: one word of rounds, the
+/// engine's frame block, so the frame and heard buffers hold one word per
+/// node however many slots the channel's noise calls for.
+const VOTE_FRAME_ROUNDS: usize = u64::BITS as usize;
+
+/// The frame and heard buffers of one protocol run's slot votes, reused
+/// from vote to vote.
+#[derive(Debug, Default)]
+pub(crate) struct SlotVotes {
+    frames: Vec<Option<BitVec>>,
+    heard: Vec<BitVec>,
+    counts: Vec<usize>,
+}
+
+impl SlotVotes {
+    /// One slot vote: `beepers` beep in each of `slots` rounds, run as
+    /// frames of at most [`VOTE_FRAME_ROUNDS`] rounds in which every
+    /// beeper transmits all ones, and the verdict holds the nodes that
+    /// heard a majority of them (`2·heard ≥ slots`).
+    pub(crate) fn vote(
+        &mut self,
+        net: &mut BeepNetwork,
+        beepers: &BitVec,
+        slots: usize,
+    ) -> Result<BitVec, AppError> {
+        let n = beepers.len();
+        self.frames.resize(n, None);
+        self.counts.clear();
+        self.counts.resize(n, 0);
+        let mut left = slots;
+        while left > 0 {
+            let rounds = left.min(VOTE_FRAME_ROUNDS);
+            for (v, frame) in self.frames.iter_mut().enumerate() {
+                if !beepers.get(v) {
+                    *frame = None;
+                } else if frame.as_ref().is_none_or(|f| f.len() != rounds) {
+                    *frame = Some(BitVec::ones(rounds));
+                }
+            }
+            net.run_frame_into(&self.frames, rounds, &mut self.heard)?;
+            for (count, heard) in self.counts.iter_mut().zip(&self.heard) {
+                *count += heard.count_ones();
+            }
+            left -= rounds;
         }
+        Ok(BitVec::from_fn(n, |v| 2 * self.counts[v] >= slots))
     }
-    Ok(BitVec::from_fn(n, |v| 2 * heard[v] >= slots))
 }
 
 /// Runs 1-biased binary consensus over noisy beeps under a [`FaultPlan`].
@@ -126,9 +155,9 @@ pub fn beep_consensus(
     let phases = graph.diameter().unwrap_or(n.saturating_sub(1)).max(1) + 2;
     let slots = consensus_slots_per_phase(n, phases, channel.calibration_epsilon());
     let mut value = BitVec::from_fn(n, |v| inputs[v]);
-    let mut received = BitVec::zeros(n);
+    let mut votes = SlotVotes::default();
     for _ in 0..phases {
-        let verdict = slot_vote(&mut net, &value, slots, &mut received)?;
+        let verdict = votes.vote(&mut net, &value, slots)?;
         value.or_assign(&verdict);
     }
     let stats = net.stats();
@@ -242,5 +271,54 @@ mod tests {
         let g = topology::path(4).unwrap();
         let err = beep_consensus(&g, &clean(), &FaultPlan::none(), 0, &[true; 3]).unwrap_err();
         assert!(matches!(err, AppError::InvalidOutput { .. }), "{err}");
+    }
+
+    #[test]
+    fn slot_votes_match_counting_round_by_round() {
+        // A vote runs as frames of at most one word of rounds; its verdict
+        // and every engine counter must equal those of the same slots
+        // driven one round at a time, whether the vote fits one frame or
+        // spans several, under static and adaptive plans.
+        use beep_net::AdaptivePolicy;
+        let g = topology::torus(9, 10).unwrap();
+        let n = g.node_count();
+        let ch: ChannelModel = Noise::bernoulli(0.2).into();
+        let plans = [
+            FaultPlan::none(),
+            FaultPlan::try_from_assignments(vec![
+                (3, FaultKind::ByzantineSpam),
+                (40, FaultKind::ByzantineMute),
+                (77, FaultKind::Crash { round: 100 }),
+            ])
+            .unwrap(),
+            FaultPlan::from_policy(AdaptivePolicy::TargetLoudest { budget: 6 }),
+        ];
+        let beepers = BitVec::from_fn(n, |v| v % 4 == 1);
+        for plan in plans {
+            for slots in [1, 37, 64, 65, 130, 200] {
+                let mut framed = BeepNetwork::new(g.clone(), ch.clone(), 5);
+                framed.set_fault_plan(plan.clone()).unwrap();
+                let mut stepped = BeepNetwork::new(g.clone(), ch.clone(), 5);
+                stepped.set_fault_plan(plan.clone()).unwrap();
+                let mut votes = SlotVotes::default();
+                let mut received = BitVec::zeros(n);
+                for vote in 0..3 {
+                    let verdict = votes.vote(&mut framed, &beepers, slots).unwrap();
+                    let mut heard = vec![0; n];
+                    for _ in 0..slots {
+                        stepped
+                            .run_round_bitset_into(&beepers, &mut received)
+                            .unwrap();
+                        for v in received.iter_ones() {
+                            heard[v] += 1;
+                        }
+                    }
+                    let expected = BitVec::from_fn(n, |v| 2 * heard[v] >= slots);
+                    assert_eq!(verdict, expected, "slots {slots} vote {vote} {plan:?}");
+                }
+                assert_eq!(framed.stats(), stepped.stats(), "slots {slots} {plan:?}");
+                assert_eq!(framed.beeps_by_node(), stepped.beeps_by_node());
+            }
+        }
     }
 }

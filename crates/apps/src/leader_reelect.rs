@@ -50,7 +50,7 @@
 //!   (when that id `≥ n`) does not exist (the defeat test asserts exactly
 //!   this stuck state).
 
-use crate::consensus::{consensus_slots_per_phase, slot_vote};
+use crate::consensus::{consensus_slots_per_phase, SlotVotes};
 use crate::error::AppError;
 use beep_bits::BitVec;
 use beep_net::{BeepNetwork, ChannelModel, FaultPlan, Graph};
@@ -119,9 +119,9 @@ pub fn beep_leader_reelect(
     // Every node starts leaderless, so every node raises the first alarm.
     let mut alarm = BitVec::ones(n);
     let mut alarmed_epochs = Vec::new();
-    let mut received = BitVec::zeros(n);
+    let mut votes = SlotVotes::default();
     for epoch in 0..epochs {
-        let heard_alarm = flood(&mut net, &alarm, subphases, slots, &mut received)?;
+        let heard_alarm = flood(&mut net, &mut votes, &alarm, subphases, slots)?;
         if heard_alarm.count_ones() > 0 {
             alarmed_epochs.push(epoch);
         }
@@ -132,7 +132,7 @@ pub fn beep_leader_reelect(
         let mut decoded = vec![0usize; n];
         for bit in (0..bits).rev() {
             let bidders = BitVec::from_fn(n, |v| in_race.get(v) && (v >> bit) & 1 == 1);
-            let heard_bit = flood(&mut net, &bidders, subphases, slots, &mut received)?;
+            let heard_bit = flood(&mut net, &mut votes, &bidders, subphases, slots)?;
             for (v, d) in decoded.iter_mut().enumerate() {
                 if !heard_alarm.get(v) {
                     continue;
@@ -151,7 +151,7 @@ pub fn beep_leader_reelect(
         // Heartbeat: the believed leader (if it exists and believes in
         // itself) floods; everyone else listens for the lease renewal.
         let beaters = BitVec::from_fn(n, |v| leaders[v] == Some(v));
-        let heard_beat = flood(&mut net, &beaters, subphases, slots, &mut received)?;
+        let heard_beat = flood(&mut net, &mut votes, &beaters, subphases, slots)?;
         alarm = !&heard_beat;
     }
     let stats = net.stats();
@@ -170,14 +170,14 @@ pub fn beep_leader_reelect(
 /// Returns the per-node "was reached" set (initiators included).
 fn flood(
     net: &mut BeepNetwork,
+    votes: &mut SlotVotes,
     initiators: &BitVec,
     subphases: usize,
     slots: usize,
-    received: &mut BitVec,
 ) -> Result<BitVec, AppError> {
     let mut active = initiators.clone();
     for _ in 0..subphases {
-        let verdict = slot_vote(net, &active, slots, received)?;
+        let verdict = votes.vote(net, &active, slots)?;
         active.or_assign(&verdict);
     }
     Ok(active)

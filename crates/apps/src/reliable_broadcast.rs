@@ -42,7 +42,7 @@
 //!   sent — validity is broken (the defeat test asserts the phantom
 //!   delivery; totality still holds, everyone delivers the phantom).
 
-use crate::consensus::{consensus_slots_per_phase, slot_vote};
+use crate::consensus::{consensus_slots_per_phase, SlotVotes};
 use crate::error::AppError;
 use beep_bits::BitVec;
 use beep_net::{BeepNetwork, ChannelModel, FaultPlan, Graph};
@@ -98,12 +98,12 @@ pub fn beep_reliable_broadcast(
     let mut ready = BitVec::zeros(n); // heard echo
     let mut delivered = BitVec::zeros(n); // heard ready
     let mut delivery_phase = vec![None; n];
-    let mut received = BitVec::zeros(n);
+    let mut votes = SlotVotes::default();
     let init = BitVec::from_indices(n, [source]);
     for phase in 0..phases {
-        let heard_init = slot_vote(&mut net, &init, slots, &mut received)?;
-        let heard_echo = slot_vote(&mut net, &accepted, slots, &mut received)?;
-        let heard_ready = slot_vote(&mut net, &ready, slots, &mut received)?;
+        let heard_init = votes.vote(&mut net, &init, slots)?;
+        let heard_echo = votes.vote(&mut net, &accepted, slots)?;
+        let heard_ready = votes.vote(&mut net, &ready, slots)?;
         // Monotone state advances from this phase's observations; each
         // wave starts beeping in the *next* phase (one hop per phase).
         for (v, slot) in delivery_phase.iter_mut().enumerate() {

@@ -9,12 +9,12 @@
 //! from the dense gather to the sparse scatter path and the bench would
 //! measure kernel selection, not the overlay. At stride 32 every plan
 //! stays safely in the scatter regime and the overlay is the only thing
-//! that varies. The overlay's work is two passes over the plan: editing the
-//! beeper bitmap before the neighborhood OR (clear mutes/crashed, set
-//! spammers) and forcing crashed listeners deaf after the channel — both
-//! `O(plan.len())`, independent of `n` and of the channel, so the
-//! expected overhead at a 1% fault fraction is noise-level for crash and
-//! mute. Spam runs a little hotter — its nodes genuinely beep, so the
+//! that varies. The overlay's work is two word passes over the plan's
+//! static masks, built when the plan is installed: editing the beeper
+//! bitmap before the neighborhood OR (clear mutes/crashed, set spammers)
+//! and forcing crashed listeners deaf after the channel — both `O(n/64)`,
+//! independent of the plan's size and of the channel, so the expected
+//! overhead is noise-level for crash and mute. Spam runs a little hotter — its nodes genuinely beep, so the
 //! round carries ~1% more traffic through the scatter kernel, which is
 //! workload, not overlay. An empty installed plan must be free: the
 //! engine short-circuits on `is_empty()`.

@@ -2,7 +2,7 @@
 
 use crate::channel::{apply_channel_sharded, shard_words, ChannelCtx, ChannelModel};
 use crate::error::NetError;
-use crate::faults::{AdversaryView, FaultPlan, RoundFaults};
+use crate::faults::{AdversaryView, FaultPlan, RoundFaults, StaticMasks};
 use crate::graph::Graph;
 use crate::node::{Action, BeepProtocol};
 use crate::noise::FlipSampler;
@@ -169,13 +169,41 @@ fn or_words_wide(dst: &mut [u64], src: &[u64]) {
 // round `i`. Transposing a block converts it to or from the group's 64
 // node-major frame (heard) words.
 
-/// Word `b` of node `v`'s transmit frame: 0 for a listener or a node past
-/// the last group's end.
-fn frame_word(frames: &[Option<BitVec>], v: usize, b: usize) -> u64 {
-    frames
-        .get(v)
-        .and_then(Option::as_ref)
-        .map_or(0, |f| f.as_words()[b])
+/// A frame batch under the static fault masks, if given: spammers' frames
+/// forced to all ones and silent nodes' frames dropped. Without masks, the
+/// submitted frames as they are.
+struct EffectiveFrames<'a> {
+    frames: &'a [Option<BitVec>],
+    masks: Option<&'a StaticMasks>,
+    /// The all-ones frame every spammer transmits (empty without masks).
+    ones: BitVec,
+}
+
+impl<'a> EffectiveFrames<'a> {
+    fn new(frames: &'a [Option<BitVec>], masks: Option<&'a StaticMasks>, rounds: usize) -> Self {
+        let ones = BitVec::ones(if masks.is_some() { rounds } else { 0 });
+        EffectiveFrames {
+            frames,
+            masks,
+            ones,
+        }
+    }
+
+    /// Node `v`'s effective frame: `None` for a listener, a silenced node
+    /// or a node past the last group's end.
+    fn get(&self, v: usize) -> Option<&BitVec> {
+        let submitted = self.frames.get(v)?;
+        match self.masks {
+            Some(m) if m.spam.get(v) => Some(&self.ones),
+            Some(m) if m.silent.get(v) => None,
+            _ => submitted.as_ref(),
+        }
+    }
+
+    /// Word `b` of node `v`'s effective frame.
+    fn word(&self, v: usize, b: usize) -> u64 {
+        self.get(v).map_or(0, |f| f.as_words()[b])
+    }
 }
 
 /// Fills each group's block with `word(v)` for its 64 nodes `v` and
@@ -247,11 +275,13 @@ fn store_round(blocks: &mut [[u64; 64]], i: usize, bits: &BitVec) {
 ///   layout, iid noise with batched geometric-skip sampling, each gap read
 ///   from the rate's exact step-point table ([`FlipSampler`]).
 /// * The **whole-frame path** of [`run_frame`](Self::run_frame) with no
-///   fault plan installed: each node's pre-channel heard frame is the
-///   word-parallel OR of its own and its transmitting neighbours' frames,
-///   taken once per frame, and only the channel runs round by round,
-///   through the same shard pass as the other kernels. Under a fault plan
-///   a frame's rounds go through the bitset kernel one at a time.
+///   fault plan or a static one installed: each node's pre-channel heard
+///   frame is the word-parallel OR of its own and its transmitting
+///   neighbours' effective frames, taken once per frame, and only the
+///   channel runs round by round, through the same shard pass as the
+///   other kernels. Under an adaptive policy, or when a crash round falls
+///   strictly inside the frame, a frame's rounds go through the bitset
+///   kernel one at a time.
 ///
 /// # Determinism contract
 ///
@@ -268,7 +298,12 @@ fn store_round(blocks: &mut [[u64; 64]], i: usize, bits: &BitVec) {
 /// slots between submitted actions and the channel in **every** kernel:
 /// faulty nodes' actions are overridden before the neighborhood OR (so the
 /// overlay is applied identically regardless of shard layout), and crashed
-/// nodes' received bits are forced to 0 after the channel. A plan may also
+/// nodes' received bits are forced to 0 after the channel. The bitset
+/// kernel and the whole-frame path apply the plan's static assignments as
+/// silent, spam and deaf word masks, built when the plan is installed and
+/// rebuilt only when the round counter reaches the next crash round; the
+/// whole-frame path applies them to whole frames, so a static plan keeps
+/// it unless a crash round falls strictly inside the frame. A plan may also
 /// carry an [`AdaptivePolicy`](crate::AdaptivePolicy): its per-round
 /// choices are computed once before the OR, from observables (submitted
 /// beepers, cumulative per-node beep counts, last network activity) that
@@ -296,6 +331,9 @@ pub struct BeepNetwork {
     /// channel; empty (a guaranteed no-op) unless installed via
     /// [`set_fault_plan`](Self::set_fault_plan).
     faults: FaultPlan,
+    /// The plan's static assignments at the current round as word masks;
+    /// `None` when it has none.
+    masks: Option<StaticMasks>,
     seed: u64,
     stats: NetStats,
     beeps_per_node: Vec<u64>,
@@ -330,6 +368,7 @@ impl BeepNetwork {
             graph,
             channel,
             faults: FaultPlan::none(),
+            masks: None,
             seed,
             stats: NetStats::default(),
             beeps_per_node,
@@ -378,8 +417,20 @@ impl BeepNetwork {
                 });
             }
         }
+        let round = self.stats.rounds as u64;
+        self.masks = (!plan.assignments().is_empty())
+            .then(|| plan.static_masks(self.graph.node_count(), round));
         self.faults = plan;
         Ok(())
+    }
+
+    /// Rebuilds the static fault masks once `round` reaches the next crash
+    /// round.
+    fn refresh_masks(&mut self, round: u64) {
+        let next_change = self.masks.as_ref().and_then(|m| m.next_change);
+        if next_change.is_some_and(|r| round >= r) {
+            self.masks = Some(self.faults.static_masks(self.graph.node_count(), round));
+        }
     }
 
     /// The installed [`FaultPlan`] (empty by default).
@@ -618,8 +669,8 @@ impl BeepNetwork {
     /// buffer: `received` is entirely overwritten (and reallocated only if
     /// its length is wrong), so a round loop reuses one allocation.
     /// [`run_protocols`](Self::run_protocols) drives its per-round loop
-    /// through this, as does [`run_frame`](Self::run_frame) under a fault
-    /// plan.
+    /// through this, as does [`run_frame`](Self::run_frame) under an
+    /// adaptive policy or across a crash round.
     ///
     /// # Errors
     ///
@@ -642,13 +693,15 @@ impl BeepNetwork {
             *received = BitVec::zeros(n);
         }
         let round = self.stats.rounds as u64;
+        self.refresh_masks(round);
         // Fault overlay, step 1: compute the round's *effective* beeper
-        // set before the OR. Editing the bitmap here leaves the channel's
-        // counter-keyed streams untouched; an empty plan takes this branch
-        // never and the round is byte-identical to a fault-free run. An
-        // adaptive policy makes its per-round choice here too — once, from
-        // observables that are identical at every shard count — and its
-        // spam/mute edits land on the same bitmap.
+        // set before the OR, the static masks a word at a time. Editing
+        // the bitmap here leaves the channel's counter-keyed streams
+        // untouched; an empty plan takes this branch never and the round
+        // is byte-identical to a fault-free run. An adaptive policy makes
+        // its per-round choice here too — once, from observables that are
+        // identical at every shard count — and its spam/mute edits land on
+        // the same bitmap.
         let faulty: BitVec;
         let decision: RoundFaults;
         let mut pre_adaptive_count: Option<usize> = None;
@@ -657,7 +710,9 @@ impl BeepNetwork {
             beepers
         } else {
             let mut effective = beepers.clone();
-            self.faults.apply_to_beepers(round, &mut effective);
+            if let Some(masks) = &self.masks {
+                masks.apply_to_beepers(&mut effective);
+            }
             pre_adaptive_count = Some(effective.count_ones());
             decision = self.faults.decide(&AdversaryView {
                 seed: self.seed,
@@ -681,7 +736,9 @@ impl BeepNetwork {
         // bit is cleared *after* the channel, so feedback (and run_frame
         // outputs) see silence. Adaptive deafening clears at the same
         // point.
-        self.faults.silence_crashed(round, received);
+        if let Some(masks) = &self.masks {
+            masks.apply_to_received(received);
+        }
         decision.apply_to_received(received);
         if pre_adaptive_active {
             self.last_activity = Some(round);
@@ -708,19 +765,23 @@ impl BeepNetwork {
     /// Use [`run_frame_into`](Self::run_frame_into) when silent batches
     /// must still consume rounds.
     ///
-    /// This is the frame-level API the phase simulators run on. With no
-    /// fault plan installed, a round's pre-channel bits depend only on
-    /// that round's frame bits, so each node's clean heard frame is the
+    /// This is the frame-level API the phase simulators and the
+    /// fault-tolerant protocols' slot votes run on. With no fault plan
+    /// installed, or a static one, a round's pre-channel bits depend only
+    /// on that round's frame bits, so each node's clean heard frame is the
     /// word-parallel OR of its own and its transmitting neighbours'
-    /// frames, taken once for the whole frame, and only the channel runs
-    /// round by round. Frames move in word blocks of 64 rounds × 64
-    /// nodes: one 64×64 bit transpose ([`beep_bits::transpose64`]) turns
-    /// a node group's heard words into 64 rounds of received words for
-    /// the channel and another turns them back. Under a fault plan, whose
-    /// overrides and adaptive decisions are per round, each round goes
-    /// through the bitset kernel on its own. Either way the heard
-    /// frames, stats, transcript, noise and fault overlay are exactly
-    /// those of round-by-round driving.
+    /// effective frames — a spammer's forced to all ones, a mute or
+    /// crashed node's dropped — taken once for the whole frame, and only
+    /// the channel runs round by round; crashed nodes' heard frames are
+    /// then cleared. Frames move in word blocks of 64 rounds × 64 nodes:
+    /// one 64×64 bit transpose ([`beep_bits::transpose64`]) turns a node
+    /// group's heard words into 64 rounds of received words for the
+    /// channel and another turns them back. Under an adaptive policy,
+    /// whose decisions are per round, or when a crash round falls
+    /// strictly inside the frame, each round goes through the bitset
+    /// kernel on its own. Either way the heard frames, stats, transcript,
+    /// noise and fault overlay are exactly those of round-by-round
+    /// driving.
     ///
     /// ```
     /// use beep_bits::BitVec;
@@ -755,7 +816,10 @@ impl BeepNetwork {
     /// allocations when the shapes already match. A phase loop that runs
     /// many frames back to back (e.g. the Algorithm 1 simulator) allocates
     /// its output once instead of `O(n)` strings per phase; the per-round
-    /// `received` scratch is reused internally either way.
+    /// `received` scratch is reused internally either way. The path is
+    /// [`run_frame`](Self::run_frame)'s: the whole frame at once unless an
+    /// adaptive policy is installed or a crash round of the static plan
+    /// falls strictly inside the frame.
     ///
     /// # Errors
     ///
@@ -796,33 +860,51 @@ impl BeepNetwork {
             }
         }
         heard.resize_with(n, || BitVec::zeros(rounds));
-        if self.faults.is_empty() {
-            self.run_clean_frame(frames, rounds, heard);
-            Ok(())
-        } else {
-            self.run_faulted_frame(frames, rounds, heard)
+        let first_round = self.stats.rounds as u64;
+        self.refresh_masks(first_round);
+        let end = first_round + rounds as u64;
+        let crash_inside = self
+            .masks
+            .as_ref()
+            .and_then(|m| m.next_change)
+            .is_some_and(|r| r < end);
+        if self.faults.is_adaptive() || crash_inside {
+            return self.run_faulted_frame(frames, rounds, heard);
         }
+        self.run_whole_frame(frames, rounds, heard);
+        // Crashed nodes are deaf for the whole frame: their heard frames
+        // are cleared after the channel, as the bitset kernel clears
+        // their received bits.
+        if let Some(masks) = &self.masks {
+            for v in masks.deaf.iter_ones() {
+                heard[v].clear();
+            }
+        }
+        Ok(())
     }
 
-    /// The fault-free frame path: the OR once per frame, 64 rounds per
-    /// word operation, with stats, per-node energy and the last active
-    /// round taken from the frames' popcounts and highest set bits. The
-    /// channel, whose flips the determinism contract keys by
-    /// `(round, shard)`, runs round by round in the context
-    /// [`run_round_bitset_into`](Self::run_round_bitset_into) builds, on
-    /// exactly the bits it sees there (adversarial erasure reads them).
-    /// Per-round beeper words are built only for a recorded transcript or
-    /// noise-free self-hearing.
-    fn run_clean_frame(&mut self, frames: &[Option<BitVec>], rounds: usize, heard: &mut [BitVec]) {
+    /// The whole-frame path, for a frame under no fault plan or a static
+    /// one whose masks hold for every round of the frame: the OR once per
+    /// frame over the effective frames, 64 rounds per word operation, with
+    /// stats, per-node energy and the last active round taken from their
+    /// popcounts and highest set bits. The channel, whose flips the
+    /// determinism contract keys by `(round, shard)`, runs round by round
+    /// in the context [`run_round_bitset_into`](Self::run_round_bitset_into)
+    /// builds, on exactly the bits it sees there (adversarial erasure reads
+    /// them). Per-round beeper words are built only for a recorded
+    /// transcript or noise-free self-hearing.
+    fn run_whole_frame(&mut self, frames: &[Option<BitVec>], rounds: usize, heard: &mut [BitVec]) {
         let n = self.graph.node_count();
         let first_round = self.stats.rounds as u64;
+        self.prepare_samplers();
+        let frames = EffectiveFrames::new(frames, self.masks.as_ref(), rounds);
         for h in heard.iter_mut() {
             h.clear();
         }
         let mut beeps = 0;
         let mut last_beep = None;
-        for (u, frame) in frames.iter().enumerate() {
-            let Some(frame) = frame else { continue };
+        for u in 0..n {
+            let Some(frame) = frames.get(u) else { continue };
             let words = frame.as_words();
             let Some(top) = words.iter().rposition(|&w| w != 0) else {
                 continue;
@@ -849,7 +931,6 @@ impl BeepNetwork {
         if !noisy && !recording {
             return;
         }
-        self.prepare_samplers();
         let groups = n.div_ceil(64);
         let mut send = vec![[0u64; 64]; if need_beepers { groups } else { 0 }];
         let mut recv = vec![[0u64; 64]; if noisy { groups } else { 0 }];
@@ -857,7 +938,7 @@ impl BeepNetwork {
         let mut received = BitVec::zeros(n);
         for (b, start) in (0..rounds).step_by(64).enumerate() {
             let block_rounds = (rounds - start).min(64);
-            to_round_major(&mut send, |v| frame_word(frames, v, b));
+            to_round_major(&mut send, |v| frames.word(v, b));
             to_round_major(&mut recv, |v| heard.get(v).map_or(0, |h| h.as_words()[b]));
             for i in 0..block_rounds {
                 load_round(&send, i, &mut beepers);
@@ -881,8 +962,9 @@ impl BeepNetwork {
         }
     }
 
-    /// The frame path under a fault plan, whose overrides and adaptive
-    /// decisions are per round: each round goes through
+    /// The frame path under an adaptive plan, whose decisions are per
+    /// round, or a static plan with a crash round inside the frame: each
+    /// round goes through
     /// [`run_round_bitset_into`](Self::run_round_bitset_into) on its own.
     fn run_faulted_frame(
         &mut self,
@@ -891,6 +973,8 @@ impl BeepNetwork {
         heard: &mut [BitVec],
     ) -> Result<(), NetError> {
         let n = self.graph.node_count();
+        // The per-round kernel applies the overlay itself.
+        let submitted = EffectiveFrames::new(frames, None, rounds);
         let groups = n.div_ceil(64);
         let mut send = vec![[0u64; 64]; groups];
         let mut recv = vec![[0u64; 64]; groups];
@@ -898,7 +982,7 @@ impl BeepNetwork {
         let mut received = BitVec::zeros(n);
         for (b, start) in (0..rounds).step_by(64).enumerate() {
             let block_rounds = (rounds - start).min(64);
-            to_round_major(&mut send, |v| frame_word(frames, v, b));
+            to_round_major(&mut send, |v| submitted.word(v, b));
             for i in 0..block_rounds {
                 load_round(&send, i, &mut beepers);
                 self.run_round_bitset_into(&beepers, &mut received)?;

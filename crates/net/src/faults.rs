@@ -324,12 +324,13 @@ impl AdaptivePolicy {
 ///
 /// The plan sits between submitted actions and the channel: in every round
 /// the engine overrides the actions of faulty nodes
-/// ([`effective_action`](Self::effective_action) /
-/// [`apply_to_beepers`](Self::apply_to_beepers)) *before* the neighborhood
-/// OR, and forces crashed nodes' received bits to 0
-/// ([`silence_crashed`](Self::silence_crashed)) *after* the channel. An
-/// empty plan (the default on every [`crate::BeepNetwork`]) leaves each
-/// round — including its RNG streams — byte-identical to a plan-free run.
+/// ([`effective_action`](Self::effective_action)) *before* the
+/// neighborhood OR, and forces crashed nodes' received bits to 0
+/// ([`is_crashed`](Self::is_crashed)) *after* the channel. The bitset
+/// kernels apply the static assignments as silent, spam and deaf word
+/// masks, rebuilt only when a crash round is reached. An empty plan (the
+/// default on every [`crate::BeepNetwork`]) leaves each round — including
+/// its RNG streams — byte-identical to a plan-free run.
 ///
 /// ```
 /// use beep_bits::BitVec;
@@ -516,32 +517,31 @@ impl FaultPlan {
         }
     }
 
-    /// Applies the round's action overrides to a beeper bitmap in place —
-    /// the bitset-kernel form of [`effective_action`](Self::effective_action).
-    pub fn apply_to_beepers(&self, round: u64, beepers: &mut BitVec) {
+    /// The static assignments in force at `round` over `n` nodes, as word
+    /// masks — the bitset-kernel form of
+    /// [`effective_action`](Self::effective_action) and
+    /// [`is_crashed`](Self::is_crashed).
+    pub(crate) fn static_masks(&self, n: usize, round: u64) -> StaticMasks {
+        let mut masks = StaticMasks {
+            silent: BitVec::zeros(n),
+            spam: BitVec::zeros(n),
+            deaf: BitVec::zeros(n),
+            next_change: None,
+        };
         for &(node, kind) in &self.assignments {
             match kind {
+                FaultKind::Crash { round: r } if round >= r => {
+                    masks.silent.set(node, true);
+                    masks.deaf.set(node, true);
+                }
                 FaultKind::Crash { round: r } => {
-                    if round >= r {
-                        beepers.set(node, false);
-                    }
+                    masks.next_change = Some(masks.next_change.map_or(r, |c| c.min(r)));
                 }
-                FaultKind::ByzantineSpam => beepers.set(node, true),
-                FaultKind::ByzantineMute => beepers.set(node, false),
+                FaultKind::ByzantineSpam => masks.spam.set(node, true),
+                FaultKind::ByzantineMute => masks.silent.set(node, true),
             }
         }
-    }
-
-    /// Forces the received bits of nodes crashed by `round` to 0 — crashed
-    /// nodes are deaf, so protocol `feedback` sees silence.
-    pub fn silence_crashed(&self, round: u64, received: &mut BitVec) {
-        for &(node, kind) in &self.assignments {
-            if let FaultKind::Crash { round: r } = kind {
-                if round >= r {
-                    received.set(node, false);
-                }
-            }
-        }
+        masks
     }
 
     /// The nodes crashed by `round`, in ascending order.
@@ -549,6 +549,37 @@ impl FaultPlan {
         self.assignments.iter().filter_map(move |&(node, kind)| {
             matches!(kind, FaultKind::Crash { round: r } if round >= r).then_some(node)
         })
+    }
+}
+
+/// A plan's static assignments compiled for a span of rounds: which nodes
+/// are silenced (mute, or crashed), forced to beep (spam) or deafened
+/// (crashed). The masks hold from the round they were built for up to,
+/// not including, [`next_change`](Self::next_change).
+#[derive(Debug)]
+pub(crate) struct StaticMasks {
+    pub(crate) silent: BitVec,
+    pub(crate) spam: BitVec,
+    pub(crate) deaf: BitVec,
+    /// The first later crash round, at which the masks must be rebuilt;
+    /// `None` once every crash has happened.
+    pub(crate) next_change: Option<u64>,
+}
+
+impl StaticMasks {
+    /// Edits a beeper bitmap in place: silent nodes cleared, spammers set.
+    pub(crate) fn apply_to_beepers(&self, beepers: &mut BitVec) {
+        let words = beepers.as_words_mut().iter_mut();
+        for ((b, &s), &p) in words.zip(self.silent.as_words()).zip(self.spam.as_words()) {
+            *b = *b & !s | p;
+        }
+    }
+
+    /// Clears deaf nodes' received bits.
+    pub(crate) fn apply_to_received(&self, received: &mut BitVec) {
+        for (r, &d) in received.as_words_mut().iter_mut().zip(self.deaf.as_words()) {
+            *r &= !d;
+        }
     }
 }
 
@@ -563,11 +594,13 @@ mod tests {
         assert_eq!(plan, FaultPlan::default());
         assert_eq!(plan.len(), 0);
         assert_eq!(plan.max_node(), None);
+        let masks = plan.static_masks(8, 3);
         let mut beepers = BitVec::from_indices(8, [1, 5]);
         let before = beepers.clone();
-        plan.apply_to_beepers(3, &mut beepers);
-        plan.silence_crashed(3, &mut beepers);
+        masks.apply_to_beepers(&mut beepers);
+        masks.apply_to_received(&mut beepers);
         assert_eq!(beepers, before);
+        assert_eq!(masks.next_change, None);
     }
 
     #[test]
@@ -628,13 +661,47 @@ mod tests {
         assert_eq!(plan.effective_action(0, 9, Action::Listen), Action::Beep);
         assert_eq!(plan.effective_action(2, 9, Action::Beep), Action::Listen);
         assert_eq!(plan.effective_action(1, 9, Action::Beep), Action::Beep);
+        let masks = plan.static_masks(4, 9);
         let mut beepers = BitVec::from_indices(4, [2, 3]);
-        plan.apply_to_beepers(9, &mut beepers);
+        masks.apply_to_beepers(&mut beepers);
         assert_eq!(beepers.to_string(), "1001");
         // Neither kind is deaf.
         let mut received = BitVec::ones(4);
-        plan.silence_crashed(9, &mut received);
+        masks.apply_to_received(&mut received);
         assert_eq!(received.count_ones(), 4);
+    }
+
+    #[test]
+    fn static_masks_follow_the_plan_and_change_at_crash_rounds() {
+        let plan = FaultPlan::try_from_assignments(vec![
+            (0, FaultKind::ByzantineSpam),
+            (2, FaultKind::Crash { round: 5 }),
+            (3, FaultKind::Crash { round: 2 }),
+            (5, FaultKind::ByzantineMute),
+        ])
+        .unwrap();
+        let n = 70;
+        for round in 0..8 {
+            let masks = plan.static_masks(n, round);
+            for v in 0..n {
+                let beeps = plan.effective_action(v, round, Action::Beep) == Action::Beep;
+                let listens = plan.effective_action(v, round, Action::Listen) == Action::Listen;
+                assert_eq!(masks.silent.get(v), !beeps, "round {round} node {v}");
+                assert_eq!(masks.spam.get(v), !listens, "round {round} node {v}");
+                assert_eq!(masks.deaf.get(v), plan.is_crashed(v, round));
+            }
+            let next = [2, 5].into_iter().find(|&r| r > round);
+            assert_eq!(masks.next_change, next, "round {round}");
+        }
+        // One word operation per 64 nodes, tail word included.
+        let masks = plan.static_masks(n, 5);
+        let mut beepers = BitVec::from_indices(n, [2, 3, 5, 6, 69]);
+        masks.apply_to_beepers(&mut beepers);
+        assert_eq!(beepers.one_positions(), vec![0, 6, 69]);
+        let mut received = BitVec::ones(n);
+        masks.apply_to_received(&mut received);
+        assert_eq!(received.count_ones(), n - 2);
+        assert!(!received.get(2) && !received.get(3));
     }
 
     #[test]

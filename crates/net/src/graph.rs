@@ -8,6 +8,7 @@
 //! edge set alone.
 
 use crate::error::GraphError;
+use std::sync::OnceLock;
 
 /// Index of a node in a [`Graph`] (`0..n`).
 pub type NodeId = usize;
@@ -17,12 +18,23 @@ pub type NodeId = usize;
 /// Two graphs are equal exactly when they have the same node count and
 /// the same edge set: [`Graph::from_edges`] keeps each neighbor list
 /// sorted and free of duplicates, whatever order or direction the edges
-/// came in.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// came in. Equality ignores whether [`Graph::diameter`] has been
+/// computed yet.
+#[derive(Debug, Clone)]
 pub struct Graph {
     offsets: Vec<usize>,
     neighbors: Vec<NodeId>,
+    /// [`Graph::diameter`], computed on first use.
+    diameter: OnceLock<Option<usize>>,
 }
+
+impl PartialEq for Graph {
+    fn eq(&self, other: &Self) -> bool {
+        self.offsets == other.offsets && self.neighbors == other.neighbors
+    }
+}
+
+impl Eq for Graph {}
 
 impl Graph {
     /// Builds a graph from an edge list. Duplicate edges collapse; edge
@@ -56,7 +68,11 @@ impl Graph {
             neighbors.extend_from_slice(list);
             offsets.push(neighbors.len());
         }
-        Ok(Graph { offsets, neighbors })
+        Ok(Graph {
+            offsets,
+            neighbors,
+            diameter: OnceLock::new(),
+        })
     }
 
     /// The CSR arrays `(offsets, neighbors)`, for the engine's gather,
@@ -176,9 +192,17 @@ impl Graph {
     }
 
     /// The diameter `D` of the graph, or `None` if disconnected (or empty).
-    /// Runs BFS from every node; fine at simulation scales.
+    ///
+    /// Computed once per graph, by a BFS from every node on the first
+    /// call, and kept: later calls, on this graph or on clones made after
+    /// the first call, return the stored value.
     #[must_use]
     pub fn diameter(&self) -> Option<usize> {
+        *self.diameter.get_or_init(|| self.bfs_diameter())
+    }
+
+    /// The diameter by a BFS from every node.
+    fn bfs_diameter(&self) -> Option<usize> {
         if self.node_count() == 0 {
             return None;
         }

@@ -371,12 +371,29 @@ fn every_channel_scalar_bitset_agree_bit_for_bit() {
 /// `run_round_bitset_into` one slot at a time — the per-round kernel the
 /// frame driver must agree with.
 fn bitset_frame(net: &mut BeepNetwork, frames: &[Option<BitVec>], len: usize) -> Vec<BitVec> {
-    let n = frames.len();
-    let mut heard: Vec<BitVec> = (0..n).map(|_| BitVec::zeros(len)).collect();
+    bitset_rounds(net, &round_beepers(frames, len))
+}
+
+/// `frames` (one `len`-round schedule per node, `None` = listen) as one
+/// beeper bitmap per round.
+fn round_beepers(frames: &[Option<BitVec>], len: usize) -> Vec<BitVec> {
+    (0..len)
+        .map(|i| {
+            BitVec::from_fn(frames.len(), |v| {
+                frames[v].as_ref().is_some_and(|f| f.get(i))
+            })
+        })
+        .collect()
+}
+
+/// What every node hears, one string per node, when each of `rounds`'
+/// beeper bitmaps goes through `run_round_bitset_into` in turn.
+fn bitset_rounds(net: &mut BeepNetwork, rounds: &[BitVec]) -> Vec<BitVec> {
+    let n = net.graph().node_count();
+    let mut heard: Vec<BitVec> = (0..n).map(|_| BitVec::zeros(rounds.len())).collect();
     let mut received = BitVec::zeros(n);
-    for i in 0..len {
-        let beepers = BitVec::from_fn(n, |v| frames[v].as_ref().is_some_and(|f| f.get(i)));
-        net.run_round_bitset_into(&beepers, &mut received).unwrap();
+    for (i, beepers) in rounds.iter().enumerate() {
+        net.run_round_bitset_into(beepers, &mut received).unwrap();
         for v in received.iter_ones() {
             heard[v].set(i, true);
         }
@@ -818,4 +835,158 @@ fn noisy_bitset_runs_are_deterministic_in_the_seed() {
     };
     assert_eq!(run(5), run(5));
     assert_ne!(run(5), run(6), "different seeds should differ somewhere");
+}
+
+/// How many plans [`static_frame_plans`] lists.
+const STATIC_PLANS: usize = 6;
+
+/// The static plans the frame oracle sweeps over three back-to-back
+/// frames of `len` rounds: crashes at round 0 (before every frame), inside
+/// the second frame (so the first frame runs before the crash and the
+/// third after it) and after the third frame (in the silent rounds that
+/// follow), then spam, mute, and a mixed plan with a crash at round 0, a
+/// crash at the third frame's first round, a spammer and a mute node.
+fn static_frame_plans(n: usize, len: usize) -> [(String, FaultPlan); STATIC_PLANS] {
+    let len = len as u64;
+    let crash = |round: u64, seed: u64| {
+        (
+            format!("crash@{round}"),
+            FaultPlan::realize(n, 0.25, FaultKind::Crash { round }, seed).unwrap(),
+        )
+    };
+    [
+        crash(0, 0xE0),
+        crash(len + len / 2, 0xE1),
+        crash(3 * len + 1, 0xE2),
+        (
+            "spam".into(),
+            FaultPlan::realize(n, 0.125, FaultKind::ByzantineSpam, 0xE3).unwrap(),
+        ),
+        (
+            "mute".into(),
+            FaultPlan::realize(n, 0.25, FaultKind::ByzantineMute, 0xE4).unwrap(),
+        ),
+        (
+            "mixed".into(),
+            FaultPlan::try_from_assignments(vec![
+                (0, FaultKind::Crash { round: 2 * len }),
+                (n / 3, FaultKind::ByzantineMute),
+                (n / 2, FaultKind::ByzantineSpam),
+                (n - 1, FaultKind::Crash { round: 0 }),
+            ])
+            .unwrap(),
+        ),
+    ]
+}
+
+#[test]
+fn static_plan_frames_match_round_by_round_driving() {
+    // Under a static plan run_frame_into takes the whole-frame path unless
+    // a crash round falls strictly inside the frame: spammers' frames are
+    // forced to all ones, silent nodes' frames dropped, and deaf nodes'
+    // heard frames cleared after the channel. Each plan of
+    // `static_frame_plans` runs its sweep on its own thread.
+    std::thread::scope(|scope| {
+        for k in 0..STATIC_PLANS {
+            scope.spawn(move || static_plan_sweep(k));
+        }
+    });
+}
+
+/// The sweep of [`static_frame_plans`]' plan `k`: three frames back to
+/// back must match the same frames driven one run_round_bitset_into at a
+/// time on a twin, under every channel, shards {1, 2, 8}, noisy and
+/// noise-free self-hearing, with and without transcripts — heard frames,
+/// stats, per-node energy and transcripts. A transcript does not change
+/// what is heard, so one recording twin per self-hearing setting serves
+/// both transcript settings. Every frame is silent in its last round; a
+/// rushing adversary installed on both networks afterwards reads the
+/// `last_activity` the frames left behind, and the late crash lands in
+/// those rounds.
+fn static_plan_sweep(k: usize) {
+    let mut rng = StdRng::seed_from_u64(0x57A7 + k as u64);
+    for (name, graph) in frame_topologies() {
+        let n = graph.node_count();
+        for len in FRAME_LENS {
+            let (plan_name, plan) = static_frame_plans(n, len)[k].clone();
+            let rushing = plan.clone().with_policy(AdaptivePolicy::RushingSpam {
+                budget: n / 4 + 1,
+                window: 2,
+            });
+            let batch: Vec<Vec<Option<BitVec>>> = (0..3)
+                .map(|_| {
+                    (0..n)
+                        .map(|v| {
+                            (v % 3 != 1).then(|| {
+                                let mut f = BitVec::random_uniform(len, &mut rng);
+                                f.set(len - 1, false);
+                                f
+                            })
+                        })
+                        .collect()
+                })
+                .collect();
+            let rounds: Vec<Vec<BitVec>> = batch.iter().map(|f| round_beepers(f, len)).collect();
+            let silent = BitVec::zeros(n);
+            let mut channels = noisy_channels(n);
+            channels.push(("noiseless", Noise::Noiseless.into()));
+            for (key, channel) in channels {
+                for shards in SHARD_COUNTS {
+                    for self_noisy in [true, false] {
+                        let twin = |recording: bool| {
+                            let mut net = BeepNetwork::new(graph.clone(), channel.clone(), 43);
+                            net.set_shard_count(shards);
+                            net.set_self_hearing_noisy(self_noisy);
+                            if recording {
+                                net.record_transcript();
+                            }
+                            net.set_fault_plan(plan.clone()).unwrap();
+                            net
+                        };
+                        let mut stepped = twin(true);
+                        let expected: Vec<Vec<BitVec>> = rounds
+                            .iter()
+                            .map(|r| bitset_rounds(&mut stepped, r))
+                            .collect();
+                        let stats = stepped.stats();
+                        let energy = stepped.beeps_by_node().to_vec();
+                        let transcript = stepped.transcript().cloned();
+                        stepped.set_fault_plan(rushing.clone()).unwrap();
+                        let after: Vec<BitVec> = (0..3)
+                            .map(|_| stepped.run_round_bitset(&silent).unwrap())
+                            .collect();
+                        for recording in [true, false] {
+                            let what = format!(
+                                "{name} len={len} {key} {plan_name} shards={shards} \
+                                 self_noisy={self_noisy} recording={recording}"
+                            );
+                            let mut framed = twin(recording);
+                            let mut heard = Vec::new();
+                            for (i, frames) in batch.iter().enumerate() {
+                                framed.run_frame_into(frames, len, &mut heard).unwrap();
+                                assert_eq!(heard, expected[i], "{what} frame {i}");
+                            }
+                            assert_eq!(framed.stats(), stats, "{what} stats");
+                            assert_eq!(framed.beeps_by_node(), energy, "{what} energy");
+                            if recording {
+                                assert_eq!(
+                                    framed.transcript(),
+                                    transcript.as_ref(),
+                                    "{what} transcript"
+                                );
+                            }
+                            framed.set_fault_plan(rushing.clone()).unwrap();
+                            for (round, expected) in after.iter().enumerate() {
+                                assert_eq!(
+                                    &framed.run_round_bitset(&silent).unwrap(),
+                                    expected,
+                                    "{what} round {round} after the frames"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
 }

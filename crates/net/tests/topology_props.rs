@@ -177,6 +177,15 @@ proptest! {
         let messy: Vec<(usize, usize)> =
             listed.iter().rev().flat_map(|&(u, v)| [(v, u), (u, v)]).collect();
         prop_assert_eq!(&Graph::from_edges(n, &messy).unwrap(), &g);
+        // A graph whose diameter is already computed, and its clone, equal
+        // one whose diameter is not: equality ignores the stored value.
+        let measured = Graph::from_edges(n, &listed).unwrap();
+        let diameter = measured.diameter();
+        let copy = measured.clone();
+        let unmeasured = Graph::from_edges(n, &listed).unwrap();
+        prop_assert_eq!(&measured, &unmeasured);
+        prop_assert_eq!(&copy, &unmeasured);
+        prop_assert_eq!(copy.diameter(), diameter);
         // One edge fewer is a different graph.
         if let Some((_, rest)) = listed.split_first() {
             prop_assert_ne!(&Graph::from_edges(n, rest).unwrap(), &g);
