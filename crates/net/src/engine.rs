@@ -2,7 +2,9 @@
 
 use crate::channel::{apply_channel_sharded, shard_words, ChannelCtx, ChannelModel};
 use crate::error::NetError;
-use crate::faults::{AdversaryView, FaultPlan, RoundFaults, StaticMasks};
+use crate::faults::{
+    AdaptivePolicy, AdversaryView, FaultPlan, LoudestIndex, RoundFaults, StaticMasks,
+};
 use crate::graph::Graph;
 use crate::node::{Action, BeepProtocol};
 use crate::noise::FlipSampler;
@@ -169,40 +171,84 @@ fn or_words_wide(dst: &mut [u64], src: &[u64]) {
 // round `i`. Transposing a block converts it to or from the group's 64
 // node-major frame (heard) words.
 
-/// A frame batch under the static fault masks, if given: spammers' frames
-/// forced to all ones and silent nodes' frames dropped. Without masks, the
-/// submitted frames as they are.
-struct EffectiveFrames<'a> {
-    frames: &'a [Option<BitVec>],
-    masks: Option<&'a StaticMasks>,
-    /// The all-ones frame every spammer transmits (empty without masks).
-    ones: BitVec,
+/// A frame batch as the neighborhood OR and the channel see it: each
+/// node's effective frame, and which heard bits the overlay clears after
+/// the channel.
+enum EffectiveFrames<'a> {
+    /// The submitted frames under the static masks, if given, that hold
+    /// for every round of the frame: spammers' frames forced to all ones,
+    /// silent nodes' frames dropped and deaf nodes' heard frames cleared.
+    Masked {
+        frames: &'a [Option<BitVec>],
+        masks: Option<&'a StaticMasks>,
+        /// The all-ones frame every spammer transmits (empty without
+        /// masks).
+        ones: BitVec,
+    },
+    /// The frames the overlay pass fixed round by round, node-major: node
+    /// `v`'s `blocks` words start at word `v · blocks` of `beeps` (its
+    /// effective frame) and of `deaf` (the rounds it is deaf in).
+    Overlaid {
+        beeps: Vec<u64>,
+        deaf: Vec<u64>,
+        blocks: usize,
+    },
 }
 
 impl<'a> EffectiveFrames<'a> {
-    fn new(frames: &'a [Option<BitVec>], masks: Option<&'a StaticMasks>, rounds: usize) -> Self {
+    fn masked(frames: &'a [Option<BitVec>], masks: Option<&'a StaticMasks>, rounds: usize) -> Self {
         let ones = BitVec::ones(if masks.is_some() { rounds } else { 0 });
-        EffectiveFrames {
+        EffectiveFrames::Masked {
             frames,
             masks,
             ones,
         }
     }
 
-    /// Node `v`'s effective frame: `None` for a listener, a silenced node
-    /// or a node past the last group's end.
-    fn get(&self, v: usize) -> Option<&BitVec> {
-        let submitted = self.frames.get(v)?;
-        match self.masks {
-            Some(m) if m.spam.get(v) => Some(&self.ones),
-            Some(m) if m.silent.get(v) => None,
-            _ => submitted.as_ref(),
+    /// Node `v`'s effective frame words: `None` for a listener, a silenced
+    /// node or a node past the last group's end.
+    fn words(&self, v: usize) -> Option<&[u64]> {
+        match self {
+            EffectiveFrames::Masked {
+                frames,
+                masks,
+                ones,
+            } => {
+                let submitted = frames.get(v)?;
+                match masks {
+                    Some(m) if m.spam.get(v) => Some(ones.as_words()),
+                    Some(m) if m.silent.get(v) => None,
+                    _ => submitted.as_ref().map(BitVec::as_words),
+                }
+            }
+            EffectiveFrames::Overlaid { beeps, blocks, .. } => {
+                beeps.get(v * blocks..(v + 1) * blocks)
+            }
         }
     }
 
     /// Word `b` of node `v`'s effective frame.
     fn word(&self, v: usize, b: usize) -> u64 {
-        self.get(v).map_or(0, |f| f.as_words()[b])
+        self.words(v).map_or(0, |f| f[b])
+    }
+
+    /// Clears deaf nodes' heard bits, after the channel.
+    fn clear_deaf(&self, heard: &mut [BitVec]) {
+        match self {
+            EffectiveFrames::Masked { masks, .. } => {
+                for v in masks.iter().flat_map(|m| m.deaf.iter_ones()) {
+                    heard[v].clear();
+                }
+            }
+            EffectiveFrames::Overlaid { deaf, blocks, .. } => {
+                for (v, h) in heard.iter_mut().enumerate() {
+                    let deaf = &deaf[v * blocks..(v + 1) * blocks];
+                    for (w, &d) in h.as_words_mut().iter_mut().zip(deaf) {
+                        *w &= !d;
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -217,13 +263,13 @@ fn to_round_major(blocks: &mut [[u64; 64]], word: impl Fn(usize) -> u64) {
     }
 }
 
-/// Transposes each group's block back to node-major and stores its words
-/// as word `b` of the group's strings.
-fn to_node_major(blocks: &mut [[u64; 64]], strings: &mut [BitVec], b: usize) {
+/// Transposes each group's block back to node-major and hands each of its
+/// 64 nodes `v` its word to `store(v, word)`.
+fn to_node_major(blocks: &mut [[u64; 64]], mut store: impl FnMut(usize, u64)) {
     for (g, block) in blocks.iter_mut().enumerate() {
         transpose64(block);
-        for (s, &w) in strings[64 * g..].iter_mut().zip(block.iter()) {
-            s.as_words_mut()[b] = w;
+        for (j, &w) in block.iter().enumerate() {
+            store(64 * g + j, w);
         }
     }
 }
@@ -274,14 +320,13 @@ fn store_round(blocks: &mut [[u64; 64]], i: usize, bits: &BitVec) {
 ///   [`shard_count`](Self::shard_count) word-aligned shards of its stream
 ///   layout, iid noise with batched geometric-skip sampling, each gap read
 ///   from the rate's exact step-point table ([`FlipSampler`]).
-/// * The **whole-frame path** of [`run_frame`](Self::run_frame) with no
-///   fault plan or a static one installed: each node's pre-channel heard
-///   frame is the word-parallel OR of its own and its transmitting
-///   neighbours' effective frames, taken once per frame, and only the
-///   channel runs round by round, through the same shard pass as the
-///   other kernels. Under an adaptive policy, or when a crash round falls
-///   strictly inside the frame, a frame's rounds go through the bitset
-///   kernel one at a time.
+/// * The **whole-frame path** of [`run_frame`](Self::run_frame): each
+///   node's pre-channel heard frame is the word-parallel OR of its own and
+///   its transmitting neighbours' effective frames, taken once per frame,
+///   and only the channel runs round by round, through the same shard pass
+///   as the other kernels. Under an adaptive policy, or when a crash round
+///   falls strictly inside the frame, one overlay pass over the frame's
+///   rounds first fixes each round's effective beepers and deaf set.
 ///
 /// # Determinism contract
 ///
@@ -302,14 +347,17 @@ fn store_round(blocks: &mut [[u64; 64]], i: usize, bits: &BitVec) {
 /// kernel and the whole-frame path apply the plan's static assignments as
 /// silent, spam and deaf word masks, built when the plan is installed and
 /// rebuilt only when the round counter reaches the next crash round; the
-/// whole-frame path applies them to whole frames, so a static plan keeps
-/// it unless a crash round falls strictly inside the frame. A plan may also
-/// carry an [`AdaptivePolicy`](crate::AdaptivePolicy): its per-round
-/// choices are computed once before the OR, from observables (submitted
-/// beepers, cumulative per-node beep counts, last network activity) that
-/// are identical in every kernel, and applied through the same two
-/// passes. The channel's RNG streams are untouched either way, so a run
-/// with the empty plan is byte-identical to a fault-free run.
+/// whole-frame path applies masks that hold for the whole frame to whole
+/// frames. A plan may also carry an
+/// [`AdaptivePolicy`](crate::AdaptivePolicy): its per-round choices are
+/// computed once before the OR, from observables (submitted beepers,
+/// cumulative per-node beep counts, last network activity) that are
+/// identical in every kernel and never depend on what the channel
+/// delivered, and applied through the same two passes. So a frame under
+/// an adaptive policy, or with a crash round inside it, fixes all its
+/// rounds' overlays in one pass before its OR. The channel's RNG streams
+/// are untouched either way, so a run with the empty plan is
+/// byte-identical to a fault-free run.
 ///
 /// # Example
 ///
@@ -544,8 +592,8 @@ impl BeepNetwork {
         // the neighborhood OR and the channel — the same pre-channel point
         // at which the bitset kernel edits its beeper bitmap. An adaptive
         // policy then observes the static-effective submissions (the same
-        // AdversaryView the bitset kernel builds pre-fan-out) and adds its
-        // per-round choices on top.
+        // AdversaryView the bitset kernel builds before its OR) and adds
+        // its per-round choices on top.
         let overridden: Vec<Action>;
         let decision: RoundFaults;
         let pre_adaptive_active: bool;
@@ -669,8 +717,7 @@ impl BeepNetwork {
     /// buffer: `received` is entirely overwritten (and reallocated only if
     /// its length is wrong), so a round loop reuses one allocation.
     /// [`run_protocols`](Self::run_protocols) drives its per-round loop
-    /// through this, as does [`run_frame`](Self::run_frame) under an
-    /// adaptive policy or across a crash round.
+    /// through this.
     ///
     /// # Errors
     ///
@@ -778,8 +825,11 @@ impl BeepNetwork {
     /// group's heard words into 64 rounds of received words for the
     /// channel and another turns them back. Under an adaptive policy,
     /// whose decisions are per round, or when a crash round falls
-    /// strictly inside the frame, each round goes through the bitset
-    /// kernel on its own. Either way the heard frames, stats, transcript,
+    /// strictly inside the frame, one overlay pass over the rounds first
+    /// fixes each round's effective beepers and deaf set — the static
+    /// masks at that round, then the policy's decision, which reads
+    /// nothing the channel delivers — and the frame then takes the same
+    /// OR and channel. Either way the heard frames, stats, transcript,
     /// noise and fault overlay are exactly those of round-by-round
     /// driving.
     ///
@@ -817,9 +867,10 @@ impl BeepNetwork {
     /// many frames back to back (e.g. the Algorithm 1 simulator) allocates
     /// its output once instead of `O(n)` strings per phase; the per-round
     /// `received` scratch is reused internally either way. The path is
-    /// [`run_frame`](Self::run_frame)'s: the whole frame at once unless an
-    /// adaptive policy is installed or a crash round of the static plan
-    /// falls strictly inside the frame.
+    /// [`run_frame`](Self::run_frame)'s: the OR once for the whole frame,
+    /// after an overlay pass over its rounds when an adaptive policy is
+    /// installed or a crash round of the static plan falls strictly inside
+    /// the frame.
     ///
     /// # Errors
     ///
@@ -869,54 +920,40 @@ impl BeepNetwork {
             .and_then(|m| m.next_change)
             .is_some_and(|r| r < end);
         if self.faults.is_adaptive() || crash_inside {
-            return self.run_faulted_frame(frames, rounds, heard);
-        }
-        self.run_whole_frame(frames, rounds, heard);
-        // Crashed nodes are deaf for the whole frame: their heard frames
-        // are cleared after the channel, as the bitset kernel clears
-        // their received bits.
-        if let Some(masks) = &self.masks {
-            for v in masks.deaf.iter_ones() {
-                heard[v].clear();
-            }
+            let frames = self.overlay_frame(frames, rounds);
+            self.hear_frame(&frames, first_round, rounds, heard);
+        } else {
+            // The static masks hold for every round of the frame; the
+            // effective frames borrow them while it runs.
+            let masks = self.masks.take();
+            let frames = EffectiveFrames::masked(frames, masks.as_ref(), rounds);
+            self.count_frame(&frames, rounds);
+            self.hear_frame(&frames, first_round, rounds, heard);
+            drop(frames);
+            self.masks = masks;
         }
         Ok(())
     }
 
-    /// The whole-frame path, for a frame under no fault plan or a static
-    /// one whose masks hold for every round of the frame: the OR once per
-    /// frame over the effective frames, 64 rounds per word operation, with
-    /// stats, per-node energy and the last active round taken from their
-    /// popcounts and highest set bits. The channel, whose flips the
-    /// determinism contract keys by `(round, shard)`, runs round by round
-    /// in the context [`run_round_bitset_into`](Self::run_round_bitset_into)
-    /// builds, on exactly the bits it sees there (adversarial erasure reads
-    /// them). Per-round beeper words are built only for a recorded
-    /// transcript or noise-free self-hearing.
-    fn run_whole_frame(&mut self, frames: &[Option<BitVec>], rounds: usize, heard: &mut [BitVec]) {
+    /// Stats, per-node energy and the last active round of a frame whose
+    /// effective frames hold for all of its `rounds` rounds, from their
+    /// popcounts and highest set bits.
+    fn count_frame(&mut self, frames: &EffectiveFrames<'_>, rounds: usize) {
         let n = self.graph.node_count();
         let first_round = self.stats.rounds as u64;
-        self.prepare_samplers();
-        let frames = EffectiveFrames::new(frames, self.masks.as_ref(), rounds);
-        for h in heard.iter_mut() {
-            h.clear();
-        }
         let mut beeps = 0;
         let mut last_beep = None;
         for u in 0..n {
-            let Some(frame) = frames.get(u) else { continue };
-            let words = frame.as_words();
+            let Some(words) = frames.words(u) else {
+                continue;
+            };
             let Some(top) = words.iter().rposition(|&w| w != 0) else {
                 continue;
             };
-            let ones = frame.count_ones();
+            let ones: usize = words.iter().map(|w| w.count_ones() as usize).sum();
             beeps += ones;
             self.beeps_per_node[u] += ones as u64;
             last_beep = last_beep.max(Some(64 * top + 63 - words[top].leading_zeros() as usize));
-            or_words_wide(heard[u].as_words_mut(), words);
-            for &w in self.graph.neighbors(u) {
-                or_words_wide(heard[w].as_words_mut(), words);
-            }
         }
         self.stats.rounds += rounds;
         self.stats.beeps += beeps as u64;
@@ -924,77 +961,194 @@ impl BeepNetwork {
         if let Some(bit) = last_beep {
             self.last_activity = Some(first_round + bit as u64);
         }
+    }
+
+    /// The overlay pass of a frame under an adaptive policy or with a crash
+    /// round inside it. One pass over the rounds fixes each round's
+    /// effective beepers and deaf set, as
+    /// [`run_round_bitset_into`](Self::run_round_bitset_into) would: first
+    /// the static masks at that round, rebuilt at a crash round, then the
+    /// policy's decision. Stats, per-node energy and the last active round
+    /// (whose beepers are counted before adaptive edits) move round by
+    /// round too, since the adversary reads them. It reads nothing the
+    /// channel delivers, so the whole frame is fixed before its OR.
+    /// `TargetLoudest` keeps its ranking across the frame in a
+    /// [`LoudestIndex`] instead of selecting it every round.
+    fn overlay_frame(
+        &mut self,
+        frames: &[Option<BitVec>],
+        rounds: usize,
+    ) -> EffectiveFrames<'static> {
+        let n = self.graph.node_count();
+        let first_round = self.stats.rounds as u64;
+        let blocks = rounds.div_ceil(64);
+        let submitted = EffectiveFrames::masked(frames, None, rounds);
+        let mut loudest = match self.faults.policy() {
+            Some(AdaptivePolicy::TargetLoudest { budget }) if budget > 0 => {
+                Some(LoudestIndex::new(budget, &self.beeps_per_node))
+            }
+            _ => None,
+        };
+        let mut beeps = vec![0; n * blocks];
+        let mut deaf = vec![0; n * blocks];
+        let groups = n.div_ceil(64);
+        let mut beep_blocks = vec![[0u64; 64]; groups];
+        let mut deaf_blocks = vec![[0u64; 64]; groups];
+        let mut beepers = BitVec::zeros(n);
+        let mut deaf_round = BitVec::zeros(n);
+        let mut targets = BitVec::zeros(n);
+        for (b, start) in (0..rounds).step_by(64).enumerate() {
+            to_round_major(&mut beep_blocks, |v| submitted.word(v, b));
+            for block in &mut deaf_blocks {
+                block.fill(0);
+            }
+            for i in 0..(rounds - start).min(64) {
+                let round = first_round + (start + i) as u64;
+                self.refresh_masks(round);
+                load_round(&beep_blocks, i, &mut beepers);
+                deaf_round.clear();
+                if let Some(masks) = &self.masks {
+                    masks.apply_to_beepers(&mut beepers);
+                    deaf_round.or_assign(&masks.deaf);
+                }
+                let active = beepers.as_words().iter().any(|&w| w != 0);
+                if let Some(index) = &loudest {
+                    // Targets are muted and deafened.
+                    index.targets_into(&mut targets);
+                    let words = beepers.as_words_mut().iter_mut();
+                    let deaf_words = deaf_round.as_words_mut().iter_mut();
+                    for ((b, d), &t) in words.zip(deaf_words).zip(targets.as_words()) {
+                        *b &= !t;
+                        *d |= t;
+                    }
+                } else {
+                    let decision = self.faults.decide(&AdversaryView {
+                        seed: self.seed,
+                        round,
+                        beepers: &beepers,
+                        beeps_per_node: &self.beeps_per_node,
+                        last_activity: self.last_activity,
+                    });
+                    decision.apply_to_beepers(&mut beepers);
+                    for &v in decision.deafen() {
+                        deaf_round.set(v, true);
+                    }
+                }
+                if active {
+                    self.last_activity = Some(round);
+                }
+                let beep_count = beepers.count_ones();
+                self.stats.rounds += 1;
+                self.stats.beeps += beep_count as u64;
+                self.stats.listens += (n - beep_count) as u64;
+                for u in beepers.iter_ones() {
+                    let old = self.beeps_per_node[u];
+                    self.beeps_per_node[u] = old + 1;
+                    if let Some(index) = &mut loudest {
+                        index.bump(u, old);
+                    }
+                }
+                if let Some(index) = &mut loudest {
+                    index.settle(&self.beeps_per_node);
+                }
+                store_round(&mut beep_blocks, i, &beepers);
+                store_round(&mut deaf_blocks, i, &deaf_round);
+            }
+            // Rounds past the frame's end hold the submitted frames' zero
+            // tail and the zeroed deaf rounds.
+            to_node_major(&mut beep_blocks, |v, w| {
+                if v < n {
+                    beeps[v * blocks + b] = w;
+                }
+            });
+            to_node_major(&mut deaf_blocks, |v, w| {
+                if v < n {
+                    deaf[v * blocks + b] = w;
+                }
+            });
+        }
+        EffectiveFrames::Overlaid {
+            beeps,
+            deaf,
+            blocks,
+        }
+    }
+
+    /// What every node hears over a frame's effective frames, which begin
+    /// at round `first_round` — the tail both frame routes share. The OR
+    /// runs once per frame, 64 rounds per word operation. The channel,
+    /// whose flips the determinism contract keys by `(round, shard)`, runs
+    /// round by round in the context
+    /// [`run_round_bitset_into`](Self::run_round_bitset_into) builds, on
+    /// exactly the bits it sees there (adversarial erasure reads them),
+    /// with the effective beepers protected under noise-free self-hearing.
+    /// Deaf nodes' heard bits are cleared after it. Per-round beeper words
+    /// are built only for a recorded transcript, which records the
+    /// effective beepers, or noise-free self-hearing. Stats and energy are
+    /// the caller's.
+    fn hear_frame(
+        &mut self,
+        frames: &EffectiveFrames<'_>,
+        first_round: u64,
+        rounds: usize,
+        heard: &mut [BitVec],
+    ) {
+        let n = self.graph.node_count();
+        self.prepare_samplers();
+        for h in heard.iter_mut() {
+            h.clear();
+        }
+        for u in 0..n {
+            let Some(words) = frames.words(u) else {
+                continue;
+            };
+            if words.iter().all(|&w| w == 0) {
+                continue;
+            }
+            or_words_wide(heard[u].as_words_mut(), words);
+            for &w in self.graph.neighbors(u) {
+                or_words_wide(heard[w].as_words_mut(), words);
+            }
+        }
 
         let noisy = !self.channel.is_noiseless();
         let recording = self.transcript.is_some();
         let need_beepers = recording || (noisy && !self.self_hearing_noisy);
-        if !noisy && !recording {
-            return;
-        }
-        let groups = n.div_ceil(64);
-        let mut send = vec![[0u64; 64]; if need_beepers { groups } else { 0 }];
-        let mut recv = vec![[0u64; 64]; if noisy { groups } else { 0 }];
-        let mut beepers = BitVec::zeros(n);
-        let mut received = BitVec::zeros(n);
-        for (b, start) in (0..rounds).step_by(64).enumerate() {
-            let block_rounds = (rounds - start).min(64);
-            to_round_major(&mut send, |v| frames.word(v, b));
-            to_round_major(&mut recv, |v| heard.get(v).map_or(0, |h| h.as_words()[b]));
-            for i in 0..block_rounds {
-                load_round(&send, i, &mut beepers);
-                if noisy {
-                    load_round(&recv, i, &mut received);
-                    let round = first_round + (start + i) as u64;
-                    apply_channel_sharded(
-                        &self.channel,
-                        &self.channel_ctx(round, &beepers),
-                        &mut received,
-                    );
-                    store_round(&mut recv, i, &received);
+        if noisy || recording {
+            let groups = n.div_ceil(64);
+            let mut send = vec![[0u64; 64]; if need_beepers { groups } else { 0 }];
+            let mut recv = vec![[0u64; 64]; if noisy { groups } else { 0 }];
+            let mut beepers = BitVec::zeros(n);
+            let mut received = BitVec::zeros(n);
+            for (b, start) in (0..rounds).step_by(64).enumerate() {
+                to_round_major(&mut send, |v| frames.word(v, b));
+                to_round_major(&mut recv, |v| heard.get(v).map_or(0, |h| h.as_words()[b]));
+                for i in 0..(rounds - start).min(64) {
+                    load_round(&send, i, &mut beepers);
+                    if noisy {
+                        load_round(&recv, i, &mut received);
+                        let round = first_round + (start + i) as u64;
+                        apply_channel_sharded(
+                            &self.channel,
+                            &self.channel_ctx(round, &beepers),
+                            &mut received,
+                        );
+                        store_round(&mut recv, i, &received);
+                    }
+                    if let Some(t) = &mut self.transcript {
+                        t.push(beepers.clone());
+                    }
                 }
-                if let Some(t) = &mut self.transcript {
-                    t.push(beepers.clone());
-                }
+                // Rounds past the frame's end hold the heard strings' zero
+                // tail, which no channel pass touched.
+                to_node_major(&mut recv, |v, w| {
+                    if let Some(h) = heard.get_mut(v) {
+                        h.as_words_mut()[b] = w;
+                    }
+                });
             }
-            // Rounds past the frame's end hold the heard strings' zero
-            // tail, which no channel pass touched.
-            to_node_major(&mut recv, heard, b);
         }
-    }
-
-    /// The frame path under an adaptive plan, whose decisions are per
-    /// round, or a static plan with a crash round inside the frame: each
-    /// round goes through
-    /// [`run_round_bitset_into`](Self::run_round_bitset_into) on its own.
-    fn run_faulted_frame(
-        &mut self,
-        frames: &[Option<BitVec>],
-        rounds: usize,
-        heard: &mut [BitVec],
-    ) -> Result<(), NetError> {
-        let n = self.graph.node_count();
-        // The per-round kernel applies the overlay itself.
-        let submitted = EffectiveFrames::new(frames, None, rounds);
-        let groups = n.div_ceil(64);
-        let mut send = vec![[0u64; 64]; groups];
-        let mut recv = vec![[0u64; 64]; groups];
-        let mut beepers = BitVec::zeros(n);
-        let mut received = BitVec::zeros(n);
-        for (b, start) in (0..rounds).step_by(64).enumerate() {
-            let block_rounds = (rounds - start).min(64);
-            to_round_major(&mut send, |v| submitted.word(v, b));
-            for i in 0..block_rounds {
-                load_round(&send, i, &mut beepers);
-                self.run_round_bitset_into(&beepers, &mut received)?;
-                store_round(&mut recv, i, &received);
-            }
-            // Rounds past the frame's end were not run: hear silence.
-            for block in &mut recv {
-                block[block_rounds..].fill(0);
-            }
-            to_node_major(&mut recv, heard, b);
-        }
-        Ok(())
+        frames.clear_deaf(heard);
     }
 
     /// [`run_frame_into`](Self::run_frame_into) under the name the

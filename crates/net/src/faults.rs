@@ -30,7 +30,9 @@
 //! prefix plus the reserved [`ADAPTIVE_POLICY_STREAM`] — so adaptive runs
 //! stay bit-identical at every shard count, and a policy draws from a
 //! stream disjoint from both the channel streams and the static plan
-//! realization stream.
+//! realization stream. Nothing the adversary observes depends on what the
+//! channel delivered, so the engine fixes every decision of a frame
+//! before the frame's neighborhood OR.
 
 use crate::error::NetError;
 use crate::node::Action;
@@ -130,7 +132,7 @@ impl AdversaryView<'_> {
 /// One round's adaptive fault choices: node sets the adversary forces to
 /// beep, forces silent, or deafens. Applied by every kernel through the
 /// same two override passes as a static plan: `spam`/`mute` edit the
-/// beeper bitmap before the shard fan-out (mute wins where both name a
+/// beeper bitmap before the neighborhood OR (mute wins where both name a
 /// node), `deafen` clears received bits after the channel.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RoundFaults {
@@ -209,9 +211,12 @@ pub enum AdaptivePolicy {
     /// muted and deafened — a per-round targeted outage of whoever
     /// carries the most information.
     ///
-    /// Each round costs `O(n)` and sorts nothing over `n`: a linear-time
-    /// selection finds the budget-th largest count, and one ascending
-    /// pass over the nodes lists the targets.
+    /// [`decide`](Self::decide) costs `O(n)` a round and sorts nothing
+    /// over `n`: a linear-time selection finds the budget-th largest
+    /// count, and one ascending pass over the nodes lists the targets.
+    /// A frame through [`crate::BeepNetwork::run_frame_into`] makes that
+    /// selection once and then keeps the ranking up to date as counts
+    /// grow, at `O(beepers + budget + n/64)` a round.
     TargetLoudest {
         /// Maximum nodes jammed per round (0 = provable no-op).
         budget: usize,
@@ -425,7 +430,7 @@ impl FaultPlan {
 
     /// Attaches an [`AdaptivePolicy`] to the plan: from then on the
     /// engine asks the policy for extra per-round faults (computed once
-    /// per round, before the shard fan-out) on top of the static
+    /// per round, before the neighborhood OR) on top of the static
     /// assignments.
     #[must_use]
     pub fn with_policy(mut self, policy: AdaptivePolicy) -> Self {
@@ -579,6 +584,101 @@ impl StaticMasks {
     pub(crate) fn apply_to_received(&self, received: &mut BitVec) {
         for (r, &d) in received.as_words_mut().iter_mut().zip(self.deaf.as_words()) {
             *r &= !d;
+        }
+    }
+}
+
+/// [`AdaptivePolicy::TargetLoudest`]'s ranking, kept up to date across
+/// the rounds of one frame instead of selected afresh every round.
+///
+/// `t` is the budget-th largest count, or 0 while fewer than `budget`
+/// counts are positive. The targets are every node above `t` plus the
+/// lowest ids at `t` up to the budget, exactly
+/// [`decide`](AdaptivePolicy::decide)'s. Counts only grow, so `t` never
+/// falls: a round's beeps lift nodes to or above it, and
+/// [`settle`](Self::settle) raises it while at least `budget` counts lie
+/// above it. A round costs `O(beepers + budget + n/64)`.
+#[derive(Debug)]
+pub(crate) struct LoudestIndex {
+    budget: usize,
+    t: u64,
+    /// How many counts lie above `t`.
+    above_count: usize,
+    /// The nodes whose count lies above `t`.
+    above: BitVec,
+    /// The nodes whose count is `t`.
+    at: BitVec,
+}
+
+impl LoudestIndex {
+    /// The index over one count per node, by `decide`'s selection.
+    pub(crate) fn new(budget: usize, counts: &[u64]) -> Self {
+        debug_assert!(budget > 0, "a zero budget is a no-op policy");
+        let mut positive: Vec<u64> = counts.iter().copied().filter(|&c| c > 0).collect();
+        let t = match positive.len().checked_sub(budget) {
+            Some(k) => *positive.select_nth_unstable(k).1,
+            None => 0,
+        };
+        let above = BitVec::from_fn(counts.len(), |v| counts[v] > t);
+        LoudestIndex {
+            budget,
+            t,
+            above_count: above.count_ones(),
+            above,
+            at: BitVec::from_fn(counts.len(), |v| counts[v] == t),
+        }
+    }
+
+    /// Writes the round's targets into `targets`, a bitmap over the nodes.
+    pub(crate) fn targets_into(&self, targets: &mut BitVec) {
+        // While `t` is 0 fewer than `budget` nodes have beeped, and a node
+        // that never beeped is not worth a slot of the budget.
+        let mut ties = if self.t > 0 {
+            self.budget - self.above_count
+        } else {
+            0
+        };
+        let words = self.above.as_words().iter().zip(self.at.as_words());
+        for (out, (&above, &at)) in targets.as_words_mut().iter_mut().zip(words) {
+            let (mut word, mut at) = (above, at);
+            while ties > 0 && at != 0 {
+                let lowest = at & at.wrapping_neg();
+                word |= lowest;
+                at ^= lowest;
+                ties -= 1;
+            }
+            *out = word;
+        }
+    }
+
+    /// Records one beep of node `v`, whose count was `old` before it.
+    /// Between two [`settle`](Self::settle)s a node beeps at most once.
+    pub(crate) fn bump(&mut self, v: usize, old: u64) {
+        if old == self.t {
+            self.at.set(v, false);
+            self.above.set(v, true);
+            self.above_count += 1;
+        } else if old + 1 == self.t {
+            self.at.set(v, true);
+        }
+    }
+
+    /// Raises `t` after a round's beeps while at least `budget` of the
+    /// `counts` lie above it.
+    pub(crate) fn settle(&mut self, counts: &[u64]) {
+        while self.above_count >= self.budget {
+            self.t += 1;
+            self.at.clear();
+            for v in self.above.iter_ones() {
+                if counts[v] == self.t {
+                    self.at.set(v, true);
+                }
+            }
+            let above = self.above.as_words_mut().iter_mut();
+            for (a, &at) in above.zip(self.at.as_words()) {
+                *a &= !at;
+            }
+            self.above_count = self.above.count_ones();
         }
     }
 }
@@ -831,6 +931,46 @@ mod tests {
         assert!(FaultPlan::from_policy(p)
             .decide(&view(9, 5, &beepers, &silent, None))
             .is_empty());
+    }
+
+    #[test]
+    fn loudest_index_targets_match_decide_round_by_round() {
+        // Counts shaped like `faults_props`' `counts_and_budget` (small
+        // counts full of zeros and ties, and lifted outliers) and budgets
+        // from 1 to n + 2. Each round the index's targets must be
+        // `decide`'s; then random non-targets beep, at a density drawn per
+        // round, as the engine's muted targets never do.
+        let mut rng = StdRng::seed_from_u64(0x10D);
+        for case in 0..400 {
+            let n = rng.random_range(1..300);
+            let mut counts: Vec<u64> = (0..n)
+                .map(|_| {
+                    rng.random_range(0..6u64) + 1000 * u64::from(rng.random_range(0..16u32) == 0)
+                })
+                .collect();
+            let budget = rng.random_range(1..=n + 2);
+            let policy = AdaptivePolicy::TargetLoudest { budget };
+            let mut index = LoudestIndex::new(budget, &counts);
+            let mut targets = BitVec::zeros(n);
+            let submitted = BitVec::zeros(n);
+            for round in 0..150 {
+                index.targets_into(&mut targets);
+                let expected = policy.decide(&view(0, round, &submitted, &counts, None));
+                assert_eq!(
+                    targets.one_positions(),
+                    expected.mute(),
+                    "case {case} round {round} budget {budget}"
+                );
+                let density = [0.0, 0.05, 0.3, 0.9][rng.random_range(0..4usize)];
+                for (v, count) in counts.iter_mut().enumerate() {
+                    if !targets.get(v) && rng.random_bool(density) {
+                        index.bump(v, *count);
+                        *count += 1;
+                    }
+                }
+                index.settle(&counts);
+            }
+        }
     }
 
     #[test]

@@ -879,6 +879,50 @@ fn static_frame_plans(n: usize, len: usize) -> [(String, FaultPlan); STATIC_PLAN
     ]
 }
 
+/// How many plans [`adaptive_frame_plans`] lists.
+const ADAPTIVE_PLANS: usize = 7;
+
+/// The adaptive plans the frame oracle sweeps, whose frames go through the
+/// overlay pass: `TargetLoudest` at a budget of 1, below, near and above a
+/// quarter of the nodes and past the node count (where every node that
+/// has beeped is a target), `RushingSpam`, a crash inside the second frame
+/// under `TargetLoudest`, and mute nodes under `RushingSpam`.
+fn adaptive_frame_plans(n: usize, len: usize) -> [(String, FaultPlan); ADAPTIVE_PLANS] {
+    let crash = FaultKind::Crash {
+        round: (len + len / 2) as u64,
+    };
+    let loudest = |budget| {
+        let policy = AdaptivePolicy::TargetLoudest { budget };
+        (policy.label(), FaultPlan::from_policy(policy))
+    };
+    let rushing = AdaptivePolicy::RushingSpam {
+        budget: n / 8 + 1,
+        window: 2,
+    };
+    [
+        loudest(1),
+        loudest(n / 8),
+        loudest(n / 4 + 1),
+        loudest(n + 2),
+        (rushing.label(), FaultPlan::from_policy(rushing)),
+        (
+            "crash+loudest".into(),
+            FaultPlan::realize(n, 0.25, crash, 0xE5)
+                .unwrap()
+                .with_policy(AdaptivePolicy::TargetLoudest { budget: n / 8 + 1 }),
+        ),
+        (
+            "mute+rushing".into(),
+            FaultPlan::realize(n, 0.25, FaultKind::ByzantineMute, 0xE6)
+                .unwrap()
+                .with_policy(AdaptivePolicy::RushingSpam {
+                    budget: 2,
+                    window: 1,
+                }),
+        ),
+    ]
+}
+
 #[test]
 fn static_plan_frames_match_round_by_round_driving() {
     // Under a static plan run_frame_into takes the whole-frame path unless
@@ -888,27 +932,50 @@ fn static_plan_frames_match_round_by_round_driving() {
     // `static_frame_plans` runs its sweep on its own thread.
     std::thread::scope(|scope| {
         for k in 0..STATIC_PLANS {
-            scope.spawn(move || static_plan_sweep(k));
+            scope.spawn(move || {
+                frame_plan_sweep(0x57A7 + k as u64, |n, len| {
+                    static_frame_plans(n, len)[k].clone()
+                });
+            });
         }
     });
 }
 
-/// The sweep of [`static_frame_plans`]' plan `k`: three frames back to
-/// back must match the same frames driven one run_round_bitset_into at a
-/// time on a twin, under every channel, shards {1, 2, 8}, noisy and
-/// noise-free self-hearing, with and without transcripts — heard frames,
-/// stats, per-node energy and transcripts. A transcript does not change
-/// what is heard, so one recording twin per self-hearing setting serves
-/// both transcript settings. Every frame is silent in its last round; a
+#[test]
+fn adaptive_plan_frames_match_round_by_round_driving() {
+    // Under an adaptive plan, or across a crash round, run_frame_into
+    // fixes every round's effective beepers and deaf set in one overlay
+    // pass (`TargetLoudest` from a ranking kept across the frame), then
+    // ORs the frame once and runs the channel per round. Each plan of
+    // `adaptive_frame_plans` runs its sweep on its own thread.
+    std::thread::scope(|scope| {
+        for k in 0..ADAPTIVE_PLANS {
+            scope.spawn(move || {
+                frame_plan_sweep(0xADA9 + k as u64, |n, len| {
+                    adaptive_frame_plans(n, len)[k].clone()
+                });
+            });
+        }
+    });
+}
+
+/// The sweep of the plan `plan(n, len)` names for each frame topology and
+/// frame length, on frames drawn from `seed`: three frames back to back
+/// must match the same frames driven one run_round_bitset_into at a time
+/// on a twin, under every channel, shards {1, 2, 8}, noisy and noise-free
+/// self-hearing, with and without transcripts — heard frames, stats,
+/// per-node energy and transcripts. A transcript does not change what is
+/// heard, so one recording twin per self-hearing setting serves both
+/// transcript settings. Every frame is silent in its last round; a
 /// rushing adversary installed on both networks afterwards reads the
-/// `last_activity` the frames left behind, and the late crash lands in
+/// `last_activity` the frames left behind, and a late crash lands in
 /// those rounds.
-fn static_plan_sweep(k: usize) {
-    let mut rng = StdRng::seed_from_u64(0x57A7 + k as u64);
+fn frame_plan_sweep(seed: u64, plan: impl Fn(usize, usize) -> (String, FaultPlan)) {
+    let mut rng = StdRng::seed_from_u64(seed);
     for (name, graph) in frame_topologies() {
         let n = graph.node_count();
         for len in FRAME_LENS {
-            let (plan_name, plan) = static_frame_plans(n, len)[k].clone();
+            let (plan_name, plan) = plan(n, len);
             let rushing = plan.clone().with_policy(AdaptivePolicy::RushingSpam {
                 budget: n / 4 + 1,
                 window: 2,
