@@ -1,35 +1,33 @@
 //! E8: round-engine throughput — the scalar reference `run_round` versus
 //! the bit-parallel `run_round_bitset` kernel, on sparse-beeper rounds at
 //! n ∈ {1k, 10k, 100k} (the regime every protocol phase lives in: a few
-//! transmitters, everyone else listening), plus the `run_frame` frame
-//! driver.
+//! transmitters, everyone else listening), plus the `run_frame_into`
+//! frame driver.
 //!
-//! Besides the per-kernel timings, the bench measures and prints the
-//! scalar/bitset speedup directly and writes the machine-readable
-//! `BENCH_e8.json` metrics file (see `beep_bench::perfjson`) that CI's
-//! perf bars parse; CI's bars are ≥ 5× at n = 10 000 and at n = 100 000.
-//! Every size also reports the headline `node_rounds_per_sec_n{n}`
-//! throughput metric, which the uploaded artifact records for each run.
-//! `frame_speedup` is a noisy frame of Algorithm 1's shape through the
-//! fault-free frame path against the same frame driven round by round,
-//! the median ratio of paired runs; CI's bar for it is ≥ 1.3×.
-//! `loudest_frame_speedup` is the same ratio for a slot vote's frame under
-//! `TargetLoudest`, whose rounds the frame path fixes in one overlay pass
-//! with the ranking kept across the frame, while round-by-round driving
-//! selects the targets afresh every round; CI's bar for it is ≥ 2×.
+//! A plain program (`harness = false`) that times with `Instant` alone:
+//! `cargo bench -p beep-bench --bench e8_engine` prints each reading and
+//! writes the machine-readable `BENCH_e8.json` metrics file (see
+//! `beep_bench::perfjson`) that CI's perf bars parse. Each size reports
+//! the scalar and bitset medians, their ratio `speedup_n{n}` (CI's bars:
+//! ≥ 5× at n = 10 000 and at n = 100 000) and the headline
+//! `node_rounds_per_sec_n{n}` throughput, which the uploaded artifact
+//! records for each run. `frame_ns` times a noiseless frame through
+//! `run_frame_into`. `frame_speedup` is a noisy frame of Algorithm 1's
+//! shape through the fault-free frame path against the same frame driven
+//! round by round, the median ratio of paired runs; CI's bar for it is
+//! ≥ 1.3×. `loudest_frame_speedup` is the same ratio for a slot vote's
+//! frame under `TargetLoudest`, whose rounds the frame path fixes in one
+//! overlay pass with the ranking kept across the frame, while
+//! round-by-round driving selects the targets afresh every round; CI's
+//! bar for it is ≥ 2×. Every bar is a ratio within one run, so no number
+//! is compared across machines.
 
 use beep_bits::BitVec;
 use beep_net::{topology, Action, AdaptivePolicy, BeepNetwork, FaultPlan, Graph, Noise};
-use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::hint::black_box;
-use std::sync::Mutex;
 use std::time::Instant;
-
-/// Metrics accumulated across the criterion target functions; the last
-/// target writes `BENCH_e8.json` so one file carries the whole bench.
-static METRICS: Mutex<Vec<(String, f64)>> = Mutex::new(Vec::new());
 
 const DEGREE: usize = 8;
 const BEEPERS: usize = 16;
@@ -60,10 +58,9 @@ fn median(mut xs: Vec<f64>) -> f64 {
     xs[xs.len() / 2]
 }
 
-/// Median wall-clock of `samples` runs of `f` (separate from the criterion
-/// reporting: used to print the speedup ratio the acceptance bar names).
+/// Median wall-clock of `samples` runs of `f`, after one warm-up run.
 fn median_nanos(samples: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warm-up
+    f();
     median((0..samples).map(|_| nanos(&mut f)).collect())
 }
 
@@ -87,28 +84,13 @@ fn paired_nanos(pairs: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> Vec<(
         .collect()
 }
 
-fn bench_round_kernels(c: &mut Criterion) {
-    let mut group = c.benchmark_group("round_engine");
-    let mut metrics: Vec<(String, f64)> = Vec::new();
+/// The scalar round against the bitset round on [`sparse_instance`] at
+/// each size, as the median of 30 runs each: the `scalar_ns_n*`,
+/// `bitset_ns_n*`, `speedup_n*` and `node_rounds_per_sec_n*` metrics.
+fn round_kernel_metrics() -> Vec<(String, f64)> {
+    let mut metrics = Vec::new();
     for n in [1_000usize, 10_000, 100_000] {
         let (graph, actions, beepers) = sparse_instance(n);
-
-        let mut scalar_net = BeepNetwork::new(graph.clone(), Noise::Noiseless, 1);
-        group.bench_function(format!("scalar n={n} beepers={BEEPERS}"), |b| {
-            b.iter(|| black_box(scalar_net.run_round(black_box(&actions)).unwrap()));
-        });
-
-        let mut bitset_net = BeepNetwork::new(graph.clone(), Noise::Noiseless, 1);
-        group.bench_function(format!("bitset n={n} beepers={BEEPERS}"), |b| {
-            b.iter(|| black_box(bitset_net.run_round_bitset(black_box(&beepers)).unwrap()));
-        });
-
-        let mut noisy_net = BeepNetwork::new(graph.clone(), Noise::bernoulli(0.1), 1);
-        group.bench_function(format!("bitset noisy ε=0.1 n={n}"), |b| {
-            b.iter(|| black_box(noisy_net.run_round_bitset(black_box(&beepers)).unwrap()));
-        });
-
-        // Direct speedup measurement for the acceptance criterion.
         let mut s_net = BeepNetwork::new(graph.clone(), Noise::Noiseless, 2);
         let scalar_ns = median_nanos(30, || {
             black_box(s_net.run_round(black_box(&actions)).unwrap());
@@ -130,46 +112,28 @@ fn bench_round_kernels(c: &mut Criterion) {
             n as f64 * 1e9 / bitset_ns,
         ));
     }
-    group.finish();
-    METRICS.lock().unwrap().extend(metrics);
+    metrics
 }
 
-fn bench_frame_kernel(c: &mut Criterion) {
-    let mut group = c.benchmark_group("frame_engine");
+/// The median of 15 runs of a noiseless 64-round frame from 16
+/// transmitters with random frames on [`sparse_instance`]`(10_000)`,
+/// through `run_frame_into` with a reused buffer: the `frame_ns` metric.
+fn frame_ns() -> f64 {
     let n = 10_000;
     let len = 64;
     let (graph, _, _) = sparse_instance(n);
-    // 16 transmitters with dense 64-bit frames, the rest silent.
     let mut rng = StdRng::seed_from_u64(3);
     let frames: Vec<Option<BitVec>> = (0..n)
         .map(|v| (v % (n / BEEPERS) == 0).then(|| BitVec::random_uniform(len, &mut rng)))
         .collect();
-    let mut net = BeepNetwork::new(graph.clone(), Noise::Noiseless, 4);
-    group.bench_function(format!("run_frame n={n} len={len}"), |b| {
-        b.iter(|| black_box(net.run_frame(black_box(&frames)).unwrap()));
-    });
-    group.finish();
-
-    // Direct median of the reuse-buffer driver for the metrics file.
-    let mut f_net = BeepNetwork::new(graph, Noise::Noiseless, 5);
+    let mut net = BeepNetwork::new(graph, Noise::Noiseless, 5);
     let mut heard = Vec::new();
     let frame_ns = median_nanos(15, || {
-        f_net.run_frame_into(&frames, len, &mut heard).unwrap();
+        net.run_frame_into(&frames, len, &mut heard).unwrap();
         black_box(&heard);
     });
     println!("run_frame_into n={n} len={len}: {frame_ns:.0} ns");
-    let frame_speedup = alg1_frame_speedup();
-    let loudest_frame_speedup = loudest_frame_speedup();
-    let mut metrics = METRICS.lock().unwrap();
-    metrics.push(("frame_ns".into(), frame_ns));
-    metrics.push(("frame_speedup".into(), frame_speedup));
-    metrics.push(("loudest_frame_speedup".into(), loudest_frame_speedup));
-    // The JSON file is CI's perf contract — a failed write must fail the
-    // bench, or the perf bar would validate stale cached metrics. This is
-    // the last criterion target, so the file carries every group above.
-    let path = beep_bench::perfjson::write_bench_json("e8", &metrics)
-        .expect("BENCH_e8.json must be written (CI's perf bar reads it)");
-    println!("metrics written to {}", path.display());
+    frame_ns
 }
 
 /// One noisy phase frame of Algorithm 1's shape (`perfbench`'s
@@ -275,9 +239,14 @@ fn paired_frame_speedup(
     speedup
 }
 
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_round_kernels, bench_frame_kernel
+fn main() {
+    let mut metrics = round_kernel_metrics();
+    metrics.push(("frame_ns".into(), frame_ns()));
+    metrics.push(("frame_speedup".into(), alg1_frame_speedup()));
+    metrics.push(("loudest_frame_speedup".into(), loudest_frame_speedup()));
+    // The JSON file is CI's perf contract: a failed write must fail the
+    // bench, or the perf bars would read stale metrics.
+    let path = beep_bench::perfjson::write_bench_json("e8", &metrics)
+        .expect("BENCH_e8.json must be written (CI's perf bars read it)");
+    println!("metrics written to {}", path.display());
 }
-criterion_main!(benches);

@@ -15,11 +15,12 @@
 //! Wall-clock performance lives in two places. The end-to-end benchmark
 //! (`perfbench/`, its own package) times Algorithm 1, the TDMA baseline
 //! and a fault-tolerant campaign; every performance claim rests on it. The
-//! Criterion benches (`cargo bench`) time the pieces beneath: bulk bit
-//! operations (e0), the codes' encoders and decoders (e1) and the round
-//! engine (e8–e12), whose benches also write machine-readable
-//! `BENCH_*.json` metric files (see [`perfjson`]) that CI's structural
-//! perf bars parse and uploads as an artifact.
+//! one bench target, `e8_engine` (`cargo bench`, a plain program timed
+//! with `Instant`), times the round engine beneath: the scalar against
+//! the bitset round and the frame path against round-by-round driving. It
+//! writes the machine-readable `BENCH_e8.json` metrics file (see
+//! [`perfjson`]), which CI's perf bars parse and CI uploads as an
+//! artifact.
 //!
 //! Scenario sweeps are driven by the `campaign` binary (a thin CLI over
 //! `beep-scenarios`):

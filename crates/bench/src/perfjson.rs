@@ -1,10 +1,9 @@
 //! Machine-readable bench metrics (`beep-bench-metrics`, version 1).
 //!
-//! The engine benches print human-oriented criterion text *and* write a
-//! small JSON metrics file per bench — `BENCH_e8.json` … `BENCH_e12.json`
-//! — that CI's structural perf bars parse (the `check_bench` binary)
-//! instead of grepping the text, and that CI uploads as a workflow
-//! artifact, the record of each run's throughput.
+//! The `e8_engine` bench prints human-oriented lines *and* writes a small
+//! JSON metrics file, `BENCH_e8.json`, that CI's perf bars parse (the
+//! `check_bench` binary) instead of grepping the text, and that CI
+//! uploads as a workflow artifact, the record of each run's throughput.
 //!
 //! Schema:
 //!

@@ -10,14 +10,17 @@
 //!
 //! Both decoders come in two flavors:
 //!
-//! * **candidate decoding** — score an explicit candidate list. This is what
-//!   the network simulator uses: scoring every node's codeword plus random
-//!   decoys measures exactly the error events Lemmas 8–10 bound, without the
-//!   `2^a` enumeration the paper's information-theoretic decoder performs
-//!   (see ARCHITECTURE.md, *Candidate-and-decoy decoding*). The simulator
-//!   hands both decoders codewords it has already computed
-//!   ([`SetDecoder::accepts_codeword`], [`MessageDecoder::decode_encoded`]),
-//!   so each is encoded once per round.
+//! * **candidate decoding** — test or score explicit candidates. This is
+//!   what the network simulator uses: testing every node's codeword plus
+//!   random decoys measures exactly the error events Lemmas 8–10 bound,
+//!   without the `2^a` enumeration the paper's information-theoretic
+//!   decoder performs (see ARCHITECTURE.md, *Candidate-and-decoy
+//!   decoding*). The set decoder tests one candidate at a time; the
+//!   message decoder scores a list. The simulator hands both decoders
+//!   codewords it has already computed ([`SetDecoder::accepts_codeword`],
+//!   [`MessageDecoder::decode_encoded`]), so each is encoded once per
+//!   round; [`SetDecoder::accepts`] and
+//!   [`MessageDecoder::decode_candidates`] encode their inputs first.
 //! * **exhaustive decoding** — enumerate the full input space; exact but
 //!   exponential, intended for validating the candidate decoder at small
 //!   sizes and for tests.
@@ -81,32 +84,6 @@ impl<'a> SetDecoder<'a> {
     #[must_use]
     pub fn accepts(&self, r: &BitVec, received: &BitVec) -> bool {
         self.accepts_codeword(&self.code.encode(r), received)
-    }
-
-    /// Filters a candidate list down to the accepted inputs, preserving
-    /// order. This is the simulator's decoder: candidates are all inputs in
-    /// play (plus decoys for false-positive estimation).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodeError::ReceivedLength`] if `received` is not one
-    /// codeword long.
-    pub fn decode_candidates<'b>(
-        &self,
-        received: &BitVec,
-        candidates: impl IntoIterator<Item = &'b BitVec>,
-    ) -> Result<Vec<BitVec>, CodeError> {
-        if received.len() != self.code.params().length() {
-            return Err(CodeError::ReceivedLength {
-                expected: self.code.params().length(),
-                actual: received.len(),
-            });
-        }
-        Ok(candidates
-            .into_iter()
-            .filter(|r| self.accepts(r, received))
-            .cloned()
-            .collect())
     }
 
     /// Exhaustively decodes by enumerating all `2^a` inputs — the paper's
@@ -295,13 +272,16 @@ mod tests {
         for r in &inputs {
             assert!(decoder.accepts(r, &received), "transmitted {r:?} rejected");
         }
-        // Candidate decode over transmitted + non-transmitted returns
-        // exactly the transmitted set (w.h.p. at these parameters).
+        // Filtering transmitted + non-transmitted candidates by acceptance
+        // leaves exactly the transmitted set (w.h.p. at these parameters).
         let mut candidates = inputs.clone();
         for v in [0u64, 1, 2, 99, 255] {
             candidates.push(BitVec::from_u64_lsb(v, 8));
         }
-        let decoded = decoder.decode_candidates(&received, &candidates).unwrap();
+        let decoded: Vec<BitVec> = candidates
+            .into_iter()
+            .filter(|r| decoder.accepts(r, &received))
+            .collect();
         assert_eq!(decoded, inputs);
     }
 
@@ -364,7 +344,7 @@ mod tests {
         let decoder = SetDecoder::new(&code, 0.0);
         let short = BitVec::zeros(code.params().length() - 1);
         assert!(matches!(
-            decoder.decode_candidates(&short, std::iter::empty()),
+            decoder.decode_exhaustive(&short),
             Err(CodeError::ReceivedLength { .. })
         ));
     }

@@ -22,12 +22,6 @@ const DENSE_WORD_BUDGET: usize = 1 << 21;
 /// [`BeepNetwork::set_shard_count`].
 const DEFAULT_SHARD_COUNT: usize = 8;
 
-/// Beeper-density threshold of the sparse kernel: at `16·#beepers ≥ n`
-/// the destination-side gather (early-exit neighbor scan per listener)
-/// beats the source-side scatter (each beeper's adjacency list).
-/// Cost-only — both strategies write the same bits.
-const GATHER_DENSITY_FACTOR: usize = 16;
-
 /// How [`BeepNetwork::run_round_bitset`] computes the neighborhood OR.
 #[derive(Debug)]
 enum AdjKernel {
@@ -77,14 +71,12 @@ impl AdjKernel {
 
     /// Writes one round's pre-channel received bits into `out`: the
     /// beepers themselves (self-hearing, Section 1.5) ORed with every
-    /// beeper's neighborhood, by this kernel. `beep_count` is the number
-    /// of set bits of `beepers`. The first call on pending dense rows
-    /// builds them.
-    fn or_into(&mut self, graph: &Graph, beepers: &BitVec, beep_count: usize, out: &mut BitVec) {
+    /// beeper's neighborhood, by this kernel. The first call on pending
+    /// dense rows builds them.
+    fn or_into(&mut self, graph: &Graph, beepers: &BitVec, out: &mut BitVec) {
         if matches!(self, AdjKernel::DensePending) {
             *self = AdjKernel::dense(graph);
         }
-        let n = graph.node_count();
         let out = out.as_words_mut();
         out.copy_from_slice(beepers.as_words());
         if let AdjKernel::Dense(rows) = self {
@@ -93,36 +85,11 @@ impl AdjKernel {
             for u in beepers.iter_ones() {
                 or_words_wide(out, rows[u].as_words());
             }
-        } else if GATHER_DENSITY_FACTOR * beep_count >= n {
-            // Dense beeper set: only listeners scan their CSR
-            // neighborhood, with early exit — at ≥ n/16 beepers a hit
-            // comes fast. The listeners are the zero bits of the
-            // self-hearing copy; bits at `n` and above in the last word
-            // are not nodes.
-            let (offsets, neighbors) = graph.csr();
-            let src = beepers.as_words();
-            for (i, word) in out.iter_mut().enumerate() {
-                let base = 64 * i;
-                let mut listeners = !*word;
-                if n - base < 64 {
-                    listeners &= (1u64 << (n - base)) - 1;
-                }
-                while listeners != 0 {
-                    let v = base + listeners.trailing_zeros() as usize;
-                    listeners &= listeners - 1;
-                    if neighbors[offsets[v]..offsets[v + 1]]
-                        .iter()
-                        .any(|&u| src[u / 64] >> (u % 64) & 1 != 0)
-                    {
-                        *word |= 1 << (v % 64);
-                    }
-                }
-            }
         } else {
-            // Sparse beeper set: scatter each beeper's CSR adjacency list.
-            // Consecutive neighbors usually share an output word (lists
-            // are sorted), so bits accumulate in a register and flush once
-            // per word instead of read-modify-writing memory per neighbor.
+            // Scatter each beeper's CSR adjacency list. Consecutive
+            // neighbors usually share an output word (lists are sorted),
+            // so bits accumulate in a register and flush once per word
+            // instead of read-modify-writing memory per neighbor.
             for u in beepers.iter_ones() {
                 let mut cur = usize::MAX;
                 let mut acc = 0u64;
@@ -683,11 +650,10 @@ impl BeepNetwork {
     /// [`shard_count`](Self::shard_count) word-aligned shards of its
     /// stream layout. The graph alone picks the OR kernel: on a small
     /// dense graph each beeper ORs its precomputed adjacency bitmask row;
-    /// on any other graph each beeper scatters its adjacency list,
-    /// switching to an early-exit neighborhood gather when beepers are
-    /// dense — so a sparse-beeper round is `O(Σ deg(beeper) + n/64)`
-    /// instead of the scalar path's `O(n + m)`. Under
-    /// [`Noise::Bernoulli`](crate::Noise::Bernoulli) the channel is
+    /// on any other graph each beeper scatters its adjacency list, at
+    /// any beeper density — so a sparse-beeper round is
+    /// `O(Σ deg(beeper) + n/64)` instead of the scalar path's `O(n + m)`.
+    /// Under [`Noise::Bernoulli`](crate::Noise::Bernoulli) the channel is
     /// applied with geometric-skip batch sampling (`O(ε·n)` expected RNG
     /// draws, each answered by a [`FlipSampler`] table built on the first
     /// noisy round) from per-shard counter-keyed streams; see the
@@ -774,8 +740,7 @@ impl BeepNetwork {
         };
         let beep_count = beepers.count_ones();
         let pre_adaptive_active = pre_adaptive_count.map_or(beep_count > 0, |c| c > 0);
-        self.kernel
-            .or_into(&self.graph, beepers, beep_count, received);
+        self.kernel.or_into(&self.graph, beepers, received);
         // The channel, which the determinism contract keys per
         // (round, shard), runs shard by shard, as the scalar oracle does.
         apply_channel_sharded(&self.channel, &self.channel_ctx(round, beepers), received);
@@ -1226,6 +1191,7 @@ impl BeepNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultKind;
     use crate::{topology, Noise};
 
     fn all_listen(n: usize) -> Vec<Action> {
@@ -1812,5 +1778,129 @@ mod tests {
             net.run_protocols(&mut protos, 5),
             Err(NetError::RoundBudgetExhausted { budget: 5 })
         );
+    }
+
+    /// The case after `prev` in a walk over every [`ChannelModel`]
+    /// variant (`None` starts it and ends it). The match has no wildcard
+    /// arm, so a new variant does not compile until it has an arm here,
+    /// and its arm is where it joins the walk.
+    fn channel_after(prev: Option<&ChannelModel>, n: usize) -> Option<ChannelModel> {
+        use crate::channel::{AdversarialErasure, GilbertElliott, PerNodeEps};
+        match prev {
+            None => Some(Noise::bernoulli(0.2).into()),
+            Some(ChannelModel::Iid(_)) => Some(
+                GilbertElliott::try_new(0.05, 0.3, 0.25, 0.4)
+                    .unwrap()
+                    .into(),
+            ),
+            Some(ChannelModel::GilbertElliott(_)) => {
+                Some(PerNodeEps::try_new(vec![0.0, 0.1, 0.3]).unwrap().into())
+            }
+            Some(ChannelModel::PerNodeEps(_)) => {
+                Some(AdversarialErasure::try_new(n / 4 + 1, 0.1).unwrap().into())
+            }
+            Some(ChannelModel::AdversarialErasure(_)) => None,
+        }
+    }
+
+    /// [`channel_after`]'s walk over every [`FaultKind`] variant. The crash
+    /// round falls inside the test's frame.
+    fn fault_kind_after(prev: Option<FaultKind>) -> Option<FaultKind> {
+        match prev {
+            None => Some(FaultKind::Crash { round: 5 }),
+            Some(FaultKind::Crash { .. }) => Some(FaultKind::ByzantineSpam),
+            Some(FaultKind::ByzantineSpam) => Some(FaultKind::ByzantineMute),
+            Some(FaultKind::ByzantineMute) => None,
+        }
+    }
+
+    /// [`channel_after`]'s walk over every [`AdaptivePolicy`] variant.
+    fn policy_after(prev: Option<AdaptivePolicy>, n: usize) -> Option<AdaptivePolicy> {
+        let budget = n / 8 + 1;
+        match prev {
+            None => Some(AdaptivePolicy::TargetLoudest { budget }),
+            Some(AdaptivePolicy::TargetLoudest { .. }) => {
+                Some(AdaptivePolicy::RushingSpam { budget, window: 2 })
+            }
+            Some(AdaptivePolicy::RushingSpam { .. }) => None,
+        }
+    }
+
+    /// Drives `frames` (`None` = listen) through `run_round`,
+    /// `run_round_bitset` and `run_frame` on three networks that `net`
+    /// builds alike, and asserts that every node hears the same bits in
+    /// every round and that stats and energy agree.
+    fn assert_kernels_agree(what: &str, net: impl Fn() -> BeepNetwork, frames: &[Option<BitVec>]) {
+        let (mut scalar, mut bitset, mut framed) = (net(), net(), net());
+        let heard = framed.run_frame(frames).unwrap();
+        let len = heard[0].len();
+        for i in 0..len {
+            let beepers = BitVec::from_fn(frames.len(), |v| {
+                frames[v].as_ref().is_some_and(|f| f.get(i))
+            });
+            let actions: Vec<Action> = beepers.iter_bits().map(Action::from_bit).collect();
+            let by_scalar = scalar.run_round(&actions).unwrap();
+            let by_bitset = bitset.run_round_bitset(&beepers).unwrap();
+            for (v, &bit) in by_scalar.iter().enumerate() {
+                assert_eq!(by_bitset.get(v), bit, "{what}: bitset, node {v} round {i}");
+                assert_eq!(heard[v].get(i), bit, "{what}: frame, node {v} round {i}");
+            }
+        }
+        assert_eq!(scalar.stats(), bitset.stats(), "{what}: bitset stats");
+        assert_eq!(scalar.stats(), framed.stats(), "{what}: frame stats");
+        assert_eq!(scalar.beeps_by_node(), bitset.beeps_by_node(), "{what}");
+        assert_eq!(scalar.beeps_by_node(), framed.beeps_by_node(), "{what}");
+    }
+
+    /// A tripwire for the closed sets of channels, fault kinds and
+    /// adaptive policies: the walks above reach every variant, and each
+    /// case runs one 70-round frame through all three round paths on a
+    /// dense-row graph and on a scatter graph. `tests/bitset_oracle.rs`
+    /// holds each variant to the scalar oracle in depth; this test is
+    /// where a new variant must first be covered.
+    #[test]
+    fn every_channel_fault_kind_and_policy_runs_alike_on_every_path() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x7219);
+        for graph in [
+            topology::torus(4, 5).unwrap(),
+            topology::cycle(150).unwrap(),
+        ] {
+            let n = graph.node_count();
+            let frames: Vec<Option<BitVec>> = (0..n)
+                .map(|_| {
+                    rng.random_bool(0.5)
+                        .then(|| BitVec::from_fn(70, |_| rng.random_bool(0.3)))
+                })
+                .collect();
+            let mut channel = channel_after(None, n);
+            while let Some(c) = channel {
+                let net = || BeepNetwork::new(graph.clone(), c.clone(), 11);
+                assert_kernels_agree(&c.label(), net, &frames);
+                channel = channel_after(Some(&c), n);
+            }
+            let mut kind = fault_kind_after(None);
+            while let Some(k) = kind {
+                let plan = FaultPlan::realize(n, 0.25, k, 12).unwrap();
+                let net = || {
+                    let mut net = BeepNetwork::new(graph.clone(), Noise::bernoulli(0.1), 13);
+                    net.set_fault_plan(plan.clone()).unwrap();
+                    net
+                };
+                assert_kernels_agree(k.keyword(), net, &frames);
+                kind = fault_kind_after(Some(k));
+            }
+            let mut policy = policy_after(None, n);
+            while let Some(p) = policy {
+                let net = || {
+                    let mut net = BeepNetwork::new(graph.clone(), Noise::bernoulli(0.1), 14);
+                    net.set_fault_plan(FaultPlan::from_policy(p)).unwrap();
+                    net
+                };
+                assert_kernels_agree(&p.label(), net, &frames);
+                policy = policy_after(Some(p), n);
+            }
+        }
     }
 }

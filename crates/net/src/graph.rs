@@ -75,12 +75,6 @@ impl Graph {
         })
     }
 
-    /// The CSR arrays `(offsets, neighbors)`, for the engine's gather,
-    /// which scans many neighborhoods in one loop.
-    pub(crate) fn csr(&self) -> (&[usize], &[NodeId]) {
-        (&self.offsets, &self.neighbors)
-    }
-
     /// The number of nodes `n`.
     #[must_use]
     pub fn node_count(&self) -> usize {

@@ -7,8 +7,9 @@
 //! The generators run at one-word sizes (n ≤ 20), where every graph
 //! takes dense rows and the channel has one shard at any shard count.
 //! Multi-word graphs (n = 200–600) reach the rest: the channel over
-//! several shards (shard counts {1, 2, 8}), the scatter and gather
-//! kernels on sparse graphs and dense rows over several words.
+//! several shards (shard counts {1, 2, 8}), the scatter kernel on sparse
+//! graphs from a few beepers to all of them, and dense rows over several
+//! words.
 //!
 //! CI runs this file explicitly (and fails if it vanishes or stops
 //! executing tests): it is the proof that the production kernel and the
@@ -63,11 +64,10 @@ fn all_topologies() -> Vec<(String, Graph)> {
             "preferential_attachment(15,2)".into(),
             topology::preferential_attachment(15, 2, &mut rng).unwrap(),
         ),
-        // Multi-word graphs, one per kernel the engine picks, so the
-        // channel runs over more than one shard. A sparse graph
-        // scatters below `16·beepers = n` and gathers above it: at n = 600
-        // the densities 0.03 and 0.05 fall below that line and 0.1 and up
-        // above it. `complete(200)` takes dense rows.
+        // Multi-word graphs, so the channel runs over more than one
+        // shard, and each kernel the engine picks runs on several words:
+        // the three sparse graphs scatter at every beeper density, and
+        // `complete(200)` takes dense rows.
         (
             "random_regular(600,4)".into(),
             topology::random_regular(600, 4, &mut rng).unwrap(),
@@ -79,13 +79,12 @@ fn all_topologies() -> Vec<(String, Graph)> {
 }
 
 /// Per-round beep probabilities of the noisy, channel, fault and adaptive
-/// oracles. After a silent round come densities on both sides of the
-/// sparse kernel's gather threshold (`16·beepers ≥ n`) on the 600-node
-/// graphs — ≈ 18 and ≈ 60 expected beepers against a threshold of 37.5 —
-/// then dense and full beeper sets. The tail is a silent round right
-/// after the full one, then a sparse round: a rushing adversary's spam
-/// lingers into the silent round, and that spam must not count as
-/// activity that extends its window into the next one.
+/// oracles. After a silent round come sparse beeper sets — ≈ 18 and ≈ 60
+/// expected beepers on the 600-node graphs — then dense and full ones, so
+/// the scatter runs from a few adjacency lists to every node's. The tail
+/// is a silent round right after the full one, then a sparse round: a
+/// rushing adversary's spam lingers into the silent round, and that spam
+/// must not count as activity that extends its window into the next one.
 const DENSITIES: [f64; 7] = [0.0, 0.03, 0.1, 0.5, 1.0, 0.0, 0.1];
 
 /// [`all_topologies`] plus a graph whose node count is past one 64-node
@@ -295,8 +294,8 @@ fn batched_self_hearing_flag_protects_beepers() {
     }
 }
 
-/// Shard counts the channel oracles sweep (the acceptance criterion's
-/// {1, 2, 8} — both sides of the words-per-shard boundary at these sizes).
+/// Shard counts the channel oracles sweep: {1, 2, 8}, both sides of the
+/// words-per-shard boundary at these sizes.
 const SHARD_COUNTS: [usize; 3] = [1, 2, 8];
 
 /// The channels the fault and adaptive oracles run under: the paper's iid
